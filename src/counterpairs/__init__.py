@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .dispersion import (  # noqa: F401
     DispersionModel,
     GTaylor,
+    MaterialPoint,
     WaveguideSpec,
     beta,
     constant_model,
@@ -19,6 +20,7 @@ from .dispersion import (  # noqa: F401
     gamma,
     group_velocity,
     load_model,
+    material_point,
     refractive_index,
     solve_phase_matching,
 )
@@ -27,6 +29,7 @@ from .tpsa import (  # noqa: F401
     GaussianTPSA,
     PumpSpec,
     UNFILTERED,
+    assemble_tpsa,
     build_tpsa,
     evaluate,
     normalize,
@@ -37,5 +40,11 @@ from .tpsa import (  # noqa: F401
 )
 from .spectral import pair_rate, spectrum, width_ratio  # noqa: F401
 from .temporal import dip_width, flux, hom_curve, hom_params, time_domain  # noqa: F401
-from .entanglement import entropy, schmidt, schmidt_mode, separability_roots  # noqa: F401
+from .entanglement import (  # noqa: F401
+    entropy,
+    schmidt,
+    schmidt_mode,
+    separability_roots,
+    separability_roots_at,
+)
 from .inverse import MeasurementSet, estimate, fit_hom_B  # noqa: F401

@@ -29,9 +29,11 @@ from .config import (
     SweepSpec,
     build_scenario_tpsa,
     compute_scenario,
+    failed_point,
     parse_config,
     parse_sweep,
     resolve_scenario,
+    scenario_material,
     sweep_point,
 )
 from .constants import C_LIGHT
@@ -118,13 +120,20 @@ def _cmd_sweep(args) -> int:
 
     v2_list = [None] if spec.axis2 is None else list(spec.axis2.values)
     points = [(v1, v2) for v1 in spec.axis1.values for v2 in v2_list]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_worker,
-                                    [(sc, spec, v1, v2) for v1, v2 in points],
-                                    chunksize=8))
+    # Every sweepable parameter is a pump or filter setting, so one material
+    # point serves every cell; when it cannot be evaluated, every cell fails.
+    try:
+        mp = scenario_material(sc)
+    except CounterpairsError as exc:
+        results = [failed_point(spec, exc) for _ in points]
     else:
-        results = [sweep_point(sc, spec, v1, v2) for v1, v2 in points]
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                results = list(pool.map(_sweep_worker,
+                                        [(sc, spec, mp, v1, v2) for v1, v2 in points],
+                                        chunksize=8))
+        else:
+            results = [sweep_point(sc, spec, mp, v1, v2) for v1, v2 in points]
 
     n2 = len(v2_list)
     files = {}
@@ -162,8 +171,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _sweep_worker(packed):
-    sc, spec, v1, v2 = packed
-    return sweep_point(sc, spec, v1, v2)
+    return sweep_point(*packed)
 
 
 def _cmd_hom(args) -> int:

@@ -20,12 +20,15 @@ from pathlib import Path
 
 from .constants import C_LIGHT
 from .dispersion import (
+    MaterialPoint,
     WaveguideSpec,
+    index_derivative,
     load_model,
+    material_point,
     refractive_index,
     solve_phase_matching,
 )
-from .entanglement import principal_axes, schmidt, separability_roots
+from .entanglement import principal_axes, schmidt, separability_roots_at
 from .errors import ConfigInvalid, CounterpairsError
 from .spectral import pair_rate, spectrum, wavelength_width, width_ratio
 from .temporal import flux, hom_params, time_bandwidth
@@ -33,10 +36,10 @@ from .tpsa import (
     FilterSpec,
     GaussianTPSA,
     PumpSpec,
-    build_tpsa,
-    external_angular_dispersion,
-    internal_angular_dispersion,
+    assemble_tpsa,
     normalize,
+    refract_in,
+    refract_out,
 )
 
 _DEG = math.pi / 180.0
@@ -203,10 +206,9 @@ def resolve_scenario(raw: dict, *, include_g: bool = True,
     dtilde = get("pump.Dtilde_theta")
     d_out = get("pump.D_theta_out")
     if d_out is not None:
-        n_p = refractive_index(model, omega_p0)
-        theta_out = math.asin(n_p * math.sin(theta_p0))
-        dtilde_out = d_out * _DEG * 2.0 * math.pi * C_LIGHT / omega_p0**2
-        _, dtilde = internal_angular_dispersion(model, omega_p0, theta_out, dtilde_out)
+        dtilde = _dtilde_from_out(refractive_index(model, omega_p0),
+                                  index_derivative(model, omega_p0),
+                                  omega_p0, theta_p0, d_out)
     if dtilde is not None:
         pump = replace(pump, dtilde_theta=dtilde)
 
@@ -222,8 +224,27 @@ def resolve_scenario(raw: dict, *, include_g: bool = True,
                     omega_i0=omega_i0, include_g=include_g, p_min=p_min)
 
 
+def _dtilde_from_out(n_p: float, dn_dw_p: float, omega_p0: float,
+                     theta_p0: float, d_out: float) -> float:
+    """Internal angular dispersion (rad s) for an external D_theta_out in deg/m."""
+    theta_out = math.asin(n_p * math.sin(theta_p0))
+    dtilde_out = d_out * _DEG * 2.0 * math.pi * C_LIGHT / omega_p0**2
+    return refract_in(n_p, dn_dw_p, theta_out, dtilde_out)[1]
+
+
+def scenario_material(sc: Scenario) -> MaterialPoint:
+    """The material of a scenario at its centrals; fixed under every sweep."""
+    return material_point(sc.wg, sc.omega_s0, sc.omega_i0)
+
+
 def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
     """Return a scenario with one sweepable parameter replaced."""
+    return with_sweep_value(sc, scenario_material(sc), param, value)
+
+
+def with_sweep_value(sc: Scenario, mp: MaterialPoint, param: str,
+                     value: float) -> Scenario:
+    """apply_sweep_value with the scenario's material already evaluated."""
     if param not in SWEEP_PARAMS:
         raise ConfigInvalid(f"{param!r} is not sweepable; choose from "
                             f"{sorted(SWEEP_PARAMS)}", field=param)
@@ -241,12 +262,7 @@ def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
     elif param == "pump.Dtilde_theta":
         pump = replace(pump, dtilde_theta=value)
     elif param == "pump.D_theta_out":
-        omega_p0 = sc.omega_s0 + sc.omega_i0
-        model = sc.wg.model
-        n_p = refractive_index(model, omega_p0)
-        theta_out = math.asin(n_p * math.sin(pump.theta_p0))
-        dtilde_out = value * _DEG * 2.0 * math.pi * C_LIGHT / omega_p0**2
-        _, dtilde = internal_angular_dispersion(model, omega_p0, theta_out, dtilde_out)
+        dtilde = _dtilde_from_out(mp.n_p, mp.dn_dw_p, mp.omega_p0, pump.theta_p0, value)
         pump = replace(pump, dtilde_theta=dtilde)
     elif param == "filters.sigma_s":
         filt = FilterSpec(sigma_s=value, sigma_i=filt.sigma_i)
@@ -261,8 +277,7 @@ def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
 
 
 def build_scenario_tpsa(sc: Scenario) -> GaussianTPSA:
-    return build_tpsa(sc.wg, sc.pump, sc.filt, sc.omega_s0, sc.omega_i0,
-                      include_g=sc.include_g)
+    return assemble_tpsa(scenario_material(sc), sc.pump, sc.filt, include_g=sc.include_g)
 
 
 def _complex_pair(z: complex):
@@ -271,7 +286,16 @@ def _complex_pair(z: complex):
 
 def compute_scenario(sc: Scenario) -> dict:
     """Every scalar observable of one scenario as a JSON-ready dict."""
-    tpsa = build_scenario_tpsa(sc)
+    return scenario_bundle(sc, scenario_material(sc))
+
+
+def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
+    """compute_scenario with the scenario's material already evaluated.
+
+    mp must be scenario_material(sc), or that of any scenario with the
+    same waveguide and centrals.
+    """
+    tpsa = assemble_tpsa(mp, sc.pump, sc.filt, include_g=sc.include_g)
     rate = pair_rate(tpsa)
     spec_s = spectrum(tpsa, "s")
     spec_i = spectrum(tpsa, "i")
@@ -283,16 +307,15 @@ def compute_scenario(sc: Scenario) -> dict:
     tb = time_bandwidth(tpsa)
     ratio = width_ratio(tpsa)
     if sc.pump.a_p == 0.0:
-        sep = separability_roots(sc.wg, sc.pump, sc.omega_s0, sc.omega_i0,
-                                 include_g=sc.include_g)
+        sep = separability_roots_at(mp, sc.pump, include_g=sc.include_g)
         sep_out = {
             "dtilde_theta_roots_rad_s": list(sep.roots),
             "min_feasible_Z_p_m": sep.min_feasible_z_p,
         }
     else:
         sep_out = None
-    ext = external_angular_dispersion(sc.wg.model, sc.omega_s0 + sc.omega_i0,
-                                      sc.pump.theta_p0, sc.pump.dtilde_theta)
+    ext = refract_out(mp.n_p, mp.dn_dw_p, mp.omega_p0,
+                      sc.pump.theta_p0, sc.pump.dtilde_theta)
 
     return {
         "inputs": {
@@ -469,14 +492,22 @@ def parse_sweep(raw: dict) -> SweepSpec:
     return SweepSpec(axis1=axis1, axis2=axis2, quantities=names)
 
 
-def sweep_point(sc: Scenario, spec: SweepSpec, v1: float,
+def sweep_point(sc: Scenario, spec: SweepSpec, mp: MaterialPoint, v1: float,
                 v2: float | None) -> dict:
-    """Evaluate one sweep grid point (top level so worker pools can pickle it)."""
-    point = apply_sweep_value(sc, spec.axis1.param, v1)
+    """Evaluate one sweep grid point (top level so worker pools can pickle it).
+
+    mp is scenario_material(sc), evaluated once for the whole sweep.
+    """
+    point = with_sweep_value(sc, mp, spec.axis1.param, v1)
     if spec.axis2 is not None and v2 is not None:
-        point = apply_sweep_value(point, spec.axis2.param, v2)
+        point = with_sweep_value(point, mp, spec.axis2.param, v2)
     try:
-        bundle = compute_scenario(point)
+        bundle = scenario_bundle(point, mp)
         return {name: QUANTITIES[name][1](bundle) for name in spec.quantities}
     except CounterpairsError as exc:
-        return {name: float("nan") for name in spec.quantities} | {"_error": str(exc)}
+        return failed_point(spec, exc)
+
+
+def failed_point(spec: SweepSpec, exc: CounterpairsError) -> dict:
+    """A sweep grid point whose scenario raised: NaN quantities plus the message."""
+    return {name: float("nan") for name in spec.quantities} | {"_error": str(exc)}

@@ -9,6 +9,13 @@ wavevector magnitude k_p(w) = n0(w) w / c.
 All operations are pure functions of immutable inputs; frequency
 derivatives use central differences with one Richardson extrapolation
 step (base step 1e-6 of the evaluation frequency).
+
+Everything the amplitude needs from the material at one pair of central
+frequencies is gathered in a frozen MaterialPoint by material_point().
+Pump and filter settings never enter it, so one value serves a whole
+scenario or a whole sweep over pump and filter parameters: it is
+computed once per (waveguide, centrals) and passed on, not looked up
+in a cache.
 """
 
 from __future__ import annotations
@@ -191,7 +198,13 @@ def phase_match_residual(spec: WaveguideSpec, theta_p0: float,
     Counter-propagation makes the idler contribute with reversed sign.
     """
     kp0 = pump_wavevector(spec.model, omega_s0 + omega_i0)
-    return kp0 * math.sin(theta_p0) - beta(spec, omega_s0) + beta(spec, omega_i0)
+    return momentum_mismatch(kp0, theta_p0, beta(spec, omega_s0), beta(spec, omega_i0))
+
+
+def momentum_mismatch(k_p0: float, theta_p0: float,
+                      beta_s0: float, beta_i0: float) -> float:
+    """k_p0 sin(theta_p0) - beta_s0 + beta_i0 from precomputed wavevectors, rad/m."""
+    return k_p0 * math.sin(theta_p0) - beta_s0 + beta_i0
 
 
 def solve_phase_matching(spec: WaveguideSpec, omega_s0: float, omega_i0: float) -> float:
@@ -265,6 +278,62 @@ def g_taylor(spec: WaveguideSpec, omega_s0: float, omega_i0: float) -> GTaylor:
         g2s=0.5 * d2(0, hs),
         g2i=0.5 * d2(1, hi),
         g2si=d_cross(hs, hi),
+    )
+
+
+@dataclass(frozen=True)
+class MaterialPoint:
+    """Material quantities of one waveguide at one pair of central frequencies.
+
+    n_s, n_i, n_p: indices at omega_s0, omega_i0 and omega_p0.
+    beta_s, beta_i: guided propagation constants, rad/m; k_p0: bulk pump
+    wavevector, rad/m. v_s, v_i: guided group velocities; v_p: bulk pump
+    group velocity, m/s. dn_dw_p: dn0/domega at omega_p0, s/rad.
+    gt: expansion of the transverse-overlap factor about the centrals.
+    """
+
+    wg: WaveguideSpec
+    omega_s0: float
+    omega_i0: float
+    n_s: float
+    n_i: float
+    n_p: float
+    beta_s: float
+    beta_i: float
+    k_p0: float
+    v_s: float
+    v_i: float
+    v_p: float
+    dn_dw_p: float
+    gt: GTaylor
+
+    @property
+    def omega_p0(self) -> float:
+        return self.omega_s0 + self.omega_i0
+
+
+def material_point(spec: WaveguideSpec, omega_s0: float, omega_i0: float) -> MaterialPoint:
+    """Evaluate every material quantity at the centrals once.
+
+    The quantities are evaluated in the order the amplitude assembly
+    first needs them (keyword arguments run left to right), so an
+    unusable material (out of window, mode cutoff, alpha -> 0) raises
+    the error the assembly would have raised first.
+    """
+    omega_p0 = omega_s0 + omega_i0
+    return MaterialPoint(
+        wg=spec, omega_s0=omega_s0, omega_i0=omega_i0,
+        k_p0=pump_wavevector(spec.model, omega_p0),
+        beta_s=beta(spec, omega_s0),
+        beta_i=beta(spec, omega_i0),
+        v_s=group_velocity(spec, omega_s0, "guided"),
+        v_i=group_velocity(spec, omega_i0, "guided"),
+        v_p=group_velocity(spec, omega_p0, "pump_bulk"),
+        gt=g_taylor(spec, omega_s0, omega_i0),
+        n_s=refractive_index(spec.model, omega_s0),
+        n_i=refractive_index(spec.model, omega_i0),
+        n_p=refractive_index(spec.model, omega_p0),
+        dn_dw_p=index_derivative(spec.model, omega_p0),
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import WaveguideSpec, g_taylor, group_velocity, pump_wavevector
+from .dispersion import MaterialPoint, WaveguideSpec, material_point
 from .errors import NonNormalizable, OutOfRange
 from .tpsa import GaussianTPSA, PumpSpec, l2_norm
 
@@ -242,49 +242,65 @@ class SeparabilityRoots:
     min_feasible_z_p: float | None
 
 
-def _separability_quadratic(wg: WaveguideSpec, pump: PumpSpec,
-                            omega_s0: float, omega_i0: float,
-                            z_p: float, include_g: bool):
-    """Coefficients (a2, a1, a0) of the cross-term condition in dtilde_theta.
+def _separability_quadratic(mp: MaterialPoint, pump: PumpSpec, include_g: bool):
+    """The cross-term condition in dtilde_theta as a function of the beam width.
 
-    The overlap corrections are themselves quadratic in the angular
-    dispersion, so the exact condition stays quadratic.
+    Returns z_p -> (a2, a1, a0, a0_mag): the coefficients of the
+    quadratic in dtilde_theta and the magnitude scale of a0 before
+    cancellation (for double-root detection). The overlap corrections
+    are themselves quadratic in the angular dispersion, so the exact
+    condition stays quadratic. Everything that does not depend on z_p
+    is evaluated once, here.
     """
-    omega_p0 = omega_s0 + omega_i0
-    v_s = group_velocity(wg, omega_s0, "guided")
-    v_i = group_velocity(wg, omega_i0, "guided")
-    v_p = group_velocity(wg, omega_p0, "pump_bulk")
-    kp0 = pump_wavevector(wg.model, omega_p0)
+    v_s, v_i, v_p, kp0 = mp.v_s, mp.v_i, mp.v_p, mp.k_p0
     s = math.sin(pump.theta_p0)
     co = math.cos(pump.theta_p0)
     kc = kp0 * co
-    z2 = z_p**2
-
-    a2 = z2 * kc**2
-    a1 = z2 * kc * (2.0 * s / v_p + 1.0 / v_i - 1.0 / v_s)
-    a0 = (pump.tau_p**2
-          + z2 * ((s / v_p) ** 2 + (s / v_p) * (1.0 / v_i - 1.0 / v_s)
-                  - 1.0 / (v_s * v_i)))
-    # magnitude scale of a0 before cancellation, for double-root detection
-    a0_mag = (pump.tau_p**2
-              + z2 * ((s / v_p) ** 2 + abs(s / v_p) * abs(1.0 / v_i - 1.0 / v_s)
-                      + 1.0 / (v_s * v_i)))
+    tau2 = pump.tau_p**2
+    kc2 = kc**2
+    slope1 = 2.0 * s / v_p + 1.0 / v_i - 1.0 / v_s
+    slope0 = (s / v_p) ** 2 + (s / v_p) * (1.0 / v_i - 1.0 / v_s) - 1.0 / (v_s * v_i)
+    slope0_mag = ((s / v_p) ** 2 + abs(s / v_p) * abs(1.0 / v_i - 1.0 / v_s)
+                  + 1.0 / (v_s * v_i))
     if include_g:
-        gt = g_taylor(wg, omega_s0, omega_i0)
-        a2 -= 2.0 * kp0**2 * math.cos(2.0 * pump.theta_p0) * gt.g0
-        a1 -= 2.0 * kc * s * (kp0 * (gt.g1s + gt.g1i) + 4.0 * gt.g0 / v_p)
+        gt = mp.gt
+        g_a2 = 2.0 * kp0**2 * math.cos(2.0 * pump.theta_p0) * gt.g0
+        g_a1 = 2.0 * kc * s * (kp0 * (gt.g1s + gt.g1i) + 4.0 * gt.g0 / v_p)
         g_const = (kc**2 * gt.g2si
                    + 2.0 * kc * co * (gt.g1s + gt.g1i) / v_p
                    + 2.0 * kc * co * gt.g0 / (kp0 * v_p**2))
-        a0 += g_const
-        a0_mag += abs(g_const)
-    return a2, a1, a0, a0_mag
+
+    def at(z_p: float):
+        z2 = z_p**2
+        a2 = z2 * kc2
+        a1 = z2 * kc * slope1
+        a0 = tau2 + z2 * slope0
+        a0_mag = tau2 + z2 * slope0_mag
+        if include_g:
+            a2 -= g_a2
+            a1 -= g_a1
+            a0 += g_const
+            a0_mag += abs(g_const)
+        return a2, a1, a0, a0_mag
+
+    return at
 
 
 def separability_roots(wg: WaveguideSpec, pump: PumpSpec,
                        omega_s0: float, omega_i0: float, *,
                        include_g: bool = True) -> SeparabilityRoots:
     """Angular-dispersion roots making the amplitude factorize (chirp-free).
+
+    Evaluates the material at the centrals and hands it to
+    separability_roots_at.
+    """
+    return separability_roots_at(material_point(wg, omega_s0, omega_i0), pump,
+                                 include_g=include_g)
+
+
+def separability_roots_at(mp: MaterialPoint, pump: PumpSpec, *,
+                          include_g: bool = True) -> SeparabilityRoots:
+    """Angular-dispersion roots from the material at the centrals (chirp-free).
 
     In the symmetric degenerate geometry the roots reduce to
     +- (1/k_p0) sqrt(1/v_s^2 - tau_p^2/z_p^2), real only for
@@ -293,9 +309,7 @@ def separability_roots(wg: WaveguideSpec, pump: PumpSpec,
     if pump.a_p != 0.0:
         raise ValueError("separability roots are defined for chirp-free pumps")
 
-    def quad(z_p):
-        return _separability_quadratic(wg, pump, omega_s0, omega_i0, z_p, include_g)
-
+    quad = _separability_quadratic(mp, pump, include_g)
     a2, a1, a0, a0_mag = quad(pump.z_p)
     disc = a1 * a1 - 4.0 * a2 * a0
     # cancellation-insensitive scale: |a0| can vanish at a double root

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import C_LIGHT, HBAR
-from .dispersion import WaveguideSpec
+from .dispersion import WaveguideSpec, material_point
 from .errors import NonNormalizable
 from .tpsa import GaussianTPSA, PumpSpec, e_factor, l2_norm, v_coefficients
 
@@ -153,7 +153,7 @@ def width_ratio(tpsa: GaussianTPSA) -> WidthRatio:
 def asymptotic_widths(wg: WaveguideSpec, pump: PumpSpec,
                       omega_s0: float, omega_i0: float) -> AsymptoticWidths:
     """Unfiltered limiting widths: cw pumping and the wide-beam (z_p -> inf) limit."""
-    vc = v_coefficients(wg, pump, omega_s0, omega_i0)
+    vc = v_coefficients(material_point(wg, omega_s0, omega_i0), pump)
     chirp_scale = math.sqrt(1.0 + pump.a_p**2)
     return AsymptoticWidths(
         sigma_cw=math.sqrt(2.0) / (vc.v_si * pump.z_p),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .errors import NonNormalizable, NoRootInInterval, SingularTransform
+from .errors import NonNormalizable, NoRootInInterval, OutOfRange, SingularTransform
 from .tpsa import GaussianTPSA, e_factor
 
 _DF_REL_FLOOR = 1e-12
@@ -96,9 +96,9 @@ class HomDip:
 
     def __post_init__(self):
         if not (0.0 < self.a <= 1.0):
-            raise ValueError(f"dip contrast a = {self.a} outside (0, 1]")
+            raise OutOfRange(f"dip contrast a = {self.a} outside (0, 1]")
         if self.b <= 0:
-            raise ValueError("b must be positive")
+            raise OutOfRange("b must be positive")
 
 
 def time_domain(tpsa: GaussianTPSA) -> TimeDomainTPSA:

@@ -24,12 +24,11 @@ import numpy as np
 from .constants import C_LIGHT, EPSILON_0
 from .dispersion import (
     DispersionModel,
+    MaterialPoint,
     WaveguideSpec,
-    g_taylor,
-    group_velocity,
     index_derivative,
-    phase_match_residual,
-    pump_wavevector,
+    material_point,
+    momentum_mismatch,
     refractive_index,
     solve_phase_matching,
 )
@@ -211,40 +210,30 @@ def with_matched_angle(wg: WaveguideSpec, pump: PumpSpec,
     return replace(pump, theta_p0=solve_phase_matching(wg, omega_s0, omega_i0))
 
 
-def v_coefficients(wg: WaveguideSpec, pump: PumpSpec,
-                   omega_s0: float, omega_i0: float) -> VCoefficients:
+def v_coefficients(mp: MaterialPoint, pump: PumpSpec) -> VCoefficients:
     """Group-velocity-mismatch coefficients at the central frequencies."""
-    omega_p0 = omega_s0 + omega_i0
-    v_s = group_velocity(wg, omega_s0, "guided")
-    v_i = group_velocity(wg, omega_i0, "guided")
-    v_p = group_velocity(wg, omega_p0, "pump_bulk")
-    kp0 = pump_wavevector(wg.model, omega_p0)
-    u = (math.sin(pump.theta_p0) / v_p
-         + kp0 * math.cos(pump.theta_p0) * pump.dtilde_theta)
-    return VCoefficients(v_ps=u - 1.0 / v_s, v_pi=u + 1.0 / v_i,
-                         v_si=1.0 / v_s + 1.0 / v_i)
+    u = (math.sin(pump.theta_p0) / mp.v_p
+         + mp.k_p0 * math.cos(pump.theta_p0) * pump.dtilde_theta)
+    return VCoefficients(v_ps=u - 1.0 / mp.v_s, v_pi=u + 1.0 / mp.v_i,
+                         v_si=1.0 / mp.v_s + 1.0 / mp.v_i)
 
 
-def pair_norm_constant(wg: WaveguideSpec, pump: PumpSpec,
-                       omega_s0: float, omega_i0: float) -> float:
+def pair_norm_constant(mp: MaterialPoint, pump: PumpSpec) -> float:
     """Squared amplitude constant |C|^2 of the Gaussian form, 1/m.
 
     Collects the nonlinear coefficient, the per-photon mode
     normalizations, the transverse y-aperture overlap erf(Ly/2Yp), and
     the pump power; linear in p_p.
     """
-    omega_p0 = omega_s0 + omega_i0
-    n_p = refractive_index(wg.model, omega_p0)
-    n_s = refractive_index(wg.model, omega_s0)
-    n_i = refractive_index(wg.model, omega_i0)
-    v_p = group_velocity(wg, omega_p0, "pump_bulk")
+    wg, omega_s0, omega_i0 = mp.wg, mp.omega_s0, mp.omega_i0
+    n_p, n_s, n_i = mp.n_p, mp.n_s, mp.n_i
     material = (math.sqrt(2.0 * math.pi) * math.pi**2 * wg.d**2
                 * omega_s0 * omega_i0
                 / (EPSILON_0 * C_LIGHT**2 * n_p**2 * n_s**3 * n_i**3))
     overlap = (math.sqrt(n_s * n_i * omega_s0 * omega_i0)
                / (n_s * omega_s0 + n_i * omega_i0))
     aperture = (pump.y_p / wg.ly**2) * math.erf(wg.ly / (2.0 * pump.y_p)) ** 2
-    return material * overlap * aperture * pump.p_p / (v_p * math.cos(pump.theta_p0))
+    return material * overlap * aperture * pump.p_p / (mp.v_p * math.cos(pump.theta_p0))
 
 
 def build_tpsa(wg: WaveguideSpec, pump: PumpSpec, filt: FilterSpec,
@@ -252,6 +241,18 @@ def build_tpsa(wg: WaveguideSpec, pump: PumpSpec, filt: FilterSpec,
                include_g: bool = True,
                filter_cross: str = "zero") -> GaussianTPSA:
     """Assemble the Gaussian amplitude for matched central frequencies.
+
+    Evaluates the material at the centrals and hands it to assemble_tpsa,
+    which documents the arguments.
+    """
+    return assemble_tpsa(material_point(wg, omega_s0, omega_i0), pump, filt,
+                         include_g=include_g, filter_cross=filter_cross)
+
+
+def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
+                  include_g: bool = True,
+                  filter_cross: str = "zero") -> GaussianTPSA:
+    """Assemble the Gaussian amplitude from the material at the centrals.
 
     pump.theta_p0 must already satisfy momentum conservation (use
     with_matched_angle); pump.lambda_p0 must match omega_s0 + omega_i0.
@@ -265,23 +266,24 @@ def build_tpsa(wg: WaveguideSpec, pump: PumpSpec, filt: FilterSpec,
     """
     if filter_cross not in ("zero", "sigma-cross"):
         raise ValueError("filter_cross must be 'zero' or 'sigma-cross'")
+    omega_s0, omega_i0 = mp.omega_s0, mp.omega_i0
     omega_p0 = omega_s0 + omega_i0
     if abs(pump.omega_p0 - omega_p0) > 1e-6 * omega_p0:
         raise PhaseMatchViolated(
             f"pump.lambda_p0 = {pump.lambda_p0:.6g} m is inconsistent with "
             f"omega_s0 + omega_i0 = {omega_p0:.6g} rad/s"
         )
-    kp0 = pump_wavevector(wg.model, omega_p0)
-    residual = phase_match_residual(wg, pump.theta_p0, omega_s0, omega_i0)
+    kp0 = mp.k_p0
+    residual = momentum_mismatch(kp0, pump.theta_p0, mp.beta_s, mp.beta_i)
     if abs(residual) > _PM_REL_TOL * kp0:
         raise PhaseMatchViolated(
             f"momentum mismatch {residual:.6g} rad/m exceeds "
             f"{_PM_REL_TOL:.0e} k_p0; solve the pump angle first"
         )
 
-    vc = v_coefficients(wg, pump, omega_s0, omega_i0)
-    v_p = group_velocity(wg, omega_p0, "pump_bulk")
-    gt = g_taylor(wg, omega_s0, omega_i0)
+    vc = v_coefficients(mp, pump)
+    v_p = mp.v_p
+    gt = mp.gt
 
     cos_t = math.cos(pump.theta_p0)
     sin_t = math.sin(pump.theta_p0)
@@ -320,7 +322,7 @@ def build_tpsa(wg: WaveguideSpec, pump: PumpSpec, filt: FilterSpec,
     return GaussianTPSA(
         omega_s0=omega_s0, omega_i0=omega_i0, omega_p0=omega_p0,
         f2s=f2s, f2i=f2i, f2si=f2si, f1s=f1s, f1i=f1i, f0=f0,
-        c_phi_sq=pair_norm_constant(wg, pump, omega_s0, omega_i0),
+        c_phi_sq=pair_norm_constant(mp, pump),
         prefactor=math.sqrt(pump.z_p * pump.tau_p / (1.0 + pump.a_p**2)),
         v_ps=vc.v_ps, v_pi=vc.v_pi, v_si=vc.v_si,
         g_s=g_s, g_i=g_i, g_si=g_si,
@@ -406,28 +408,38 @@ def external_angular_dispersion(model: DispersionModel, omega_p0: float,
                                 theta_p0: float,
                                 dtilde_internal: float) -> ExternalAngularDispersion:
     """Refract the internal pump angle and angular dispersion out of the material."""
-    n = refractive_index(model, omega_p0)
+    return refract_out(refractive_index(model, omega_p0), index_derivative(model, omega_p0),
+                       omega_p0, theta_p0, dtilde_internal)
+
+
+def internal_angular_dispersion(model: DispersionModel, omega_p0: float,
+                                theta_out: float, dtilde_out: float) -> tuple[float, float]:
+    """Inverse refraction: (theta_p0, dtilde_internal) from external values."""
+    return refract_in(refractive_index(model, omega_p0), index_derivative(model, omega_p0),
+                      theta_out, dtilde_out)
+
+
+def refract_out(n: float, dn_dw: float, omega_p0: float, theta_p0: float,
+                dtilde_internal: float) -> ExternalAngularDispersion:
+    """external_angular_dispersion from the index n and dn/domega at omega_p0."""
     s_out = n * math.sin(theta_p0)
     if abs(s_out) > 1.0:
         raise TotalInternalReflection(
             f"n0 sin(theta_p0) = {s_out:.4g} has no external angle"
         )
     theta_out = math.asin(s_out)
-    dndw = index_derivative(model, omega_p0)
     dtilde_out = (n * math.cos(theta_p0) / math.cos(theta_out) * dtilde_internal
-                  + math.sin(theta_p0) / math.cos(theta_out) * dndw)
+                  + math.sin(theta_p0) / math.cos(theta_out) * dn_dw)
     d_out = dtilde_out * omega_p0**2 / (2.0 * math.pi * C_LIGHT)
     return ExternalAngularDispersion(dtilde_out=dtilde_out, d_out=d_out,
                                      theta_out=theta_out)
 
 
-def internal_angular_dispersion(model: DispersionModel, omega_p0: float,
-                                theta_out: float, dtilde_out: float) -> tuple[float, float]:
-    """Inverse refraction: (theta_p0, dtilde_internal) from external values."""
-    n = refractive_index(model, omega_p0)
+def refract_in(n: float, dn_dw: float, theta_out: float,
+               dtilde_out: float) -> tuple[float, float]:
+    """internal_angular_dispersion from the index n and dn/domega at omega_p0."""
     theta_p0 = math.asin(math.sin(theta_out) / n)
-    dndw = index_derivative(model, omega_p0)
-    dtilde = ((dtilde_out * math.cos(theta_out) - math.sin(theta_p0) * dndw)
+    dtilde = ((dtilde_out * math.cos(theta_out) - math.sin(theta_p0) * dn_dw)
               / (n * math.cos(theta_p0)))
     return theta_p0, dtilde
 
@@ -435,7 +447,8 @@ def internal_angular_dispersion(model: DispersionModel, omega_p0: float,
 __all__ = [
     "PumpSpec", "FilterSpec", "UNFILTERED", "VCoefficients", "GaussianTPSA",
     "RotatedTPSA", "ExternalAngularDispersion", "with_matched_angle",
-    "v_coefficients", "pair_norm_constant", "build_tpsa", "evaluate",
-    "e_factor", "l2_norm", "normalize", "rotate", "unrotate",
+    "v_coefficients", "pair_norm_constant", "build_tpsa", "assemble_tpsa",
+    "evaluate", "e_factor", "l2_norm", "normalize", "rotate", "unrotate",
     "external_angular_dispersion", "internal_angular_dispersion",
+    "refract_out", "refract_in",
 ]

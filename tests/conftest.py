@@ -35,7 +35,8 @@ def make_case(waveguide):
     """Factory for a fully built scenario around the 0.532 um pump.
 
     lambda_i defaults to the energy-conservation partner of lambda_s.
-    Returns a namespace with wg, pump, filt, centrals, and the built tpsa.
+    Returns a namespace with wg, pump, filt, centrals, the material point
+    mp, and the built tpsa.
     """
 
     def make(tau_p=1e-13, z_p=1e-5, y_p=1e-5, a_p=0.0, dtilde_theta=0.0,
@@ -54,11 +55,11 @@ def make_case(waveguide):
         )
         pump = cp.with_matched_angle(wg, pump, omega_s0, omega_i0)
         filt = cp.FilterSpec(sigma_s=sigma_s, sigma_i=sigma_i)
-        tpsa = cp.build_tpsa(wg, pump, filt, omega_s0, omega_i0,
-                             include_g=include_g)
+        mp = cp.material_point(wg, omega_s0, omega_i0)
+        tpsa = cp.assemble_tpsa(mp, pump, filt, include_g=include_g)
         return SimpleNamespace(wg=wg, pump=pump, filt=filt,
                                omega_s0=omega_s0, omega_i0=omega_i0,
-                               tpsa=tpsa)
+                               mp=mp, tpsa=tpsa)
 
     return make
 

@@ -8,6 +8,14 @@ import numpy as np
 import pytest
 
 from counterpairs.cli import main
+from counterpairs.config import (
+    apply_sweep_value,
+    compute_scenario,
+    parse_config,
+    parse_sweep,
+    resolve_scenario,
+)
+from counterpairs.errors import CounterpairsError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -144,6 +152,59 @@ class TestSweep:
         for name in ("sigma_lambda_s.csv", "entropy.csv", "N.csv",
                      "sweep_manifest.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    def test_worker_pool_output_is_byte_identical(self, capsys, tmp_path):
+        cfg = CONFIG_DIR / "fig7_sweep.cfg"
+        outputs = {}
+        for workers in (1, 2):
+            out_dir = tmp_path / f"workers{workers}"
+            code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                                 "--out-dir", str(out_dir), "--workers", str(workers))
+            assert code == 0
+            outputs[workers] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert sorted(outputs[1]) == ["entropy.csv", "n_min.csv", "sweep_manifest.json",
+                                      "vartheta.csv"]
+        assert outputs[1] == outputs[2]
+
+    def test_failing_cells_do_not_abort_the_sweep(self, capsys, tmp_path):
+        # at tau_p = 0.52 fs the dip contrast computes slightly above 1 at
+        # Z_p = 1.8 cm and D_f is singular at 10 cm; those cells turn NaN
+        # with their message and the rest are still written
+        text = (CONFIG_DIR / "fig2.cfg").read_text().replace(
+            "pump.tau_p = 1e-13 s", "pump.tau_p = 5.2e-16 s") + (
+            "sweep.axis1 = pump.Z_p\n"
+            "sweep.axis1_range = 1e-7 1e-1 m\n"
+            "sweep.axis1_scale = log\n"
+            "sweep.axis1_points = 9\n"
+            "sweep.quantities = hom_A visibility entropy N\n"
+        )
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(text)
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                             "--out-dir", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+        assert sorted(manifest["files"]) == ["N", "entropy", "hom_A", "visibility"]
+
+        raw = parse_config(cfg)
+        sc = resolve_scenario(raw)
+        messages = set()
+        failed = []
+        for z_p in parse_sweep(raw).axis1.values:
+            try:
+                compute_scenario(apply_sweep_value(sc, "pump.Z_p", z_p))
+                failed.append(False)
+            except CounterpairsError as exc:
+                messages.add(str(exc))
+                failed.append(True)
+        assert any(failed) and not all(failed)
+        assert any("dip contrast" in m for m in messages)
+        assert manifest["errors"] == sorted(messages)
+        for fname in manifest["files"].values():
+            rows = (out_dir / fname).read_text().splitlines()[1:]
+            cells = [float(row.split(",")[1]) for row in rows]
+            assert [np.isnan(x) for x in cells] == failed
 
 
 class TestHomAndSchmidt:

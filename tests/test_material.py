@@ -1,0 +1,165 @@
+"""The material point: one evaluation per (waveguide, centrals), reused everywhere.
+
+Call counts are taken by wrapping every module attribute bound to the
+counted function, so calls through names imported across modules are
+seen as well.
+"""
+
+import json
+import math
+import shutil
+from pathlib import Path
+
+import pytest
+
+import counterpairs as cp
+from counterpairs import config, dispersion, entanglement, tpsa
+from counterpairs.cli import main
+from counterpairs.dispersion import (
+    beta,
+    g_taylor,
+    group_velocity,
+    index_derivative,
+    material_point,
+    pump_wavevector,
+    refractive_index,
+)
+
+from conftest import LAMBDA_PAIR, LAMBDA_PUMP, omega_of
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+MODULES = (cp, dispersion, tpsa, entanglement, config, cp.spectral, cp.cli)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """count_calls(name) -> dict whose "calls" grows with each dispersion.<name> call."""
+
+    def install(name):
+        original = getattr(dispersion, name)
+        counter = {"calls": 0}
+
+        def counted(*args, **kwargs):
+            counter["calls"] += 1
+            return original(*args, **kwargs)
+
+        for module in MODULES:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        return counter
+
+    return install
+
+
+def test_point_holds_the_material_functions_values(waveguide):
+    w_s, w_i = omega_of(1.05e-6), omega_of(LAMBDA_PUMP) - omega_of(1.05e-6)
+    w_p = w_s + w_i
+    mp = material_point(waveguide, w_s, w_i)
+    model = waveguide.model
+    assert (mp.wg, mp.omega_s0, mp.omega_i0, mp.omega_p0) == (waveguide, w_s, w_i, w_p)
+    assert (mp.n_s, mp.n_i, mp.n_p) == (refractive_index(model, w_s),
+                                        refractive_index(model, w_i),
+                                        refractive_index(model, w_p))
+    assert (mp.beta_s, mp.beta_i) == (beta(waveguide, w_s), beta(waveguide, w_i))
+    assert mp.k_p0 == pump_wavevector(model, w_p)
+    assert (mp.v_s, mp.v_i, mp.v_p) == (group_velocity(waveguide, w_s, "guided"),
+                                        group_velocity(waveguide, w_i, "guided"),
+                                        group_velocity(waveguide, w_p, "pump_bulk"))
+    assert mp.dn_dw_p == index_derivative(model, w_p)
+    assert mp.gt == g_taylor(waveguide, w_s, w_i)
+
+
+def test_point_is_frozen(waveguide):
+    w = omega_of(LAMBDA_PAIR)
+    mp = material_point(waveguide, w, w)
+    with pytest.raises(AttributeError):
+        mp.n_s = 2.0
+
+
+def test_wrappers_equal_the_point_paths(make_case):
+    for include_g in (True, False):
+        case = make_case(z_p=3e-5, sigma_s=3e13, include_g=include_g)
+        built = cp.build_tpsa(case.wg, case.pump, case.filt, case.omega_s0,
+                              case.omega_i0, include_g=include_g)
+        assert built == case.tpsa
+        narrow = make_case(z_p=5e-6, include_g=include_g)
+        for c in (case, narrow):
+            assert (cp.separability_roots(c.wg, c.pump, c.omega_s0, c.omega_i0,
+                                          include_g=include_g)
+                    == cp.separability_roots_at(c.mp, c.pump, include_g=include_g))
+        assert narrow.mp == material_point(narrow.wg, narrow.omega_s0, narrow.omega_i0)
+
+
+def test_apply_sweep_value_matches_the_point_path():
+    sc = config.resolve_scenario(config.parse_config(CONFIG_DIR / "fig2.cfg"))
+    mp = config.scenario_material(sc)
+    for param, value in (("pump.D_theta_out", 1.2e8), ("pump.Z_p", 2e-5),
+                         ("filters.sigma_both_nm", 7.0)):
+        assert (config.apply_sweep_value(sc, param, value)
+                == config.with_sweep_value(sc, mp, param, value))
+    point = config.apply_sweep_value(sc, "pump.D_theta_out", -2e8)
+    assert config.compute_scenario(point) == config.scenario_bundle(point, mp)
+
+
+def test_scenario_evaluates_the_material_once(count_calls):
+    sc = config.resolve_scenario(config.parse_config(CONFIG_DIR / "fig2.cfg"))
+    index = count_calls("refractive_index")
+    taylor = count_calls("g_taylor")
+    bundle = config.compute_scenario(sc)
+    # fig2 takes the doubling-and-bisection path of separability_roots
+    assert bundle["separability"]["min_feasible_Z_p_m"] is not None
+    assert taylor["calls"] == 1
+    assert index["calls"] <= 80
+
+
+def test_sweep_evaluates_the_material_once(count_calls, capsys, tmp_path):
+    index = count_calls("refractive_index")
+    taylor = count_calls("g_taylor")
+    assert main(["sweep", "--config", str(CONFIG_DIR / "fig6_sweep.cfg"),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    cells = 32 * 32
+    assert taylor["calls"] == 1
+    assert index["calls"] <= 6 * cells
+
+
+def test_phase_match_and_dispersion_info_need_no_material_point(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("material point built")
+
+    for module in MODULES:
+        if getattr(module, "material_point", None) is material_point:
+            monkeypatch.setattr(module, "material_point", refuse)
+    # alpha = 0 has no G expansion, so a material point cannot be built there
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text((CONFIG_DIR / "fig2.cfg").read_text().replace(
+        "waveguide.alpha = 4e6 1/m", "waveguide.alpha = 0 1/m"))
+    assert main(["phase-match", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["theta_p0_rad"] == 0.0
+    assert main(["dispersion-info", "--config", str(cfg), "--at", "1.064e-6"]) == 0
+    point = json.loads(capsys.readouterr().out)["points"][0]
+    assert math.isfinite(point["v_guided_m_per_s"])
+
+
+def test_material_failure_fails_every_sweep_cell(capsys, tmp_path):
+    # every cell shares the material, so a material that cannot be evaluated
+    # fails all of them; the sweep still completes and says why
+    cfg = tmp_path / "free.cfg"
+    shutil.copy(CONFIG_DIR / "fig7_sweep.cfg", cfg)
+    cfg.write_text(cfg.read_text().replace("waveguide.alpha = 4e6 1/m",
+                                           "waveguide.alpha = 0 1/m"))
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out-dir", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    assert len(manifest["errors"]) == 1
+    assert "below floor" in manifest["errors"][0]
+    with pytest.raises(cp.errors.DegenerateExpansion, match="below floor"):
+        material_point(cp.WaveguideSpec(alpha=0.0, ly=1e-5, d=41.05e-12,
+                                        model=cp.load_model("linbo3_e")),
+                       omega_of(LAMBDA_PAIR), omega_of(LAMBDA_PAIR))
+    for fname in manifest["files"].values():
+        rows = (out / fname).read_text().splitlines()[1:]
+        assert len(rows) == 39
+        assert all(math.isnan(float(row.split(",")[1])) for row in rows)

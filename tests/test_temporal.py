@@ -7,7 +7,7 @@ import pytest
 
 from counterpairs import oracle
 from counterpairs.dispersion import group_velocity
-from counterpairs.errors import SingularTransform
+from counterpairs.errors import OutOfRange, SingularTransform
 from counterpairs.temporal import (
     HomDip,
     _solve_dip_width,
@@ -262,7 +262,7 @@ class TestDipWidth:
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
     def test_invariants_guarded(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             HomDip(a=1.5, b=1e25, visibility=1.0, beat=0.0, delta_tau_l=1e-13)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             HomDip(a=0.5, b=-1.0, visibility=1.0 / 3.0, beat=0.0, delta_tau_l=1e-13)

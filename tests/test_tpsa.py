@@ -127,7 +127,7 @@ class TestCoefficientAssembly:
 class TestVCoefficients:
     def test_zero_angle_reduction(self, make_case):
         case = make_case()
-        vc = cp.v_coefficients(case.wg, case.pump, case.omega_s0, case.omega_i0)
+        vc = cp.v_coefficients(case.mp, case.pump)
         v_s = group_velocity(case.wg, case.omega_s0, "guided")
         v_i = group_velocity(case.wg, case.omega_i0, "guided")
         assert vc.v_ps == pytest.approx(-1.0 / v_s, rel=1e-12)
@@ -135,11 +135,11 @@ class TestVCoefficients:
 
     def test_v_si_pump_independent(self, make_case):
         case = make_case()
-        base = cp.v_coefficients(case.wg, case.pump, case.omega_s0, case.omega_i0)
+        base = cp.v_coefficients(case.mp, case.pump)
         for pump in (replace(case.pump, tau_p=3e-13),
                      replace(case.pump, z_p=5e-5),
                      replace(case.pump, dtilde_theta=1e-16)):
-            vc = cp.v_coefficients(case.wg, pump, case.omega_s0, case.omega_i0)
+            vc = cp.v_coefficients(case.mp, pump)
             assert vc.v_si == base.v_si
             if pump.dtilde_theta:
                 assert vc.v_ps != base.v_ps
@@ -154,37 +154,34 @@ class TestVCoefficients:
         assert len(roots.roots) == 2
         for root in roots.roots:
             pump = replace(case.pump, dtilde_theta=root)
-            vc = cp.v_coefficients(case.wg, pump, case.omega_s0, case.omega_i0)
+            vc = cp.v_coefficients(case.mp, pump)
             assert vc.v_ps * vc.v_pi == pytest.approx(
                 -case.pump.tau_p**2 / case.pump.z_p**2, rel=1e-9)
         v_s = group_velocity(case.wg, case.omega_s0, "guided")
         sym = make_case(z_p=v_s * 1e-13, include_g=False)
-        vc = cp.v_coefficients(sym.wg, sym.pump, sym.omega_s0, sym.omega_i0)
+        vc = cp.v_coefficients(sym.mp, sym.pump)
         assert vc.v_ps == pytest.approx(-vc.v_pi, rel=1e-9)
 
 
 class TestNormConstant:
     def test_linear_in_power(self, make_case):
         case = make_case()
-        c1 = cp.pair_norm_constant(case.wg, case.pump, case.omega_s0, case.omega_i0)
-        c2 = cp.pair_norm_constant(case.wg, replace(case.pump, p_p=2.5),
-                                   case.omega_s0, case.omega_i0)
+        c1 = cp.pair_norm_constant(case.mp, case.pump)
+        c2 = cp.pair_norm_constant(case.mp, replace(case.pump, p_p=2.5))
         assert c2 == pytest.approx(2.5 * c1, rel=1e-13)
 
     def test_wide_aperture_scaling(self, make_case):
         # erf(Ly/2Yp) -> Ly/(sqrt(pi) Yp), so |C|^2 ~ 1/(pi Yp) for wide pumps
         case = make_case()
-        wide = [cp.pair_norm_constant(case.wg, replace(case.pump, y_p=y),
-                                      case.omega_s0, case.omega_i0)
+        wide = [cp.pair_norm_constant(case.mp, replace(case.pump, y_p=y))
                 for y in (1e-2, 2e-2)]
         assert wide[0] / wide[1] == pytest.approx(2.0, rel=1e-4)
         ly = case.wg.ly
-        limit = cp.pair_norm_constant(case.wg, replace(case.pump, y_p=1e-2),
-                                      case.omega_s0, case.omega_i0)
+        limit = cp.pair_norm_constant(case.mp, replace(case.pump, y_p=1e-2))
         exact_small_arg = limit * (1e-2 / case.pump.y_p) \
             * (math.erf(ly / (2 * case.pump.y_p))
                / (ly / (math.sqrt(math.pi) * case.pump.y_p))) ** 2
-        ref = cp.pair_norm_constant(case.wg, case.pump, case.omega_s0, case.omega_i0)
+        ref = cp.pair_norm_constant(case.mp, case.pump)
         assert exact_small_arg == pytest.approx(ref, rel=1e-6)
 
 
