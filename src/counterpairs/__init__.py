@@ -34,17 +34,15 @@ from .tpsa import (  # noqa: F401
     evaluate,
     normalize,
     pair_norm_constant,
-    rotate,
     v_coefficients,
     with_matched_angle,
 )
 from .spectral import pair_rate, spectrum, width_ratio  # noqa: F401
-from .temporal import dip_width, flux, hom_curve, hom_params, time_domain  # noqa: F401
+from .temporal import flux, hom_curve, hom_params, time_domain  # noqa: F401
 from .entanglement import (  # noqa: F401
     entropy,
     schmidt,
     schmidt_mode,
     separability_roots,
-    separability_roots_at,
 )
 from .inverse import MeasurementSet, estimate, fit_hom_B  # noqa: F401

@@ -27,6 +27,8 @@ from .config import (
     SWEEP_PARAMS,
     Scenario,
     SweepSpec,
+    _parse_quantity,
+    _read_assignments,
     build_scenario_tpsa,
     compute_scenario,
     failed_point,
@@ -217,25 +219,12 @@ _WIDTHS_KEYS = {
 
 
 def _parse_widths_file(path: str) -> dict:
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigInvalid(f"line {lineno}: expected 'key = value'")
-        key, value = (p.strip() for p in stripped.split("=", 1))
-        if key not in _WIDTHS_KEYS:
-            raise ConfigInvalid(f"unknown key {key!r}", field=key)
-        parts = value.split()
-        if len(parts) != 2 or parts[1] != _WIDTHS_KEYS[key]:
-            raise ConfigInvalid(
-                f"{key} must be '<number> {_WIDTHS_KEYS[key]}'", field=key)
-        values[key] = float(parts[0])
+    raw = _read_assignments(path, _WIDTHS_KEYS)
     for key in ("measure.sigma_omega_s", "measure.sigma_omega_i"):
-        if key not in values:
+        if key not in raw:
             raise ConfigInvalid(f"missing required key {key!r}", field=key)
-    return values
+    return {key: _parse_quantity(key, value, _WIDTHS_KEYS[key])
+            for key, value in raw.items()}
 
 
 def _parse_hom_csv(path: str) -> list:

@@ -28,8 +28,8 @@ from .dispersion import (
     refractive_index,
     solve_phase_matching,
 )
-from .entanglement import principal_axes, schmidt, separability_roots_at
-from .errors import ConfigInvalid, CounterpairsError
+from .entanglement import principal_axes, schmidt, separability_roots
+from .errors import ConfigInvalid, CounterpairsError, OutOfRange
 from .spectral import pair_rate, spectrum, wavelength_width, width_ratio
 from .temporal import flux, hom_params, time_bandwidth
 from .tpsa import (
@@ -90,22 +90,31 @@ SWEEP_PARAMS = {
 }
 
 
-def parse_config(path: str | Path) -> dict:
-    """Read a config file into {dotted key: raw value string}."""
-    text = Path(path).read_text()
+def _read_assignments(path: str | Path, keys) -> dict:
+    """Read 'key = value' lines into {key: raw value string}.
+
+    '#' starts a comment; keys outside `keys` and repeated keys are
+    rejected with the key named.
+    """
     raw = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigInvalid(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in keys:
             raise ConfigInvalid(f"unknown key {key!r} (line {lineno})", field=key)
         if key in raw:
             raise ConfigInvalid(f"duplicate key {key!r} (line {lineno})", field=key)
         raw[key] = value
+    return raw
+
+
+def parse_config(path: str | Path) -> dict:
+    """Read a config file into {dotted key: raw value string}."""
+    raw = _read_assignments(path, _SCHEMA)
     for key, (_, required, _) in _SCHEMA.items():
         if required and key not in raw:
             raise ConfigInvalid(f"missing required key {key!r}", field=key)
@@ -197,7 +206,7 @@ def resolve_scenario(raw: dict, *, include_g: bool = True,
             y_p=get("pump.Y_p"), a_p=get("pump.a_p"),
             p_p=get("pump.P_p"), f_rep=get("pump.f_rep"),
         )
-    except ValueError as exc:
+    except OutOfRange as exc:
         raise ConfigInvalid(str(exc), field="pump") from exc
 
     theta_p0 = solve_phase_matching(wg, omega_s0, omega_i0)
@@ -217,7 +226,7 @@ def resolve_scenario(raw: dict, *, include_g: bool = True,
                                                 raw.get("filters.sigma_s", "unfiltered")),
                           sigma_i=_parse_filter("filters.sigma_i",
                                                 raw.get("filters.sigma_i", "unfiltered")))
-    except ValueError as exc:
+    except OutOfRange as exc:
         raise ConfigInvalid(str(exc), field="filters") from exc
 
     return Scenario(wg=wg, pump=pump, filt=filt, omega_s0=omega_s0,
@@ -307,7 +316,7 @@ def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
     tb = time_bandwidth(tpsa)
     ratio = width_ratio(tpsa)
     if sc.pump.a_p == 0.0:
-        sep = separability_roots_at(mp, sc.pump, include_g=sc.include_g)
+        sep = separability_roots(mp, sc.pump, include_g=sc.include_g)
         sep_out = {
             "dtilde_theta_roots_rad_s": list(sep.roots),
             "min_feasible_Z_p_m": sep.min_feasible_z_p,
@@ -496,12 +505,13 @@ def sweep_point(sc: Scenario, spec: SweepSpec, mp: MaterialPoint, v1: float,
                 v2: float | None) -> dict:
     """Evaluate one sweep grid point (top level so worker pools can pickle it).
 
-    mp is scenario_material(sc), evaluated once for the whole sweep.
+    mp is scenario_material(sc), evaluated once for the whole sweep. A
+    swept value the scenario rejects fails this point only.
     """
-    point = with_sweep_value(sc, mp, spec.axis1.param, v1)
-    if spec.axis2 is not None and v2 is not None:
-        point = with_sweep_value(point, mp, spec.axis2.param, v2)
     try:
+        point = with_sweep_value(sc, mp, spec.axis1.param, v1)
+        if spec.axis2 is not None and v2 is not None:
+            point = with_sweep_value(point, mp, spec.axis2.param, v2)
         bundle = scenario_bundle(point, mp)
         return {name: QUANTITIES[name][1](bundle) for name in spec.quantities}
     except CounterpairsError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import MaterialPoint, WaveguideSpec, material_point
+from .dispersion import MaterialPoint
 from .errors import NonNormalizable, OutOfRange
 from .tpsa import GaussianTPSA, PumpSpec, l2_norm
 
@@ -286,25 +286,13 @@ def _separability_quadratic(mp: MaterialPoint, pump: PumpSpec, include_g: bool):
     return at
 
 
-def separability_roots(wg: WaveguideSpec, pump: PumpSpec,
-                       omega_s0: float, omega_i0: float, *,
+def separability_roots(mp: MaterialPoint, pump: PumpSpec, *,
                        include_g: bool = True) -> SeparabilityRoots:
     """Angular-dispersion roots making the amplitude factorize (chirp-free).
 
-    Evaluates the material at the centrals and hands it to
-    separability_roots_at.
-    """
-    return separability_roots_at(material_point(wg, omega_s0, omega_i0), pump,
-                                 include_g=include_g)
-
-
-def separability_roots_at(mp: MaterialPoint, pump: PumpSpec, *,
-                          include_g: bool = True) -> SeparabilityRoots:
-    """Angular-dispersion roots from the material at the centrals (chirp-free).
-
-    In the symmetric degenerate geometry the roots reduce to
-    +- (1/k_p0) sqrt(1/v_s^2 - tau_p^2/z_p^2), real only for
-    z_p >= v_s tau_p.
+    mp is the material at the centrals. In the symmetric degenerate
+    geometry the roots reduce to +- (1/k_p0) sqrt(1/v_s^2 - tau_p^2/z_p^2),
+    real only for z_p >= v_s tau_p.
     """
     if pump.a_p != 0.0:
         raise ValueError("separability roots are defined for chirp-free pumps")
@@ -345,42 +333,3 @@ def separability_roots_at(mp: MaterialPoint, pump: PumpSpec, *,
         else:
             hi = mid
     return SeparabilityRoots(roots=(), min_feasible_z_p=0.5 * (lo + hi))
-
-
-@dataclass(frozen=True)
-class DfDerivatives:
-    """Signed sensitivities of the complex-form determinant D_f (chirp-free).
-
-    Positive d_tau_sq / d_z_sq: lengthening the pulse or widening the
-    beam separates the pair; negative filter derivatives: opening the
-    filters entangles it.
-    """
-
-    d_tau_sq: float
-    d_z_sq: float
-    d_sigma_s_sq: float
-    d_sigma_i_sq: float
-
-
-def entanglement_derivatives(tpsa: GaussianTPSA) -> DfDerivatives:
-    """Closed-form derivatives of D_f versus tau_p^2, z_p^2, sigma^2."""
-    if not tpsa.chirp_free:
-        raise ValueError("derivatives are defined for chirp-free amplitudes")
-    inv_s = 0.0 if tpsa.sigma_s is None else 1.0 / tpsa.sigma_s**2
-    inv_i = 0.0 if tpsa.sigma_i is None else 1.0 / tpsa.sigma_i**2
-    tau2 = tpsa.tau_p**2
-    z2 = tpsa.z_p**2
-    d_tau = (tpsa.v_si**2 * z2 / 4.0 + inv_s + inv_i
-             + tpsa.g_s + tpsa.g_i - tpsa.g_si)
-    d_z = (tpsa.v_si**2 * tau2 / 4.0
-           + tpsa.v_ps**2 * (inv_i + tpsa.g_i)
-           + tpsa.v_pi**2 * (inv_s + tpsa.g_s)
-           - tpsa.v_ps * tpsa.v_pi * tpsa.g_si)
-    d_ss = 0.0
-    if tpsa.sigma_s is not None:
-        d_ss = -(inv_s**2) * (tau2 + tpsa.v_pi**2 * z2 + 4.0 * inv_i + 4.0 * tpsa.g_i)
-    d_si = 0.0
-    if tpsa.sigma_i is not None:
-        d_si = -(inv_i**2) * (tau2 + tpsa.v_ps**2 * z2 + 4.0 * inv_s + 4.0 * tpsa.g_s)
-    return DfDerivatives(d_tau_sq=d_tau, d_z_sq=d_z,
-                         d_sigma_s_sq=d_ss, d_sigma_i_sq=d_si)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import NonNormalizable, NoRootInInterval, OutOfRange, SingularTransform
+from .spectral import spectrum
 from .tpsa import GaussianTPSA, e_factor
 
 _DF_REL_FLOOR = 1e-12
@@ -179,8 +180,6 @@ class TimeBandwidth:
 
 def time_bandwidth(tpsa: GaussianTPSA) -> TimeBandwidth:
     """sigma_w * sigma_tau per field; the s/i ratio is exactly 1 when chirp-free."""
-    from .spectral import spectrum  # local import avoids a module cycle
-
     prod_s = spectrum(tpsa, "s").sigma_omega * flux(tpsa, "s").sigma_tau
     prod_i = spectrum(tpsa, "i").sigma_omega * flux(tpsa, "i").sigma_tau
     return TimeBandwidth(product_s=prod_s, product_i=prod_i,
@@ -224,11 +223,6 @@ def hom_curve(tpsa: GaussianTPSA, tau_l):
     tau = np.asarray(tau_l, dtype=float)
     out = 1.0 - dip.a * np.exp(-dip.b * tau**2) * np.cos(dip.beat * tau)
     return out if out.ndim else float(out)
-
-
-def dip_width(dip: HomDip) -> float:
-    """Full width at half depth: R_n(width/2) = 1 - a/2."""
-    return _solve_dip_width(dip.b, dip.beat)
 
 
 def _solve_dip_width(b: float, beat: float) -> float:

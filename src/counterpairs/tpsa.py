@@ -23,18 +23,16 @@ import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0
 from .dispersion import (
-    DispersionModel,
     MaterialPoint,
     WaveguideSpec,
-    index_derivative,
     material_point,
     momentum_mismatch,
-    refractive_index,
     solve_phase_matching,
 )
 from .errors import (
     ExponentOverflow,
     NonNormalizable,
+    OutOfRange,
     PhaseMatchViolated,
     TotalInternalReflection,
 )
@@ -68,11 +66,11 @@ class PumpSpec:
 
     def __post_init__(self):
         if self.lambda_p0 <= 0 or self.tau_p <= 0 or self.z_p <= 0 or self.y_p <= 0:
-            raise ValueError("lambda_p0, tau_p, z_p, y_p must be positive")
+            raise OutOfRange("lambda_p0, tau_p, z_p, y_p must be positive")
         if self.p_p < 0 or self.f_rep <= 0:
-            raise ValueError("p_p must be >= 0 and f_rep > 0")
+            raise OutOfRange("p_p must be >= 0 and f_rep > 0")
         if abs(self.theta_p0) >= math.pi / 2:
-            raise ValueError("|theta_p0| must be below pi/2")
+            raise OutOfRange("|theta_p0| must be below pi/2")
 
     @property
     def omega_p0(self) -> float:
@@ -89,7 +87,7 @@ class FilterSpec:
     def __post_init__(self):
         for s in (self.sigma_s, self.sigma_i):
             if s is not None and s <= 0:
-                raise ValueError("finite filter widths must be positive")
+                raise OutOfRange("finite filter widths must be positive")
 
 
 UNFILTERED = FilterSpec(None, None)
@@ -118,9 +116,8 @@ class GaussianTPSA:
     """Immutable value holding the full Gaussian-amplitude description.
 
     c_phi_sq is |C|^2 (the unobservable global phase of C is dropped);
-    prefactor = sqrt(z_p tau_p / (1 + a_p^2)). Pump/filter scalars are
-    carried along so downstream closed forms can be evaluated without
-    re-deriving them.
+    prefactor = sqrt(z_p tau_p / (1 + a_p^2)). The pump scalars and
+    V coefficients are carried along for the closed forms that read them.
     """
 
     omega_s0: float
@@ -143,10 +140,7 @@ class GaussianTPSA:
     tau_p: float
     a_p: float
     z_p: float
-    sigma_s: float | None
-    sigma_i: float | None
     f_rep: float
-    include_g: bool
 
     def __post_init__(self):
         if abs(self.omega_p0 - self.omega_s0 - self.omega_i0) > 1e-6 * self.omega_p0:
@@ -166,29 +160,6 @@ class GaussianTPSA:
     def d_f(self) -> complex:
         """Complex determinant 4 f2s f2i - f2si^2, s^4."""
         return 4.0 * self.f2s * self.f2i - self.f2si**2
-
-    @property
-    def chirp_free(self) -> bool:
-        return self.a_p == 0.0
-
-    @property
-    def symmetric(self) -> bool:
-        return self.omega_s0 == self.omega_i0
-
-
-@dataclass(frozen=True)
-class RotatedTPSA:
-    """Quadratic form in sum/difference detunings dO = (ds+di)/2, dw = (ds-di)/2.
-
-    The exponent reads exp(-a_sum dO^2 + cross dO dw - a_diff dw^2); the
-    G corrections are dropped in this representation. a_sum carries the
-    pulse duration, a_diff only the transverse width and filters.
-    """
-
-    a_sum: complex
-    cross: complex
-    a_diff: complex
-    prefactor_scale: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -238,20 +209,18 @@ def pair_norm_constant(mp: MaterialPoint, pump: PumpSpec) -> float:
 
 def build_tpsa(wg: WaveguideSpec, pump: PumpSpec, filt: FilterSpec,
                omega_s0: float, omega_i0: float, *,
-               include_g: bool = True,
-               filter_cross: str = "zero") -> GaussianTPSA:
+               include_g: bool = True) -> GaussianTPSA:
     """Assemble the Gaussian amplitude for matched central frequencies.
 
     Evaluates the material at the centrals and hands it to assemble_tpsa,
     which documents the arguments.
     """
     return assemble_tpsa(material_point(wg, omega_s0, omega_i0), pump, filt,
-                         include_g=include_g, filter_cross=filter_cross)
+                         include_g=include_g)
 
 
 def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
-                  include_g: bool = True,
-                  filter_cross: str = "zero") -> GaussianTPSA:
+                  include_g: bool = True) -> GaussianTPSA:
     """Assemble the Gaussian amplitude from the material at the centrals.
 
     pump.theta_p0 must already satisfy momentum conservation (use
@@ -259,13 +228,9 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
 
     include_g=False drops the transverse-overlap corrections (the G
     terms) and the linear coefficients they generate, reproducing the
-    simplified closed forms; the constant f0 is always kept.
-    filter_cross selects the reading of the filter contribution to the
-    cross coefficient: "zero" (default, self-consistent with the
-    rotated form) or "sigma-cross" (2/(sigma_s sigma_i)).
+    paper's simplified closed forms; the constant f0 is always kept.
+    Filters enter the diagonal coefficients only.
     """
-    if filter_cross not in ("zero", "sigma-cross"):
-        raise ValueError("filter_cross must be 'zero' or 'sigma-cross'")
     omega_s0, omega_i0 = mp.omega_s0, mp.omega_i0
     omega_p0 = omega_s0 + omega_i0
     if abs(pump.omega_p0 - omega_p0) > 1e-6 * omega_p0:
@@ -311,13 +276,10 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
     z2 = pump.z_p**2
     inv_s = _inv_sq(filt.sigma_s)
     inv_i = _inv_sq(filt.sigma_i)
-    cross_filter = 0.0
-    if filter_cross == "sigma-cross" and filt.sigma_s is not None and filt.sigma_i is not None:
-        cross_filter = 2.0 / (filt.sigma_s * filt.sigma_i)
 
     f2s = tau2 * chirp / 4.0 + vc.v_ps**2 * z2 / 4.0 + inv_s + g_s
     f2i = tau2 * chirp / 4.0 + vc.v_pi**2 * z2 / 4.0 + inv_i + g_i
-    f2si = tau2 * chirp / 2.0 + vc.v_ps * vc.v_pi * z2 / 2.0 + cross_filter + g_si
+    f2si = tau2 * chirp / 2.0 + vc.v_ps * vc.v_pi * z2 / 2.0 + g_si
 
     return GaussianTPSA(
         omega_s0=omega_s0, omega_i0=omega_i0, omega_p0=omega_p0,
@@ -326,9 +288,7 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
         prefactor=math.sqrt(pump.z_p * pump.tau_p / (1.0 + pump.a_p**2)),
         v_ps=vc.v_ps, v_pi=vc.v_pi, v_si=vc.v_si,
         g_s=g_s, g_i=g_i, g_si=g_si,
-        tau_p=pump.tau_p, a_p=pump.a_p, z_p=pump.z_p,
-        sigma_s=filt.sigma_s, sigma_i=filt.sigma_i,
-        f_rep=pump.f_rep, include_g=include_g,
+        tau_p=pump.tau_p, a_p=pump.a_p, z_p=pump.z_p, f_rep=pump.f_rep,
     )
 
 
@@ -377,51 +337,12 @@ def normalize(tpsa: GaussianTPSA) -> GaussianTPSA:
     return replace(tpsa, c_phi_sq=tpsa.c_phi_sq / norm)
 
 
-def rotate(tpsa: GaussianTPSA) -> RotatedTPSA:
-    """Quadratic form in sum/difference detunings (G corrections dropped).
-
-    Sum-frequency curvature carries the pulse duration and the combined
-    mismatch (v_ps + v_pi); the difference-frequency curvature carries
-    only z_p and the filters through v_si.
-    """
-    chirp = 1.0 / (1.0 + 1j * tpsa.a_p)
-    inv_plus = _inv_sq(tpsa.sigma_s) + _inv_sq(tpsa.sigma_i)
-    inv_minus = _inv_sq(tpsa.sigma_s) - _inv_sq(tpsa.sigma_i)
-    z2 = tpsa.z_p**2
-    vsum = tpsa.v_ps + tpsa.v_pi
-    return RotatedTPSA(
-        a_sum=tpsa.tau_p**2 * chirp + z2 * vsum**2 / 4.0 + inv_plus,
-        cross=z2 * vsum * tpsa.v_si / 2.0 - 2.0 * inv_minus,
-        a_diff=z2 * tpsa.v_si**2 / 4.0 + inv_plus,
-    )
-
-
-def unrotate(rot: RotatedTPSA) -> tuple[complex, complex, complex]:
-    """Recover the (f2s, f2i, f2si) triple from the rotated form."""
-    f2si = (rot.a_sum - rot.a_diff) / 2.0
-    f2s = (rot.a_sum + rot.a_diff) / 4.0 - rot.cross / 4.0
-    f2i = (rot.a_sum + rot.a_diff) / 4.0 + rot.cross / 4.0
-    return f2s, f2i, f2si
-
-
-def external_angular_dispersion(model: DispersionModel, omega_p0: float,
-                                theta_p0: float,
-                                dtilde_internal: float) -> ExternalAngularDispersion:
-    """Refract the internal pump angle and angular dispersion out of the material."""
-    return refract_out(refractive_index(model, omega_p0), index_derivative(model, omega_p0),
-                       omega_p0, theta_p0, dtilde_internal)
-
-
-def internal_angular_dispersion(model: DispersionModel, omega_p0: float,
-                                theta_out: float, dtilde_out: float) -> tuple[float, float]:
-    """Inverse refraction: (theta_p0, dtilde_internal) from external values."""
-    return refract_in(refractive_index(model, omega_p0), index_derivative(model, omega_p0),
-                      theta_out, dtilde_out)
-
-
 def refract_out(n: float, dn_dw: float, omega_p0: float, theta_p0: float,
                 dtilde_internal: float) -> ExternalAngularDispersion:
-    """external_angular_dispersion from the index n and dn/domega at omega_p0."""
+    """Refract the internal pump angle and angular dispersion out of the material.
+
+    n and dn_dw are the index and dn/domega at omega_p0.
+    """
     s_out = n * math.sin(theta_p0)
     if abs(s_out) > 1.0:
         raise TotalInternalReflection(
@@ -437,7 +358,7 @@ def refract_out(n: float, dn_dw: float, omega_p0: float, theta_p0: float,
 
 def refract_in(n: float, dn_dw: float, theta_out: float,
                dtilde_out: float) -> tuple[float, float]:
-    """internal_angular_dispersion from the index n and dn/domega at omega_p0."""
+    """Inverse of refract_out: (theta_p0, dtilde_internal) from external values."""
     theta_p0 = math.asin(math.sin(theta_out) / n)
     dtilde = ((dtilde_out * math.cos(theta_out) - math.sin(theta_p0) * dn_dw)
               / (n * math.cos(theta_p0)))
@@ -446,9 +367,7 @@ def refract_in(n: float, dn_dw: float, theta_out: float,
 
 __all__ = [
     "PumpSpec", "FilterSpec", "UNFILTERED", "VCoefficients", "GaussianTPSA",
-    "RotatedTPSA", "ExternalAngularDispersion", "with_matched_angle",
+    "ExternalAngularDispersion", "with_matched_angle",
     "v_coefficients", "pair_norm_constant", "build_tpsa", "assemble_tpsa",
-    "evaluate", "e_factor", "l2_norm", "normalize", "rotate", "unrotate",
-    "external_angular_dispersion", "internal_angular_dispersion",
-    "refract_out", "refract_in",
+    "evaluate", "e_factor", "l2_norm", "normalize", "refract_out", "refract_in",
 ]

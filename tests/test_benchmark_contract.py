@@ -1,0 +1,108 @@
+"""The library surface the benchmark under perfbench/ calls and traces.
+
+perfbench/workloads.py, sheared.py and layers.py call the package with
+the argument shapes bound below, and the tracer looks functions up by
+"module.function" name. A change to the public API that breaks either
+fails here, in the fast tests, instead of in a benchmark run.
+"""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import counterpairs as cp
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MODULES = ("cli", "config", "dispersion", "tpsa", "spectral", "temporal",
+           "entanglement", "inverse", "oracle")
+for _module in MODULES:     # perfbench imports each one; the package does not
+    importlib.import_module(f"counterpairs.{_module}")
+ARG = object()              # placeholder argument: only the call shape is checked
+
+# (callable path, positional argument count, keyword names) as perfbench calls it
+CALLS = [
+    ("cli.main", 1, ()),
+    ("config.parse_config", 1, ()),
+    ("config.parse_sweep", 1, ()),
+    ("config.resolve_scenario", 1, ()),
+    ("config.resolve_scenario", 1, ("include_g",)),
+    ("config.apply_sweep_value", 3, ()),
+    ("config.build_scenario_tpsa", 1, ()),
+    ("config.compute_scenario", 1, ()),
+    ("WaveguideSpec", 0, ("alpha", "ly", "d", "model")),
+    ("load_model", 1, ()),
+    ("PumpSpec", 0, ("lambda_p0", "tau_p", "z_p", "y_p", "a_p", "dtilde_theta",
+                     "p_p", "f_rep")),
+    ("FilterSpec", 0, ("sigma_s", "sigma_i")),
+    ("with_matched_angle", 4, ()),
+    ("build_tpsa", 5, ()),
+    ("pair_rate", 1, ()),
+    ("spectrum", 2, ()),
+    ("flux", 2, ()),
+    ("hom_params", 1, ()),
+    ("normalize", 1, ()),
+    ("schmidt", 1, ()),
+    ("spectral.spectrum", 2, ()),
+    ("spectral.wavelength_width", 2, ()),
+    ("temporal.time_domain", 1, ()),
+    ("temporal.hom_params", 1, ()),
+    ("temporal.hom_curve", 2, ()),
+    ("temporal.evaluate_time", 3, ()),
+    ("tpsa.evaluate", 3, ()),
+    ("tpsa.normalize", 1, ()),
+    ("entanglement.entropy", 1, ()),
+    ("oracle.quad_norm", 1, ()),
+    ("oracle.numeric_marginal", 2, ("n_points",)),
+    ("oracle.numeric_time_marginal", 2, ("n_points",)),
+    ("oracle.numeric_schmidt", 1, ("n_points",)),
+]
+
+# Looked up by name in the traced run (perfbench/tracer.py, layers.py).
+TRACED_BY_NAME = ("config.compute_scenario", "config.sweep_point",
+                  "dispersion.refractive_index", "entanglement.separability_roots")
+
+
+def _resolve(path):
+    obj = cp
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("path,n_args,kwargs", CALLS,
+                         ids=[f"{c[0]}/{c[1]}{''.join('+' + k for k in c[2])}" for c in CALLS])
+def test_call_shapes_bind(path, n_args, kwargs):
+    inspect.signature(_resolve(path)).bind(*[ARG] * n_args, **{k: ARG for k in kwargs})
+
+
+def test_sweep_point_takes_the_spec_second():
+    # the tracer reads args[1].quantities of every config.sweep_point call
+    params = list(inspect.signature(cp.config.sweep_point).parameters)
+    assert params[:2] == ["sc", "spec"]
+
+
+def _public_module_function(name):
+    module, attr = name.split(".")
+    mod = importlib.import_module(f"counterpairs.{module}")
+    fn = getattr(mod, attr, None)
+    return (not attr.startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == mod.__name__)
+
+
+@pytest.mark.parametrize("name", TRACED_BY_NAME)
+def test_traced_names_are_public_module_functions(name):
+    assert _public_module_function(name)
+
+
+def test_every_per_layer_function_is_traceable(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    try:
+        for name in layers.CALLS + layers.SELF + layers.BOTH:
+            assert _public_module_function(name), name
+    finally:
+        for mod in ("layers", "tracer"):
+            sys.modules.pop(mod, None)

@@ -78,6 +78,15 @@ class TestScenario:
         assert code == 1
         assert "energy conservation" in err
 
+    def test_nonpositive_pump_value_names_field(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text((CONFIG_DIR / "fig2.cfg").read_text().replace(
+            "pump.Z_p = 1e-5 m", "pump.Z_p = 0 m"))
+        code, _, err = run_cli(capsys, "scenario", "--config", str(bad))
+        assert code == 1
+        assert err == ("error: lambda_p0, tau_p, z_p, y_p must be positive"
+                       " [field: pump]\n")
+
     def test_csv_format(self, capsys, fig2_cfg):
         code, out, _ = run_cli(capsys, "scenario", "--config", str(fig2_cfg),
                                "--format", "csv")
@@ -207,6 +216,28 @@ class TestSweep:
             assert [np.isnan(x) for x in cells] == failed
 
 
+    def test_invalid_swept_value_fails_only_its_cells(self, capsys, tmp_path):
+        # a linear Z_p axis from 0: PumpSpec rejects Z_p = 0 for that row only
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text((CONFIG_DIR / "fig2.cfg").read_text() + (
+            "sweep.axis1 = pump.Z_p\n"
+            "sweep.axis1_range = 0 1e-5 m\n"
+            "sweep.axis1_points = 3\n"
+            "sweep.quantities = N entropy\n"
+        ))
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                             "--out-dir", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+        assert manifest["errors"] == ["lambda_p0, tau_p, z_p, y_p must be positive"]
+        for fname in manifest["files"].values():
+            rows = (out_dir / fname).read_text().splitlines()[1:]
+            cells = [float(row.split(",")[1]) for row in rows]
+            assert float(rows[0].split(",")[0]) == 0.0 and np.isnan(cells[0])
+            assert all(np.isfinite(cells[1:])) and len(cells) == 3
+
+
 class TestHomAndSchmidt:
     def test_hom_json_and_curve(self, capsys, fig2_cfg, tmp_path):
         curve = tmp_path / "curve.csv"
@@ -264,6 +295,19 @@ class TestInverse:
                                "--hom-csv", str(curve))
         assert code == 1
         assert "at least 7" in err
+
+
+    @pytest.mark.parametrize("line,message", [
+        ("measure.sigma_omega_s = 1e13 rad/s", "duplicate key"),
+        ("measure.omega_s0 = wide rad/s", "is not a number"),
+    ], ids=["duplicate-key", "non-numeric"])
+    def test_bad_widths_line_names_field(self, capsys, tmp_path, fig2_cfg, line, message):
+        widths, curve, _ = self._write_measurements(capsys, tmp_path, fig2_cfg)
+        widths.write_text(widths.read_text() + line + "\n")
+        code, _, err = run_cli(capsys, "inverse", "--widths", str(widths),
+                               "--hom-csv", str(curve))
+        assert code == 1
+        assert message in err and f"[field: {line.split()[0]}]" in err
 
 
 class TestDiagnostics:

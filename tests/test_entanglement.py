@@ -9,7 +9,6 @@ import pytest
 from counterpairs import oracle
 from counterpairs.dispersion import group_velocity, pump_wavevector
 from counterpairs.entanglement import (
-    entanglement_derivatives,
     entropy,
     p_from_f,
     p_from_kernel,
@@ -188,8 +187,7 @@ class TestPrincipalAxes:
         # asymmetric filters split the diagonals; tuning the cross term away
         # with the angular-dispersion root drives psi -> 0 continuously
         case = make_case(z_p=3e-5, sigma_s=2e13, sigma_i=6e13, include_g=False)
-        root = separability_roots(case.wg, case.pump, case.omega_s0,
-                                  case.omega_i0, include_g=False).roots[0]
+        root = separability_roots(case.mp, case.pump, include_g=False).roots[0]
         angles = []
         for frac in (0.9, 0.99, 0.999, 1.0):
             t = make_case(z_p=3e-5, sigma_s=2e13, sigma_i=6e13,
@@ -224,8 +222,7 @@ class TestSeparabilityRoots:
     def test_design_point_double_root(self, make_case):
         v_s = group_velocity(make_case().wg, make_case().omega_s0, "guided")
         case = make_case(tau_p=1e-13, z_p=v_s * 1e-13, include_g=False)
-        roots = separability_roots(case.wg, case.pump, case.omega_s0,
-                                   case.omega_i0, include_g=False)
+        roots = separability_roots(case.mp, case.pump, include_g=False)
         assert len(roots.roots) == 1
         assert roots.roots[0] == pytest.approx(0.0, abs=1e-25)
 
@@ -236,15 +233,13 @@ class TestSeparabilityRoots:
         case = make_case(tau_p=tau_p, z_p=2.0 * v_s * tau_p, include_g=False)
         kp0 = pump_wavevector(case.wg.model, case.omega_s0 + case.omega_i0)
         expected = math.sqrt(3.0) / (2.0 * v_s * kp0)
-        roots = separability_roots(case.wg, case.pump, case.omega_s0,
-                                   case.omega_i0, include_g=False)
+        roots = separability_roots(case.mp, case.pump, include_g=False)
         assert sorted(roots.roots) == pytest.approx([-expected, expected], rel=1e-9)
 
     @pytest.mark.parametrize("include_g", [False, True])
     def test_roots_cancel_the_cross_coefficient(self, make_case, include_g):
         case = make_case(z_p=3e-5, include_g=include_g)
-        roots = separability_roots(case.wg, case.pump, case.omega_s0,
-                                   case.omega_i0, include_g=include_g)
+        roots = separability_roots(case.mp, case.pump, include_g=include_g)
         assert len(roots.roots) == 2
         scale = abs(case.tpsa.f2s)
         for root in roots.roots:
@@ -257,8 +252,7 @@ class TestSeparabilityRoots:
         tau_p = 1e-13
         v_s = group_velocity(make_case().wg, make_case().omega_s0, "guided")
         case = make_case(tau_p=tau_p, z_p=0.5 * v_s * tau_p, include_g=False)
-        roots = separability_roots(case.wg, case.pump, case.omega_s0,
-                                   case.omega_i0, include_g=False)
+        roots = separability_roots(case.mp, case.pump, include_g=False)
         assert roots.roots == ()
         assert roots.min_feasible_z_p == pytest.approx(v_s * tau_p, rel=1e-6)
 
@@ -271,52 +265,14 @@ class TestSeparabilityRoots:
 
 
 class TestDerivatives:
-    def test_closed_forms_match_finite_differences(self, make_case):
-        sigma_s, sigma_i = 3e13, 5e13
-        case = make_case(sigma_s=sigma_s, sigma_i=sigma_i)
-        deriv = entanglement_derivatives(case.tpsa)
-
-        def d_fr_at(**kw):
-            kwargs = dict(sigma_s=sigma_s, sigma_i=sigma_i)
-            kwargs.update(kw)
-            return make_case(**kwargs).tpsa.d_fr
-
-        tau_sq = case.pump.tau_p**2
-        h = 1e-6 * tau_sq
-        fd = (d_fr_at(tau_p=math.sqrt(tau_sq + h))
-              - d_fr_at(tau_p=math.sqrt(tau_sq - h))) / (2 * h)
-        assert fd == pytest.approx(deriv.d_tau_sq, rel=1e-6)
-
-        z_sq = case.pump.z_p**2
-        h = 1e-6 * z_sq
-        fd = (d_fr_at(z_p=math.sqrt(z_sq + h))
-              - d_fr_at(z_p=math.sqrt(z_sq - h))) / (2 * h)
-        assert fd == pytest.approx(deriv.d_z_sq, rel=1e-6)
-
-        s_sq = sigma_s**2
-        h = 1e-6 * s_sq
-        fd = (d_fr_at(sigma_s=math.sqrt(s_sq + h))
-              - d_fr_at(sigma_s=math.sqrt(s_sq - h))) / (2 * h)
-        assert fd == pytest.approx(deriv.d_sigma_s_sq, rel=1e-6)
-
-        i_sq = sigma_i**2
-        h = 1e-6 * i_sq
-        fd = (d_fr_at(sigma_i=math.sqrt(i_sq + h))
-              - d_fr_at(sigma_i=math.sqrt(i_sq - h))) / (2 * h)
-        assert fd == pytest.approx(deriv.d_sigma_i_sq, rel=1e-6)
-
     def test_signs(self, make_case):
-        deriv = entanglement_derivatives(
-            make_case(sigma_s=3e13, sigma_i=5e13).tpsa)
-        assert deriv.d_tau_sq > 0
-        assert deriv.d_z_sq > 0
-        assert deriv.d_sigma_s_sq < 0
-        assert deriv.d_sigma_i_sq < 0
-        # corrections have the stated sign for this waveguide
-        t = make_case().tpsa
-        assert t.g_s < 0 or t.g_s > 0  # finite
-        assert entanglement_derivatives(t).d_sigma_s_sq == 0.0  # unfiltered
-
-    def test_chirped_rejected(self, make_case):
-        with pytest.raises(ValueError):
-            entanglement_derivatives(make_case(a_p=0.5).tpsa)
+        # chirp-free, D_f = D_fr; central differences of it in tau_p^2, Z_p^2
+        # and the filter widths: longer pulses and wider beams separate the
+        # pair (D_f grows), wider filters entangle it (D_f shrinks)
+        base = dict(sigma_s=3e13, sigma_i=5e13, tau_p=1e-13, z_p=1e-5)
+        d_fr = make_case(**base).tpsa.d_fr
+        for knob, sign in (("tau_p", 1.0), ("z_p", 1.0),
+                           ("sigma_s", -1.0), ("sigma_i", -1.0)):
+            up = make_case(**{**base, knob: base[knob] * (1.0 + 1e-3)}).tpsa.d_fr
+            down = make_case(**{**base, knob: base[knob] * (1.0 - 1e-3)}).tpsa.d_fr
+            assert sign * (up - down) > 1e-6 * d_fr, knob

@@ -82,12 +82,7 @@ def test_wrappers_equal_the_point_paths(make_case):
         built = cp.build_tpsa(case.wg, case.pump, case.filt, case.omega_s0,
                               case.omega_i0, include_g=include_g)
         assert built == case.tpsa
-        narrow = make_case(z_p=5e-6, include_g=include_g)
-        for c in (case, narrow):
-            assert (cp.separability_roots(c.wg, c.pump, c.omega_s0, c.omega_i0,
-                                          include_g=include_g)
-                    == cp.separability_roots_at(c.mp, c.pump, include_g=include_g))
-        assert narrow.mp == material_point(narrow.wg, narrow.omega_s0, narrow.omega_i0)
+        assert case.mp == material_point(case.wg, case.omega_s0, case.omega_i0)
 
 
 def test_apply_sweep_value_matches_the_point_path():

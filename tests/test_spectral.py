@@ -7,13 +7,23 @@ import pytest
 from counterpairs import oracle
 from counterpairs.errors import NonNormalizable
 from counterpairs.spectral import (
-    asymptotic_widths,
     fwhm,
     pair_rate,
     spectrum,
     wavelength_width,
     width_ratio,
 )
+
+
+def _d_sign_definite(case):
+    """D_fr of a G-free amplitude as its sign-definite term expansion, s^4."""
+    t = case.tpsa
+    inv_s = 0.0 if case.filt.sigma_s is None else 1.0 / case.filt.sigma_s**2
+    inv_i = 0.0 if case.filt.sigma_i is None else 1.0 / case.filt.sigma_i**2
+    tau2 = t.tau_p**2 / (1.0 + t.a_p**2)
+    z2 = t.z_p**2
+    return (4.0 * inv_s * inv_i + tau2 * (inv_s + inv_i) + tau2 * z2 * t.v_si**2 / 4.0
+            + z2 * t.v_pi**2 * inv_s + z2 * t.v_ps**2 * inv_i)
 
 
 class TestPairRate:
@@ -24,19 +34,21 @@ class TestPairRate:
         t = base.tpsa
         expected = (t.c_phi_sq * math.exp(-2.0 * t.f0) * 2.0 * math.pi
                     / (math.sqrt(1.0 + t.a_p**2) * t.v_si))
-        assert pair_rate(t, "simplified").pairs_per_s == pytest.approx(
-            expected, rel=1e-12)
+        assert pair_rate(t).pairs_per_s == pytest.approx(expected, rel=1e-12)
         for kwargs in (dict(tau_p=3e-13), dict(z_p=4e-5),
                        dict(tau_p=7e-13, z_p=2e-5)):
             other = make_case(include_g=False, **kwargs).tpsa
-            assert pair_rate(other, "simplified").pairs_per_s == pytest.approx(
-                expected, rel=1e-12)
+            assert pair_rate(other).pairs_per_s == pytest.approx(expected, rel=1e-12)
 
     def test_general_equals_simplified_without_corrections(self, random_cases):
+        # without corrections the rate's determinant D_fr equals its
+        # sign-definite expansion, so N = |C|^2 e^(-2 f0) pi Z_p tau_p
+        # / ((1 + ap^2) sqrt(D))
         for case in random_cases(12, seed=7, chirp=True, include_g=False):
-            general = pair_rate(case.tpsa, "general").pairs_per_s
-            simplified = pair_rate(case.tpsa, "simplified").pairs_per_s
-            assert simplified == pytest.approx(general, rel=1e-10)
+            t = case.tpsa
+            simplified = (t.c_phi_sq * math.exp(-2.0 * t.f0) * math.pi * t.z_p * t.tau_p
+                          / ((1.0 + t.a_p**2) * math.sqrt(_d_sign_definite(case))))
+            assert pair_rate(t).pairs_per_s == pytest.approx(simplified, rel=1e-10)
 
     def test_reference_rate_and_per_pulse(self, make_case):
         rate = pair_rate(make_case().tpsa)
@@ -66,10 +78,7 @@ class TestSpectrum:
         expected = (math.sqrt(2.0) / t.v_si
                     * math.sqrt(1.0 / t.z_p**2
                                 + (1.0 + t.a_p**2) * t.v_pi**2 / t.tau_p**2))
-        assert spectrum(t, "s", "simplified").sigma_omega == pytest.approx(
-            expected, rel=1e-12)
-        assert spectrum(t, "s", "general").sigma_omega == pytest.approx(
-            expected, rel=1e-12)
+        assert spectrum(t, "s").sigma_omega == pytest.approx(expected, rel=1e-12)
 
     def test_cw_limit(self, make_case):
         t = make_case(tau_p=5e-10, include_g=False).tpsa
@@ -140,20 +149,20 @@ class TestWidthRatio:
 
 
 class TestAsymptotics:
+    # unfiltered limits: sigma_cw = sqrt(2)/(v_si Z_p) for cw pumping and
+    # sigma_inf = sqrt(2) |V_pi| sqrt(1+ap^2)/(v_si tau_p) for wide beams
     def test_wide_beam_limit(self, make_case):
-        case = make_case(include_g=False)
-        limits = asymptotic_widths(case.wg, case.pump, case.omega_s0, case.omega_i0)
-        wide = make_case(z_p=1e-13 * 1.4e8 * 1e3, include_g=False)  # ~1000 v_s tau_p
-        got = spectrum(wide.tpsa, "s").sigma_omega
-        assert got == pytest.approx(limits.sigma_s_inf, rel=1e-3)
-        assert limits.sigma_s_inf / limits.sigma_i_inf == pytest.approx(
-            abs(case.tpsa.v_pi) / abs(case.tpsa.v_ps), rel=1e-12)
+        t = make_case(z_p=1e-13 * 1.4e8 * 1e3, include_g=False).tpsa  # ~1000 v_s tau_p
+        scale = math.sqrt(2.0) * math.sqrt(1.0 + t.a_p**2) / (t.v_si * t.tau_p)
+        sigma_s_inf = scale * abs(t.v_pi)
+        sigma_i_inf = scale * abs(t.v_ps)
+        assert spectrum(t, "s").sigma_omega == pytest.approx(sigma_s_inf, rel=1e-3)
+        assert spectrum(t, "i").sigma_omega == pytest.approx(sigma_i_inf, rel=1e-3)
 
     def test_cw_limit_consistency(self, make_case):
-        case = make_case(tau_p=1e-9, include_g=False)
-        limits = asymptotic_widths(case.wg, case.pump, case.omega_s0, case.omega_i0)
-        got = spectrum(case.tpsa, "s").sigma_omega
-        assert got == pytest.approx(limits.sigma_cw, rel=1e-6)
+        t = make_case(tau_p=1e-9, include_g=False).tpsa
+        sigma_cw = math.sqrt(2.0) / (t.v_si * t.z_p)
+        assert spectrum(t, "s").sigma_omega == pytest.approx(sigma_cw, rel=1e-6)
 
 
 class TestConverters:

@@ -8,21 +8,14 @@ import pytest
 
 import counterpairs as cp
 from counterpairs import oracle
-from counterpairs.dispersion import group_velocity
+from counterpairs.dispersion import group_velocity, index_derivative
 from counterpairs.errors import (
     ExponentOverflow,
     NonNormalizable,
     PhaseMatchViolated,
     TotalInternalReflection,
 )
-from counterpairs.tpsa import (
-    build_tpsa,
-    external_angular_dispersion,
-    internal_angular_dispersion,
-    l2_norm,
-    rotate,
-    unrotate,
-)
+from counterpairs.tpsa import build_tpsa, l2_norm, refract_in, refract_out
 
 
 class TestCoefficientAssembly:
@@ -40,9 +33,8 @@ class TestCoefficientAssembly:
         assert t.f2si.real == pytest.approx(expected, rel=1e-12)
         assert t.f2si.imag == 0.0
 
-    def test_chirp_free_flag_and_reality(self, make_case):
+    def test_chirp_free_coefficients_are_real(self, make_case):
         t = make_case(a_p=0.0).tpsa
-        assert t.chirp_free
         assert t.f2s.imag == t.f2i.imag == t.f2si.imag == 0.0
 
     def test_chirp_imaginary_parts(self, make_case):
@@ -52,7 +44,6 @@ class TestCoefficientAssembly:
         assert t.f2s.imag == pytest.approx(expected, rel=1e-12)
         assert t.f2i.imag == pytest.approx(expected, rel=1e-12)
         assert t.f2si.imag == pytest.approx(2.0 * expected, rel=1e-12)
-        assert not t.chirp_free
 
     def test_reference_scenario_fixture(self, make_case):
         # frozen from the first validated build of the 0.532 um -> 2 x 1.064 um
@@ -79,14 +70,6 @@ class TestCoefficientAssembly:
         assert (filtered.f2s - plain.f2s).real == pytest.approx(1.0 / sigma**2, rel=1e-12)
         assert (filtered.f2i - plain.f2i).real == pytest.approx(1.0 / sigma**2, rel=1e-12)
         assert filtered.f2si == plain.f2si
-
-    def test_filter_cross_switch(self, make_case):
-        sigma = 2e13
-        case = make_case(sigma_s=sigma, sigma_i=sigma)
-        alt = build_tpsa(case.wg, case.pump, case.filt, case.omega_s0,
-                         case.omega_i0, filter_cross="sigma-cross")
-        assert (alt.f2si - case.tpsa.f2si).real == pytest.approx(
-            2.0 / sigma**2, rel=1e-12)
 
     def test_phase_match_precondition(self, make_case):
         case = make_case()
@@ -149,8 +132,7 @@ class TestVCoefficients:
         # coefficient vanishes; at Z_p = v_s tau_p the root is zero and
         # V_ps = -V_pi exactly
         case = make_case(z_p=3e-5, include_g=False)
-        roots = cp.separability_roots(case.wg, case.pump, case.omega_s0,
-                                      case.omega_i0, include_g=False)
+        roots = cp.separability_roots(case.mp, case.pump, include_g=False)
         assert len(roots.roots) == 2
         for root in roots.roots:
             pump = replace(case.pump, dtilde_theta=root)
@@ -217,40 +199,68 @@ class TestEvaluate:
             cp.evaluate(t, peak, t.omega_i0)
 
 
+def _rotated(case):
+    """Sum/difference-detuning form dO = (ds+di)/2, dw = (ds-di)/2 of a G-free amplitude.
+
+    exp(-a_sum dO^2 + cross dO dw - a_diff dw^2) with a_sum = f2s + f2i + f2si,
+    a_diff = f2s + f2i - f2si and cross = 2 (f2i - f2s).
+    """
+    t = case.tpsa
+    return (t.f2s + t.f2i + t.f2si, 2.0 * (t.f2i - t.f2s), t.f2s + t.f2i - t.f2si)
+
+
+def _inv_sq(sigma):
+    return 0.0 if sigma is None else 1.0 / sigma**2
+
+
+def _close(expected):
+    # abs=0: the coefficients (~1e-27 s^2) lie far below approx's default
+    # absolute tolerance of 1e-12, which would pass anything
+    return pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestRotate:
+    # a_sum carries the pulse duration, a_diff only the beam width and filters
     def test_symmetric_unfiltered_diagonal(self, make_case):
-        t = make_case(a_p=0.7).tpsa
-        rot = cp.rotate(t)
-        assert rot.cross == 0.0
+        case = make_case(a_p=0.7, include_g=False)
+        t = case.tpsa
+        a_sum, cross, a_diff = _rotated(case)
+        assert cross == 0.0
         chirp = 1.0 / (1.0 + 1j * t.a_p)
-        assert rot.a_sum == pytest.approx(
-            t.tau_p**2 * chirp + t.z_p**2 * (t.v_ps + t.v_pi) ** 2 / 4.0, rel=1e-12)
-        assert rot.a_diff == pytest.approx(t.z_p**2 * t.v_si**2 / 4.0, rel=1e-12)
+        assert a_sum == _close(t.tau_p**2 * chirp + t.z_p**2 * (t.v_ps + t.v_pi) ** 2 / 4.0)
+        assert a_diff == _close(t.z_p**2 * t.v_si**2 / 4.0)
 
     def test_equal_filters_cancel_asymmetry(self, make_case):
-        t = make_case(sigma_s=2e13, sigma_i=2e13, dtilde_theta=6e-17).tpsa
-        rot = cp.rotate(t)
+        case = make_case(sigma_s=2e13, sigma_i=2e13, dtilde_theta=6e-17, include_g=False)
+        t = case.tpsa
         # remaining cross term is purely the mismatch piece
-        expected = t.z_p**2 * (t.v_ps + t.v_pi) * t.v_si / 2.0
-        assert rot.cross == pytest.approx(expected, rel=1e-12)
+        assert _rotated(case)[1] == _close(t.z_p**2 * (t.v_ps + t.v_pi) * t.v_si / 2.0)
 
     def test_symmetric_mismatch_leaves_filter_asymmetry(self, make_case):
         # v_ps + v_pi = 0 in the symmetric geometry, so only the filter
         # imbalance -2 (1/sigma_s^2 - 1/sigma_i^2) survives in the cross term
-        t = make_case(sigma_s=2e13, sigma_i=6e13).tpsa
-        rot = cp.rotate(t)
-        assert rot.cross == pytest.approx(
-            -2.0 * (1.0 / t.sigma_s**2 - 1.0 / t.sigma_i**2), rel=1e-12)
+        case = make_case(sigma_s=2e13, sigma_i=6e13, include_g=False)
+        assert _rotated(case)[1] == _close(
+            -2.0 * (_inv_sq(case.filt.sigma_s) - _inv_sq(case.filt.sigma_i)))
 
     def test_round_trip_recovers_correction_free_coefficients(self, make_case):
-        case = make_case(lambda_s=1.05e-6, a_p=0.4, dtilde_theta=7e-17,
-                         sigma_s=2.5e13, sigma_i=6e13)
-        bare = build_tpsa(case.wg, case.pump, case.filt, case.omega_s0,
-                          case.omega_i0, include_g=False)
-        f2s, f2i, f2si = unrotate(rotate(case.tpsa))
-        assert f2s == pytest.approx(bare.f2s, rel=1e-12)
-        assert f2i == pytest.approx(bare.f2i, rel=1e-12)
-        assert f2si == pytest.approx(bare.f2si, rel=1e-12)
+        kwargs = dict(lambda_s=1.05e-6, a_p=0.4, dtilde_theta=7e-17,
+                      sigma_s=2.5e13, sigma_i=6e13)
+        bare = make_case(include_g=False, **kwargs)
+        t = bare.tpsa
+        chirp = 1.0 / (1.0 + 1j * t.a_p)
+        inv_plus = _inv_sq(bare.filt.sigma_s) + _inv_sq(bare.filt.sigma_i)
+        inv_minus = _inv_sq(bare.filt.sigma_s) - _inv_sq(bare.filt.sigma_i)
+        vsum = t.v_ps + t.v_pi
+        a_sum, cross, a_diff = _rotated(bare)
+        assert a_sum == _close(t.tau_p**2 * chirp + t.z_p**2 * vsum**2 / 4.0 + inv_plus)
+        assert cross == _close(t.z_p**2 * vsum * t.v_si / 2.0 - 2.0 * inv_minus)
+        assert a_diff == _close(t.z_p**2 * t.v_si**2 / 4.0 + inv_plus)
+        # the corrections are additive: dropping them leaves the bare form
+        full = make_case(**kwargs).tpsa
+        assert full.f2s - full.g_s == _close(t.f2s)
+        assert full.f2i - full.g_i == _close(t.f2i)
+        assert full.f2si - full.g_si == _close(t.f2si)
 
 
 class TestNormalize:
@@ -268,23 +278,27 @@ class TestNormalize:
 
 
 class TestExternalAngularDispersion:
+    @staticmethod
+    def _index(model, omega_p0):
+        return cp.refractive_index(model, omega_p0), index_derivative(model, omega_p0)
+
     def test_zero_angle(self, linbo3, make_case):
         case = make_case()
         omega_p0 = case.omega_s0 + case.omega_i0
-        n = cp.refractive_index(linbo3, omega_p0)
-        ext = external_angular_dispersion(linbo3, omega_p0, 0.0, 1e-16)
+        n, dn_dw = self._index(linbo3, omega_p0)
+        ext = refract_out(n, dn_dw, omega_p0, 0.0, 1e-16)
         assert ext.theta_out == 0.0
         assert ext.dtilde_out == pytest.approx(n * 1e-16, rel=1e-12)
-        zero = external_angular_dispersion(linbo3, omega_p0, 0.0, 0.0)
+        zero = refract_out(n, dn_dw, omega_p0, 0.0, 0.0)
         assert zero.dtilde_out == 0.0 and zero.d_out == 0.0
 
     def test_round_trip(self, linbo3, make_case):
         case = make_case()
         omega_p0 = case.omega_s0 + case.omega_i0
+        n, dn_dw = self._index(linbo3, omega_p0)
         theta, dtilde = 0.02, 1.3e-16
-        ext = external_angular_dispersion(linbo3, omega_p0, theta, dtilde)
-        theta_back, dtilde_back = internal_angular_dispersion(
-            linbo3, omega_p0, ext.theta_out, ext.dtilde_out)
+        ext = refract_out(n, dn_dw, omega_p0, theta, dtilde)
+        theta_back, dtilde_back = refract_in(n, dn_dw, ext.theta_out, ext.dtilde_out)
         assert theta_back == pytest.approx(theta, rel=1e-12)
         assert dtilde_back == pytest.approx(dtilde, rel=1e-12)
 
@@ -292,4 +306,4 @@ class TestExternalAngularDispersion:
         case = make_case()
         omega_p0 = case.omega_s0 + case.omega_i0
         with pytest.raises(TotalInternalReflection):
-            external_angular_dispersion(linbo3, omega_p0, 0.5, 0.0)
+            refract_out(*self._index(linbo3, omega_p0), omega_p0, 0.5, 0.0)
