@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -129,13 +128,7 @@ def _cmd_sweep(args) -> int:
     except CounterpairsError as exc:
         results = [failed_point(spec, exc) for _ in points]
     else:
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(_sweep_worker,
-                                        [(sc, spec, mp, v1, v2) for v1, v2 in points],
-                                        chunksize=8))
-        else:
-            results = [sweep_point(sc, spec, mp, v1, v2) for v1, v2 in points]
+        results = [sweep_point(sc, spec, mp, v1, v2) for v1, v2 in points]
 
     n2 = len(v2_list)
     files = {}
@@ -170,10 +163,6 @@ def _cmd_sweep(args) -> int:
     (out_dir / "sweep_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0
-
-
-def _sweep_worker(packed):
-    return sweep_point(*packed)
 
 
 def _cmd_hom(args) -> int:
@@ -337,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel sweep workers (results assembled in fixed order)")
+                   help="accepted and ignored: sweeps run in one process")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("hom", help="coincidence-dip parameters and curve")

@@ -6,9 +6,11 @@ transverse profiles of inverse width gamma(w) = sqrt(n0(w) w alpha / c).
 The transversely incident pump travels as a bulk plane wave with
 wavevector magnitude k_p(w) = n0(w) w / c.
 
-All operations are pure functions of immutable inputs; frequency
-derivatives use central differences with one Richardson extrapolation
-step (base step 1e-6 of the evaluation frequency).
+All operations are pure functions of immutable inputs. Frequency
+derivatives are closed forms: the Sellmeier form is differentiated by the
+chain rule in x = L^2, and group velocities and the overlap expansion
+follow from n, dn/domega and d^2n/domega^2 at the evaluation frequency
+alone, so a frequency on the edge of the validity window evaluates.
 
 Everything the amplitude needs from the material at one pair of central
 frequencies is gathered in a frozen MaterialPoint by material_point().
@@ -34,7 +36,6 @@ from .errors import (
     OutOfValidityWindow,
 )
 
-_REL_STEP = 1e-6          # base finite-difference step, relative to omega
 _GAMMA_SQ_FLOOR = 1e-12   # 1/m^2, below this the 1/(gs^2+gi^2) expansion is rejected
 
 
@@ -126,17 +127,33 @@ def refractive_index(model: DispersionModel, omega: float) -> float:
     return math.sqrt(n_sq)
 
 
+def _index_derivatives(model: DispersionModel, omega: float) -> tuple:
+    """(n0, dn0/domega, d^2n0/domega^2) at an in-window frequency.
+
+    With x = L^2 (um^2), dx/dw = -2x/w and d^2x/dw^2 = 6x/w^2; the squared
+    index N = n^2 = 1 + sum B x/(x - C) has N_x = -sum B C/(x - C)^2 and
+    N_xx = 2 sum B C/(x - C)^3.
+    """
+    n = refractive_index(model, omega)
+    if model.kind == "constant":
+        return n, 0.0, 0.0
+    x = (2.0 * math.pi * C_LIGHT / omega * 1e6) ** 2
+    n_x = n_xx = 0.0
+    for b, c_um2 in model.coefficients:
+        r = b * c_um2 / (x - c_um2) ** 2
+        n_x -= r
+        n_xx += 2.0 * r / (x - c_um2)
+    x1 = -2.0 * x / omega
+    x2 = 6.0 * x / omega**2
+    dn_sq = n_x * x1
+    d2n_sq = n_xx * x1**2 + n_x * x2
+    dn = dn_sq / (2.0 * n)
+    return n, dn, (d2n_sq - 2.0 * dn**2) / (2.0 * n)
+
+
 def index_derivative(model: DispersionModel, omega: float) -> float:
-    """dn0/domega by Richardson-extrapolated central differences, s/rad."""
-    h = _REL_STEP * omega
-    _check_window(model, omega - h)
-    _check_window(model, omega + h)
-
-    def diff(step):
-        return (refractive_index(model, omega + step)
-                - refractive_index(model, omega - step)) / (2.0 * step)
-
-    return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+    """dn0/domega, s/rad."""
+    return _index_derivatives(model, omega)[1]
 
 
 def beta(spec: WaveguideSpec, omega: float) -> float:
@@ -163,23 +180,16 @@ def pump_wavevector(model: DispersionModel, omega: float) -> float:
 def group_velocity(spec: WaveguideSpec, omega: float, which: str = "guided") -> float:
     """Group velocity, m/s.
 
-    which = "guided": 1/v = d beta/dw of the guided mode.
-    which = "pump_bulk": 1/v = d(n0 w / c)/dw of the bulk pump wave.
+    which = "pump_bulk": 1/v = k' with k = n0 w / c, k' = (n0 + w n0')/c.
+    which = "guided": 1/v = d beta/dw = k' (k - alpha/2) / beta, from
+    beta^2 = k^2 - alpha k.
     """
-    if which == "guided":
-        fn = lambda w: beta(spec, w)  # noqa: E731
-    elif which == "pump_bulk":
-        fn = lambda w: pump_wavevector(spec.model, w)  # noqa: E731
-    else:
+    if which not in ("guided", "pump_bulk"):
         raise ValueError("which must be 'guided' or 'pump_bulk'")
-    h = _REL_STEP * omega
-    _check_window(spec.model, omega - h)
-    _check_window(spec.model, omega + h)
-
-    def diff(step):
-        return (fn(omega + step) - fn(omega - step)) / (2.0 * step)
-
-    inv_v = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+    n, dn, _ = _index_derivatives(spec.model, omega)
+    inv_v = (n + omega * dn) / C_LIGHT
+    if which == "guided":
+        inv_v *= (n * omega / C_LIGHT - 0.5 * spec.alpha) / beta(spec, omega)
     if inv_v <= 0.0:
         raise ModeCutoff(f"non-positive group slowness at omega = {omega:.6g}")
     return 1.0 / inv_v
@@ -227,57 +237,32 @@ def solve_phase_matching(spec: WaveguideSpec, omega_s0: float, omega_i0: float) 
 def g_taylor(spec: WaveguideSpec, omega_s0: float, omega_i0: float) -> GTaylor:
     """Expansion coefficients of 1/(gamma_s^2 + gamma_i^2) about the centrals.
 
-    Partial derivatives of the exact two-frequency function are taken by
-    Richardson-extrapolated central differences. Raises DegenerateExpansion
-    when the summed confinement gamma_s^2 + gamma_i^2 falls below floor
-    (alpha -> 0 limit, where every coefficient diverges).
+    With u = gamma^2 = alpha n0 w / c, u' = alpha (n0 + w n0')/c and
+    u'' = alpha (2 n0' + w n0'')/c at each central, and S = u_s + u_i:
+    g0 = 1/S, g1 = -u'/S^2, g2 = u'^2/S^3 - u''/(2 S^2) and
+    g2si = 2 u_s' u_i'/S^3. Raises DegenerateExpansion when S falls below
+    floor (alpha -> 0 limit, where every coefficient diverges).
     """
-    gs2 = gamma(spec, omega_s0) ** 2
-    gi2 = gamma(spec, omega_i0) ** 2
-    if gs2 + gi2 < _GAMMA_SQ_FLOOR:
+    def u_derivatives(omega):
+        n, dn, d2n = _index_derivatives(spec.model, omega)
+        a = spec.alpha / C_LIGHT
+        return a * n * omega, a * (n + omega * dn), a * (2.0 * dn + omega * d2n)
+
+    us, us1, us2 = u_derivatives(omega_s0)
+    ui, ui1, ui2 = u_derivatives(omega_i0)
+    total = us + ui
+    if total < _GAMMA_SQ_FLOOR:
         raise DegenerateExpansion(
-            f"gamma_s^2 + gamma_i^2 = {gs2 + gi2:.3g} 1/m^2 below floor; "
+            f"gamma_s^2 + gamma_i^2 = {total:.3g} 1/m^2 below floor; "
             "expansion of the transverse-overlap factor diverges"
         )
-
-    def f(ds: float, di: float) -> float:
-        return 1.0 / (gamma(spec, omega_s0 + ds) ** 2
-                      + gamma(spec, omega_i0 + di) ** 2)
-
-    hs = _REL_STEP * omega_s0
-    hi = _REL_STEP * omega_i0
-    for w, h in ((omega_s0, hs), (omega_i0, hi)):
-        _check_window(spec.model, w - h)
-        _check_window(spec.model, w + h)
-    f00 = f(0.0, 0.0)
-
-    def d1(axis: int, h: float) -> float:
-        def diff(step):
-            if axis == 0:
-                return (f(step, 0.0) - f(-step, 0.0)) / (2.0 * step)
-            return (f(0.0, step) - f(0.0, -step)) / (2.0 * step)
-        return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-
-    def d2(axis: int, h: float) -> float:
-        def diff(step):
-            if axis == 0:
-                return (f(step, 0.0) - 2.0 * f00 + f(-step, 0.0)) / step**2
-            return (f(0.0, step) - 2.0 * f00 + f(0.0, -step)) / step**2
-        return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-
-    def d_cross(h_s: float, h_i: float) -> float:
-        def diff(scale):
-            a, b = h_s * scale, h_i * scale
-            return (f(a, b) - f(a, -b) - f(-a, b) + f(-a, -b)) / (4.0 * a * b)
-        return (4.0 * diff(0.5) - diff(1.0)) / 3.0
-
     return GTaylor(
-        g0=f00,
-        g1s=d1(0, hs),
-        g1i=d1(1, hi),
-        g2s=0.5 * d2(0, hs),
-        g2i=0.5 * d2(1, hi),
-        g2si=d_cross(hs, hi),
+        g0=1.0 / total,
+        g1s=-us1 / total**2,
+        g1i=-ui1 / total**2,
+        g2s=us1**2 / total**3 - us2 / (2.0 * total**2),
+        g2i=ui1**2 / total**3 - ui2 / (2.0 * total**2),
+        g2si=2.0 * us1 * ui1 / total**3,
     )
 
 

@@ -234,34 +234,43 @@ def principal_axes(tpsa: GaussianTPSA) -> PrincipalAxes:
 class SeparabilityRoots:
     """Angular-dispersion values cancelling the cross coefficient.
 
-    Empty roots mean the pump beam is too narrow; min_feasible_z_p (when
-    found) is the beam width at which real solutions first appear.
+    Empty roots mean the pump beam is too narrow; min_feasible_z_p is then
+    the beam width at which real solutions first appear (None otherwise).
     """
 
     roots: tuple
     min_feasible_z_p: float | None
 
 
-def _separability_quadratic(mp: MaterialPoint, pump: PumpSpec, include_g: bool):
-    """The cross-term condition in dtilde_theta as a function of the beam width.
+def separability_roots(mp: MaterialPoint, pump: PumpSpec, *,
+                       include_g: bool = True) -> SeparabilityRoots:
+    """Angular-dispersion roots making the amplitude factorize (chirp-free).
 
-    Returns z_p -> (a2, a1, a0, a0_mag): the coefficients of the
-    quadratic in dtilde_theta and the magnitude scale of a0 before
-    cancellation (for double-root detection). The overlap corrections
-    are themselves quadratic in the angular dispersion, so the exact
-    condition stays quadratic. Everything that does not depend on z_p
-    is evaluated once, here.
+    mp is the material at the centrals. The cross-term condition is a
+    quadratic a2 d^2 + a1 d + a0 in d = dtilde_theta (the overlap
+    corrections are themselves quadratic in the angular dispersion). In
+    the symmetric degenerate geometry the roots reduce to
+    +- (1/k_p0) sqrt(1/v_s^2 - tau_p^2/z_p^2), real only for z_p >= v_s tau_p.
+
+    Each coefficient is affine in u = z_p^2, so the discriminant
+    a1^2 - 4 a2 a0 is a quadratic A u^2 + B u + C with
+    A = (k_p0 cos(theta_p0) V_si)^2 > 0. When the beam is too narrow,
+    min_feasible_z_p is the square root of its larger zero.
     """
+    if pump.a_p != 0.0:
+        raise ValueError("separability roots are defined for chirp-free pumps")
+
     v_s, v_i, v_p, kp0 = mp.v_s, mp.v_i, mp.v_p, mp.k_p0
     s = math.sin(pump.theta_p0)
     co = math.cos(pump.theta_p0)
     kc = kp0 * co
     tau2 = pump.tau_p**2
-    kc2 = kc**2
+    # a2 = u kc^2 - g_a2, a1 = u kc slope1 - g_a1, a0 = tau2 + u slope0 + g_const
     slope1 = 2.0 * s / v_p + 1.0 / v_i - 1.0 / v_s
     slope0 = (s / v_p) ** 2 + (s / v_p) * (1.0 / v_i - 1.0 / v_s) - 1.0 / (v_s * v_i)
     slope0_mag = ((s / v_p) ** 2 + abs(s / v_p) * abs(1.0 / v_i - 1.0 / v_s)
                   + 1.0 / (v_s * v_i))
+    g_a2 = g_a1 = g_const = 0.0
     if include_g:
         gt = mp.gt
         g_a2 = 2.0 * kp0**2 * math.cos(2.0 * pump.theta_p0) * gt.g0
@@ -270,38 +279,13 @@ def _separability_quadratic(mp: MaterialPoint, pump: PumpSpec, include_g: bool):
                    + 2.0 * kc * co * (gt.g1s + gt.g1i) / v_p
                    + 2.0 * kc * co * gt.g0 / (kp0 * v_p**2))
 
-    def at(z_p: float):
-        z2 = z_p**2
-        a2 = z2 * kc2
-        a1 = z2 * kc * slope1
-        a0 = tau2 + z2 * slope0
-        a0_mag = tau2 + z2 * slope0_mag
-        if include_g:
-            a2 -= g_a2
-            a1 -= g_a1
-            a0 += g_const
-            a0_mag += abs(g_const)
-        return a2, a1, a0, a0_mag
-
-    return at
-
-
-def separability_roots(mp: MaterialPoint, pump: PumpSpec, *,
-                       include_g: bool = True) -> SeparabilityRoots:
-    """Angular-dispersion roots making the amplitude factorize (chirp-free).
-
-    mp is the material at the centrals. In the symmetric degenerate
-    geometry the roots reduce to +- (1/k_p0) sqrt(1/v_s^2 - tau_p^2/z_p^2),
-    real only for z_p >= v_s tau_p.
-    """
-    if pump.a_p != 0.0:
-        raise ValueError("separability roots are defined for chirp-free pumps")
-
-    quad = _separability_quadratic(mp, pump, include_g)
-    a2, a1, a0, a0_mag = quad(pump.z_p)
+    u = pump.z_p**2
+    a2 = u * kc**2 - g_a2
+    a1 = u * kc * slope1 - g_a1
+    a0 = tau2 + u * slope0 + g_const
     disc = a1 * a1 - 4.0 * a2 * a0
     # cancellation-insensitive scale: |a0| can vanish at a double root
-    scale = a1 * a1 + abs(4.0 * a2) * a0_mag
+    scale = a1 * a1 + abs(4.0 * a2) * (tau2 + u * slope0_mag + abs(g_const))
     if scale == 0.0:
         return SeparabilityRoots(roots=(), min_feasible_z_p=None)
     if disc / scale > 1e-12:
@@ -312,24 +296,13 @@ def separability_roots(mp: MaterialPoint, pump: PumpSpec, *,
     if disc / scale >= -1e-12:
         return SeparabilityRoots(roots=(-a1 / (2.0 * a2),), min_feasible_z_p=None)
 
-    # No real root at this beam width: find where the discriminant turns.
-    def disc_at(z_p):
-        b2, b1, b0, _ = quad(z_p)
-        return b1 * b1 - 4.0 * b2 * b0
-
-    lo, hi = pump.z_p, pump.z_p
-    for _ in range(80):
-        hi *= 2.0
-        if disc_at(hi) >= 0.0:
-            break
-    else:
-        return SeparabilityRoots(roots=(), min_feasible_z_p=None)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= 1e-12 * mid:
-            break
-        if disc_at(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return SeparabilityRoots(roots=(), min_feasible_z_p=0.5 * (lo + hi))
+    # No real root at this beam width. The discriminant is negative at u,
+    # so its quadratic in u has two real zeros and u lies between them.
+    big_a = (kc * (1.0 / v_s + 1.0 / v_i)) ** 2
+    big_b = (-2.0 * kc * slope1 * g_a1 - 4.0 * kc**2 * (tau2 + g_const)
+             + 4.0 * g_a2 * slope0)
+    big_c = g_a1**2 + 4.0 * g_a2 * (tau2 + g_const)
+    sgn = 1.0 if big_b >= 0.0 else -1.0
+    q = -0.5 * (big_b + sgn * math.sqrt(max(big_b * big_b - 4.0 * big_a * big_c, 0.0)))
+    u_feasible = q / big_a if q > 0.0 else big_c / q
+    return SeparabilityRoots(roots=(), min_feasible_z_p=math.sqrt(u_feasible))

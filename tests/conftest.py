@@ -1,13 +1,16 @@
-"""Shared builders: the reference waveguide and randomized valid scenarios."""
+"""Shared builders: the reference waveguide, randomized valid scenarios,
+and an mpmath evaluation of the material derivatives."""
 
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
 import counterpairs as cp
 from counterpairs.constants import C_LIGHT
+from counterpairs.dispersion import GTaylor, MaterialPoint
 
 LAMBDA_PUMP = 0.532e-6     # transverse pump
 LAMBDA_PAIR = 1.064e-6     # degenerate signal/idler
@@ -97,3 +100,118 @@ def random_cases(make_case):
         return cases
 
     return gen
+
+
+# --- mpmath oracle for the material layer -----------------------------------
+# Every quantity is evaluated from the Sellmeier form at MP_DPS digits and
+# differentiated numerically by mpmath in a scaled variable w = w0 (1 + t),
+# sharing nothing with the closed forms in counterpairs.dispersion. The
+# public helpers return floats.
+
+MP_DPS = 40
+
+
+def _mp_index(model, omega):
+    if model.kind == "constant":
+        return mpmath.mpf(model.coefficients[0])
+    x = (2 * mpmath.pi * mpmath.mpf(C_LIGHT) / omega * 10**6) ** 2
+    return mpmath.sqrt(1 + sum(mpmath.mpf(b) * x / (x - mpmath.mpf(c))
+                               for b, c in model.coefficients))
+
+
+def _mp_derivative(fn, omega, order):
+    w0 = mpmath.mpf(omega)
+    return mpmath.diff(lambda t: fn(w0 * (1 + t)), 0, order) / w0**order
+
+
+def _mp_bulk_k(model, omega):
+    return _mp_index(model, omega) * omega / C_LIGHT
+
+
+def _mp_beta(wg, omega):
+    k = _mp_bulk_k(wg.model, omega)
+    return mpmath.sqrt(k * k - wg.alpha * k)
+
+
+@mpmath.workdps(MP_DPS)
+def mp_index_derivative(model, omega, order):
+    """d^order n0 / domega^order."""
+    return float(_mp_derivative(lambda w: _mp_index(model, w), omega, order))
+
+
+@mpmath.workdps(MP_DPS)
+def mp_inverse_group_velocity(wg, omega, which):
+    """1/v: d beta/domega ("guided") or d(n0 w/c)/domega ("pump_bulk")."""
+    if which == "guided":
+        return float(_mp_derivative(lambda w: _mp_beta(wg, w), omega, 1))
+    return float(_mp_derivative(lambda w: _mp_bulk_k(wg.model, w), omega, 1))
+
+
+@mpmath.workdps(MP_DPS)
+def mp_g_taylor(wg, omega_s0, omega_i0):
+    """The six expansion coefficients of 1/(gamma_s^2 + gamma_i^2)."""
+    ws, wi = mpmath.mpf(omega_s0), mpmath.mpf(omega_i0)
+    a = mpmath.mpf(wg.alpha) / C_LIGHT
+
+    def f(t, r):  # in scaled detunings ds = ws t, di = wi r
+        w1, w2 = ws * (1 + t), wi * (1 + r)
+        return 1 / (a * _mp_index(wg.model, w1) * w1 + a * _mp_index(wg.model, w2) * w2)
+
+    def partial(ns, ni):
+        return mpmath.diff(f, (0, 0), (ns, ni)) / (ws**ns * wi**ni)
+
+    return GTaylor(g0=float(f(0, 0)), g1s=float(partial(1, 0)),
+                   g1i=float(partial(0, 1)), g2s=float(partial(2, 0) / 2),
+                   g2i=float(partial(0, 2) / 2), g2si=float(partial(1, 1)))
+
+
+@mpmath.workdps(MP_DPS)
+def mp_material_point(wg, omega_s0, omega_i0):
+    """A MaterialPoint whose every field is evaluated by mpmath."""
+    ws, wi = mpmath.mpf(omega_s0), mpmath.mpf(omega_i0)
+    wp = ws + wi
+    return MaterialPoint(
+        wg=wg, omega_s0=omega_s0, omega_i0=omega_i0,
+        n_s=float(_mp_index(wg.model, ws)), n_i=float(_mp_index(wg.model, wi)),
+        n_p=float(_mp_index(wg.model, wp)),
+        beta_s=float(_mp_beta(wg, ws)), beta_i=float(_mp_beta(wg, wi)),
+        k_p0=float(_mp_bulk_k(wg.model, wp)),
+        v_s=1.0 / mp_inverse_group_velocity(wg, ws, "guided"),
+        v_i=1.0 / mp_inverse_group_velocity(wg, wi, "guided"),
+        v_p=1.0 / mp_inverse_group_velocity(wg, wp, "pump_bulk"),
+        dn_dw_p=mp_index_derivative(wg.model, wp, 1),
+        gt=mp_g_taylor(wg, omega_s0, omega_i0),
+    )
+
+
+# --- tree comparison of JSON-like documents -----------------------------------
+
+TREE_REL = 1e-12
+
+
+def assert_close(got, want, where):
+    """Numbers within TREE_REL relative (no absolute floor), NaN where NaN."""
+    if isinstance(want, float) and math.isnan(want):
+        assert isinstance(got, float) and math.isnan(got), f"{where}: {got!r} is not NaN"
+    elif isinstance(want, float) and math.isinf(want):
+        assert got == want, f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert not math.isnan(got), f"{where}: NaN where {want!r} was stored"
+        assert abs(got - want) <= TREE_REL * max(abs(got), abs(want)), \
+            f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+def assert_tree_close(got, want, where=""):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_tree_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_tree_close(g, w, f"{where}[{k}]")
+    else:
+        assert_close(got, want, where)

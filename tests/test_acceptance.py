@@ -196,14 +196,14 @@ def test_criterion_4_exact_identities(make_case, waveguide):
     dip = hom_params(make_case(z_p=3e-5).tpsa)
     closed = 2.0 * math.sqrt(math.log(2.0) / dip.b)
     numeric = _solve_dip_width(dip.b, 1e-5 * math.sqrt(dip.b))
-    assert numeric == pytest.approx(closed, rel=1e-8)
+    assert numeric == pytest.approx(closed, rel=1e-8, abs=0)
 
     # the two magnitude-based asymmetry evaluations agree
     for kwargs in (dict(sigma_s=3e13, sigma_i=5e13), dict(lambda_s=1.07e-6),
                    dict(dtilde_theta=9e-17)):
         tn = normalize(make_case(**kwargs).tpsa)
         assert p_from_kernel(reduced_kernel(tn)) == pytest.approx(
-            p_from_f(tn), rel=1e-10)
+            p_from_f(tn), rel=1e-10, abs=0)
 
     # entropy series vs closed form
     from counterpairs.entanglement import entropy

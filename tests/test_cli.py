@@ -145,11 +145,11 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "scenario", "--config", str(fig2_cfg))
         doc = json.loads(out)
         n_cell = float((out_dir / "N.csv").read_text().splitlines()[1].split(",")[1])
-        assert n_cell == pytest.approx(doc["rate"]["N_pairs_per_s"], rel=1e-12)
+        assert n_cell == pytest.approx(doc["rate"]["N_pairs_per_s"], rel=1e-12, abs=0)
         width_cell = float((out_dir / "sigma_lambda_s.csv")
                            .read_text().splitlines()[1].split(",")[1])
         assert width_cell == pytest.approx(
-            doc["spectra"]["sigma_lambda_s_nm"], rel=1e-12)
+            doc["spectra"]["sigma_lambda_s_nm"], rel=1e-12, abs=0)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         cfg = self._mini_sweep_cfg(tmp_path)

@@ -36,7 +36,7 @@ class TestReducedKernel:
         assert abs(t.f2si) < 1e-6 * abs(t.f2s)
         k = reduced_kernel(t)
         assert k.e2c <= 1e-12 * abs(k.e2)
-        assert k.e2 == pytest.approx(t.f2s, rel=1e-9)
+        assert k.e2 == pytest.approx(t.f2s, rel=1e-9, abs=0)
 
     def test_real_coefficients_propagate(self, make_case):
         k = reduced_kernel(normalize(make_case().tpsa))
@@ -131,8 +131,8 @@ class TestSchmidtSpectrum:
             if math.isinf(p_kernel):
                 assert math.isinf(p_direct)
             else:
-                assert p_kernel == pytest.approx(p_direct, rel=1e-10)
-                assert p_kernel == pytest.approx(schmidt(t).p, rel=1e-10)
+                assert p_kernel == pytest.approx(p_direct, rel=1e-10, abs=0)
+                assert p_kernel == pytest.approx(schmidt(t).p, rel=1e-10, abs=0)
 
     def test_filters_only_disentangle(self, make_case):
         sigmas = (None, 8e13, 4e13, 2e13, 1e13)
@@ -199,7 +199,7 @@ class TestPrincipalAxes:
     def test_equal_diagonals_give_quarter_pi(self, make_case):
         t = make_case().tpsa  # symmetric: f2s = f2i, f2si > 0
         axes = principal_axes(t)
-        assert abs(axes.psi_si) == pytest.approx(math.pi / 4.0, rel=1e-12)
+        assert abs(axes.psi_si) == pytest.approx(math.pi / 4.0, rel=1e-12, abs=0)
         assert axes.mu1 > axes.mu2
 
     def test_rotation_diagonalizes(self, random_cases):
@@ -215,7 +215,7 @@ class TestPrincipalAxes:
             diag1 = a * co**2 + b * si**2 + c * si * co
             diag2 = a * si**2 + b * co**2 - c * si * co
             assert sorted([diag1, diag2]) == pytest.approx(
-                sorted([axes.mu1, axes.mu2]), rel=1e-10)
+                sorted([axes.mu1, axes.mu2]), rel=1e-10, abs=0)
 
 
 class TestSeparabilityRoots:
@@ -234,7 +234,7 @@ class TestSeparabilityRoots:
         kp0 = pump_wavevector(case.wg.model, case.omega_s0 + case.omega_i0)
         expected = math.sqrt(3.0) / (2.0 * v_s * kp0)
         roots = separability_roots(case.mp, case.pump, include_g=False)
-        assert sorted(roots.roots) == pytest.approx([-expected, expected], rel=1e-9)
+        assert sorted(roots.roots) == pytest.approx([-expected, expected], rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("include_g", [False, True])
     def test_roots_cancel_the_cross_coefficient(self, make_case, include_g):
@@ -254,7 +254,22 @@ class TestSeparabilityRoots:
         case = make_case(tau_p=tau_p, z_p=0.5 * v_s * tau_p, include_g=False)
         roots = separability_roots(case.mp, case.pump, include_g=False)
         assert roots.roots == ()
-        assert roots.min_feasible_z_p == pytest.approx(v_s * tau_p, rel=1e-6)
+        assert roots.min_feasible_z_p == pytest.approx(v_s * tau_p, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("include_g", [False, True])
+    def test_min_feasible_width_is_the_threshold(self, random_cases, include_g):
+        # random pumps narrowed to half their G-free threshold 2 tau_p / V_si;
+        # roots appear exactly at the reported width, to 1e-9 either side
+        for case in random_cases(50, seed=77, include_g=include_g):
+            v_si = 1.0 / case.mp.v_s + 1.0 / case.mp.v_i
+            pump = replace(case.pump, z_p=case.pump.tau_p / v_si)
+            z_star = separability_roots(case.mp, pump,
+                                        include_g=include_g).min_feasible_z_p
+            assert z_star is not None
+            below = replace(pump, z_p=z_star * (1.0 - 1e-9))
+            above = replace(pump, z_p=z_star * (1.0 + 1e-9))
+            assert separability_roots(case.mp, below, include_g=include_g).roots == ()
+            assert len(separability_roots(case.mp, above, include_g=include_g).roots) == 2
 
     def test_on_curve_state_is_exactly_separable(self, make_case):
         v_s = group_velocity(make_case().wg, make_case().omega_s0, "guided")

@@ -1,54 +1,29 @@
 """Golden outputs: shipped sweeps and scenarios against stored reference files.
 
-The files under tests/data/golden were written by the CLI before the
-material layer was evaluated once per (waveguide, centrals); any change
-that moves a number by more than 1e-12 relative, or moves a NaN, fails
-here. Regenerate them only for a change that is meant to alter outputs,
-and say which outputs moved and why.
+The files under tests/data/golden were written by the CLI once the
+material derivatives were closed forms (analytic Sellmeier derivatives,
+group velocities and overlap expansion) and the smallest feasible beam
+width the larger zero of a quadratic; any change that moves a number by
+more than 1e-12 relative, or moves a NaN, fails here. Regenerate them
+only for a change that is meant to alter outputs, and say which outputs
+moved and why.
 """
 
 import json
-import math
 from pathlib import Path
 
 import pytest
 
 from counterpairs.cli import main
 
+from conftest import assert_tree_close
+
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
-REL = 1e-12
 SWEEPS = sorted(p.stem for p in CONFIG_DIR.glob("*_sweep.cfg"))
 # fields that name the build or the config file, not a computed value
 PROVENANCE = ("config_sha256", "version")
-
-
-def assert_close(got, want, where):
-    if isinstance(want, float) and math.isnan(want):
-        assert isinstance(got, float) and math.isnan(got), f"{where}: {got!r} is not NaN"
-    elif isinstance(want, float) and math.isinf(want):
-        assert got == want, f"{where}: {got!r} != {want!r}"
-    elif isinstance(want, (int, float)) and not isinstance(want, bool):
-        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
-        assert not math.isnan(got), f"{where}: NaN where {want!r} was stored"
-        assert abs(got - want) <= REL * max(abs(got), abs(want)), \
-            f"{where}: {got!r} != {want!r}"
-    else:
-        assert got == want, f"{where}: {got!r} != {want!r}"
-
-
-def assert_tree_close(got, want, where=""):
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and sorted(got) == sorted(want), where
-        for key in want:
-            assert_tree_close(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for k, (g, w) in enumerate(zip(got, want)):
-            assert_tree_close(g, w, f"{where}[{k}]")
-    else:
-        assert_close(got, want, where)
 
 
 def read_grid(path: Path):
@@ -100,11 +75,11 @@ def test_scenario_matches_golden(capsys, stem, neglect_g):
     assert_tree_close(doc, want, f"{stem}{suffix}")
 
 
-def test_scenario_goldens_cover_the_bisection_path():
+def test_scenario_goldens_cover_the_infeasible_beam_path():
     # with the G terms both configs sit just below the feasible beam width,
-    # so separability_roots walks its doubling bracket and bisection there
+    # so separability_roots reports no roots and the smallest feasible Z_p
     for stem in ("fig2", "separable"):
         doc = json.loads((GOLDEN / "scenario" / f"{stem}.json").read_text())
         sep = doc["separability"]
         assert sep["dtilde_theta_roots_rad_s"] == []
-        assert sep["min_feasible_Z_p_m"] == pytest.approx(1.332e-5, rel=1e-3)
+        assert sep["min_feasible_Z_p_m"] == pytest.approx(1.332e-5, rel=1e-3, abs=0)

@@ -29,8 +29,8 @@ class TestEstimate:
         result = estimate(ms)
         assert result.method == "symmetric-closed-form"
         expected = sigma**2 / (8.0 * b * (sigma**2 - b))
-        assert result.roots[0].f2s_r == pytest.approx(expected, rel=1e-12)
-        assert result.roots[0].f2i_r == pytest.approx(expected, rel=1e-12)
+        assert result.roots[0].f2s_r == pytest.approx(expected, rel=1e-12, abs=0)
+        assert result.roots[0].f2i_r == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_symmetric_pole_region(self):
         with pytest.raises(NoPhysicalRoot):
@@ -49,9 +49,9 @@ class TestEstimate:
             result = estimate(_measure(t))
             best = min(result.roots,
                        key=lambda r: abs(r.f2s_r - t.f2s.real))
-            assert best.f2s_r == pytest.approx(t.f2s.real, rel=1e-9)
-            assert best.f2i_r == pytest.approx(t.f2i.real, rel=1e-9)
-            assert best.f2si_r == pytest.approx(t.f2si.real, rel=1e-9)
+            assert best.f2s_r == pytest.approx(t.f2s.real, rel=1e-9, abs=0)
+            assert best.f2i_r == pytest.approx(t.f2i.real, rel=1e-9, abs=0)
+            assert best.f2si_r == pytest.approx(t.f2si.real, rel=1e-9, abs=0)
             se_truth = schmidt(normalize(t)).entropy_bits
             assert best.entropy_bits == pytest.approx(se_truth, abs=1e-8)
 
@@ -82,23 +82,23 @@ class TestFitHom:
         t = make_case(dtilde_theta=1.1e-16).tpsa
         dip = hom_params(t)
         fit = fit_hom_B(self._samples(t, 41))
-        assert fit.a == pytest.approx(dip.a, rel=1e-8)
-        assert fit.b == pytest.approx(dip.b, rel=1e-8)
+        assert fit.a == pytest.approx(dip.a, rel=1e-8, abs=0)
+        assert fit.b == pytest.approx(dip.b, rel=1e-8, abs=0)
         assert fit.residual_rms < 1e-10
 
     def test_noiseless_recovery_with_beat(self, make_case):
         t = make_case(lambda_s=1.058e-6).tpsa
         dip = hom_params(t)
         fit = fit_hom_B(self._samples(t, 81), beat=dip.beat)
-        assert fit.a == pytest.approx(dip.a, rel=1e-8)
-        assert fit.b == pytest.approx(dip.b, rel=1e-8)
+        assert fit.a == pytest.approx(dip.a, rel=1e-8, abs=0)
+        assert fit.b == pytest.approx(dip.b, rel=1e-8, abs=0)
 
     def test_noisy_recovery_within_three_percent(self, make_case):
         t = make_case().tpsa
         dip = hom_params(t)
         rng = np.random.default_rng(2024)
         fit = fit_hom_B(self._samples(t, 41, rng=rng, noise=0.01))
-        assert fit.b == pytest.approx(dip.b, rel=0.03)
+        assert fit.b == pytest.approx(dip.b, rel=0.03, abs=0)
 
     def test_flat_samples_diverge(self):
         taus = np.linspace(-1e-13, 1e-13, 21)

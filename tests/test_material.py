@@ -25,7 +25,13 @@ from counterpairs.dispersion import (
     refractive_index,
 )
 
-from conftest import LAMBDA_PAIR, LAMBDA_PUMP, omega_of
+from conftest import (
+    LAMBDA_PAIR,
+    LAMBDA_PUMP,
+    assert_tree_close,
+    mp_material_point,
+    omega_of,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 MODULES = (cp, dispersion, tpsa, entanglement, config, cp.spectral, cp.cli)
@@ -69,6 +75,29 @@ def test_point_holds_the_material_functions_values(waveguide):
     assert mp.gt == g_taylor(waveguide, w_s, w_i)
 
 
+def test_point_at_the_window_edge_evaluates(waveguide):
+    # derivatives are closed forms at the frequency itself, so a pump at the
+    # short-wavelength edge of the validity window needs nothing beyond it
+    lo, hi = waveguide.model.omega_window
+    mp = material_point(waveguide, 0.5 * hi, 0.5 * hi)
+    assert mp.omega_p0 == hi
+    assert mp.n_p == refractive_index(waveguide.model, hi)
+    assert mp.dn_dw_p > 0.0 and mp.v_p > 0.0
+    with pytest.raises(cp.errors.OutOfValidityWindow):
+        material_point(waveguide, 0.5 * hi, 0.5 * hi * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("include_g", [True, False])
+def test_bundle_matches_an_mpmath_material(include_g):
+    # every field of the point from mpmath at 40 digits; every number of the
+    # fig2 scenario bundle must agree to 1e-12 relative, with no absolute floor
+    sc = config.resolve_scenario(config.parse_config(CONFIG_DIR / "fig2.cfg"),
+                                 include_g=include_g)
+    oracle_mp = mp_material_point(sc.wg, sc.omega_s0, sc.omega_i0)
+    assert_tree_close(config.compute_scenario(sc),
+                      config.scenario_bundle(sc, oracle_mp), f"fig2 include_g={include_g}")
+
+
 def test_point_is_frozen(waveguide):
     w = omega_of(LAMBDA_PAIR)
     mp = material_point(waveguide, w, w)
@@ -101,10 +130,10 @@ def test_scenario_evaluates_the_material_once(count_calls):
     index = count_calls("refractive_index")
     taylor = count_calls("g_taylor")
     bundle = config.compute_scenario(sc)
-    # fig2 takes the doubling-and-bisection path of separability_roots
+    # fig2 takes the infeasible-beam path of separability_roots
     assert bundle["separability"]["min_feasible_Z_p_m"] is not None
     assert taylor["calls"] == 1
-    assert index["calls"] <= 80
+    assert index["calls"] <= 20
 
 
 def test_sweep_evaluates_the_material_once(count_calls, capsys, tmp_path):

@@ -34,12 +34,12 @@ class TestQuadrature:
 
         val, err = quad2d(f, (-10, 10), (-10, 10), abs_tol=1e-12)
         exact = 2.0 * math.pi / math.sqrt(4 * a * b - c**2)
-        assert val == pytest.approx(exact, rel=1e-12)
+        assert val == pytest.approx(exact, rel=1e-12, abs=0)
         assert err < 1e-12
 
     def test_1d_anchor(self):
         val, _ = quad1d(lambda x: np.exp(-x * x), (-12, 12), abs_tol=1e-13)
-        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-13, abs=0)
 
     def test_budget_exhaustion(self):
         def nasty(x, y):
@@ -60,7 +60,7 @@ class TestQuadNorm:
     def test_matches_general_rate(self, random_cases):
         for case in random_cases(6, seed=71, chirp=True):
             n = pair_rate(case.tpsa).pairs_per_s
-            assert quad_norm(case.tpsa) == pytest.approx(n, rel=1e-6)
+            assert quad_norm(case.tpsa) == pytest.approx(n, rel=1e-6, abs=0)
 
     def test_normalized_amplitude_integrates_to_one(self, make_case):
         t = normalize(make_case(a_p=0.4).tpsa)
@@ -69,7 +69,7 @@ class TestQuadNorm:
     def test_quadratic_scaling_in_amplitude_constant(self, make_case):
         t = make_case().tpsa
         doubled = replace(t, c_phi_sq=4.0 * t.c_phi_sq)  # |C| doubled
-        assert quad_norm(doubled) == pytest.approx(4.0 * quad_norm(t), rel=1e-9)
+        assert quad_norm(doubled) == pytest.approx(4.0 * quad_norm(t), rel=1e-9, abs=0)
 
 
 class TestNumericMarginal:
@@ -77,8 +77,8 @@ class TestNumericMarginal:
         t = make_case().tpsa
         m_s = numeric_marginal(t, "s")
         m_i = numeric_marginal(t, "i")
-        assert m_s.norm == pytest.approx(m_i.norm, rel=1e-10)
-        assert m_s.sigma_e1 == pytest.approx(m_i.sigma_e1, rel=1e-10)
+        assert m_s.norm == pytest.approx(m_i.norm, rel=1e-10, abs=0)
+        assert m_s.sigma_e1 == pytest.approx(m_i.sigma_e1, rel=1e-10, abs=0)
 
     def test_center_shift_resolution(self, make_case):
         t = make_case().tpsa  # corrections on: nonzero linear coefficients
@@ -89,7 +89,7 @@ class TestNumericMarginal:
     def test_norm_equals_rate(self, make_case):
         t = make_case(sigma_s=2.5e13, sigma_i=7e13).tpsa
         assert numeric_marginal(t, "s").norm == pytest.approx(
-            pair_rate(t).pairs_per_s, rel=1e-8)
+            pair_rate(t).pairs_per_s, rel=1e-8, abs=0)
 
 
 class TestNumericSchmidt:
@@ -131,7 +131,7 @@ class TestExactAmplitude:
         exact = exact_phi1p(case.wg, case.pump, case.omega_s0, case.omega_i0)
         gauss = evaluate(t, case.omega_s0, case.omega_i0)
         assert math.sqrt(case.pump.f_rep) * abs(exact) == pytest.approx(
-            abs(gauss), rel=1e-12)
+            abs(gauss), rel=1e-12, abs=0)
 
     def test_phase_matching_argument_vanishes_at_centrals(self, make_case):
         from counterpairs.dispersion import beta, pump_wavevector

@@ -13,6 +13,9 @@ from counterpairs.spectral import (
     wavelength_width,
     width_ratio,
 )
+from counterpairs.tpsa import assemble_tpsa
+
+from conftest import mp_material_point
 
 
 def _d_sign_definite(case):
@@ -34,11 +37,11 @@ class TestPairRate:
         t = base.tpsa
         expected = (t.c_phi_sq * math.exp(-2.0 * t.f0) * 2.0 * math.pi
                     / (math.sqrt(1.0 + t.a_p**2) * t.v_si))
-        assert pair_rate(t).pairs_per_s == pytest.approx(expected, rel=1e-12)
+        assert pair_rate(t).pairs_per_s == pytest.approx(expected, rel=1e-12, abs=0)
         for kwargs in (dict(tau_p=3e-13), dict(z_p=4e-5),
                        dict(tau_p=7e-13, z_p=2e-5)):
             other = make_case(include_g=False, **kwargs).tpsa
-            assert pair_rate(other).pairs_per_s == pytest.approx(expected, rel=1e-12)
+            assert pair_rate(other).pairs_per_s == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_general_equals_simplified_without_corrections(self, random_cases):
         # without corrections the rate's determinant D_fr equals its
@@ -48,12 +51,18 @@ class TestPairRate:
             t = case.tpsa
             simplified = (t.c_phi_sq * math.exp(-2.0 * t.f0) * math.pi * t.z_p * t.tau_p
                           / ((1.0 + t.a_p**2) * math.sqrt(_d_sign_definite(case))))
-            assert pair_rate(t).pairs_per_s == pytest.approx(simplified, rel=1e-10)
+            assert pair_rate(t).pairs_per_s == pytest.approx(simplified, rel=1e-10, abs=0)
 
     def test_reference_rate_and_per_pulse(self, make_case):
-        rate = pair_rate(make_case().tpsa)
-        assert rate.pairs_per_s == pytest.approx(16414.488921308628, rel=1e-9)
-        assert rate.per_pulse == pytest.approx(rate.pairs_per_s / 8e7, rel=1e-12)
+        case = make_case()
+        rate = pair_rate(case.tpsa)
+        # frozen value; the amplitude built on an mpmath material reproduces it
+        reference = 16414.486707644206
+        assert rate.pairs_per_s == pytest.approx(reference, rel=1e-9, abs=0)
+        oracle_mp = mp_material_point(case.wg, case.omega_s0, case.omega_i0)
+        assert pair_rate(assemble_tpsa(oracle_mp, case.pump, case.filt)).pairs_per_s \
+            == pytest.approx(reference, rel=1e-12, abs=0)
+        assert rate.per_pulse == pytest.approx(rate.pairs_per_s / 8e7, rel=1e-12, abs=0)
         # headline targets: within a factor 3 (dispersion-model dependent)
         assert 1e4 <= rate.pairs_per_s <= 9e4
         assert 3.8e-4 / 3 <= rate.per_pulse <= 3.8e-4 * 3
@@ -61,7 +70,7 @@ class TestPairRate:
     def test_quadrature_oracle(self, make_case):
         t = make_case(sigma_s=2e13, sigma_i=5e13, a_p=0.6, dtilde_theta=5e-17).tpsa
         assert pair_rate(t).pairs_per_s == pytest.approx(
-            oracle.quad_norm(t), rel=1e-6)
+            oracle.quad_norm(t), rel=1e-6, abs=0)
 
     def test_invalid_form_rejected(self, make_case):
         t = make_case().tpsa
@@ -78,23 +87,23 @@ class TestSpectrum:
         expected = (math.sqrt(2.0) / t.v_si
                     * math.sqrt(1.0 / t.z_p**2
                                 + (1.0 + t.a_p**2) * t.v_pi**2 / t.tau_p**2))
-        assert spectrum(t, "s").sigma_omega == pytest.approx(expected, rel=1e-12)
+        assert spectrum(t, "s").sigma_omega == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_cw_limit(self, make_case):
         t = make_case(tau_p=5e-10, include_g=False).tpsa
         cw = math.sqrt(2.0) / (t.v_si * t.z_p)
-        assert spectrum(t, "s").sigma_omega == pytest.approx(cw, rel=1e-6)
-        assert spectrum(t, "i").sigma_omega == pytest.approx(cw, rel=1e-6)
+        assert spectrum(t, "s").sigma_omega == pytest.approx(cw, rel=1e-6, abs=0)
+        assert spectrum(t, "i").sigma_omega == pytest.approx(cw, rel=1e-6, abs=0)
 
     def test_moment_convention_against_oracle(self, random_cases):
         # second central moment of the |Phi|^2 marginal equals sigma/sqrt(2)
         for case in random_cases(8, seed=11, chirp=True):
             params = spectrum(case.tpsa, "s")
             marg = oracle.numeric_marginal(case.tpsa, "s")
-            assert marg.sigma_e1 == pytest.approx(params.sigma_omega, rel=1e-4)
+            assert marg.sigma_e1 == pytest.approx(params.sigma_omega, rel=1e-4, abs=0)
             params_i = spectrum(case.tpsa, "i")
             marg_i = oracle.numeric_marginal(case.tpsa, "i")
-            assert marg_i.sigma_e1 == pytest.approx(params_i.sigma_omega, rel=1e-4)
+            assert marg_i.sigma_e1 == pytest.approx(params_i.sigma_omega, rel=1e-4, abs=0)
 
     def test_center_shift_matches_oracle(self, make_case):
         t = make_case().tpsa  # corrections on -> nonzero linear coefficients
@@ -123,8 +132,8 @@ class TestSpectrum:
 class TestWidthRatio:
     def test_symmetric_case_is_unity(self, make_case):
         ratio = width_ratio(make_case().tpsa)
-        assert ratio.f == pytest.approx(1.0, rel=1e-12)
-        assert ratio.sigma_ratio_si == pytest.approx(1.0, rel=1e-12)
+        assert ratio.f == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert ratio.sigma_ratio_si == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_ratio_identities(self, random_cases):
         # F = f2s^r/f2i^r equals the squared idler/signal width ratio
@@ -132,8 +141,8 @@ class TestWidthRatio:
             r = width_ratio(case.tpsa)
             s_s = spectrum(case.tpsa, "s").sigma_omega
             s_i = spectrum(case.tpsa, "i").sigma_omega
-            assert r.f == pytest.approx(s_i**2 / s_s**2, rel=1e-12)
-            assert r.sigma_ratio_si == pytest.approx(s_s / s_i, rel=1e-12)
+            assert r.f == pytest.approx(s_i**2 / s_s**2, rel=1e-12, abs=0)
+            assert r.sigma_ratio_si == pytest.approx(s_s / s_i, rel=1e-12, abs=0)
 
     def test_angular_dispersion_reaches_large_ratios(self, make_case):
         # V_ps ~ 0 at the matched angular dispersion: signal spectrum broadens
@@ -156,13 +165,13 @@ class TestAsymptotics:
         scale = math.sqrt(2.0) * math.sqrt(1.0 + t.a_p**2) / (t.v_si * t.tau_p)
         sigma_s_inf = scale * abs(t.v_pi)
         sigma_i_inf = scale * abs(t.v_ps)
-        assert spectrum(t, "s").sigma_omega == pytest.approx(sigma_s_inf, rel=1e-3)
-        assert spectrum(t, "i").sigma_omega == pytest.approx(sigma_i_inf, rel=1e-3)
+        assert spectrum(t, "s").sigma_omega == pytest.approx(sigma_s_inf, rel=1e-3, abs=0)
+        assert spectrum(t, "i").sigma_omega == pytest.approx(sigma_i_inf, rel=1e-3, abs=0)
 
     def test_cw_limit_consistency(self, make_case):
         t = make_case(tau_p=1e-9, include_g=False).tpsa
         sigma_cw = math.sqrt(2.0) / (t.v_si * t.z_p)
-        assert spectrum(t, "s").sigma_omega == pytest.approx(sigma_cw, rel=1e-6)
+        assert spectrum(t, "s").sigma_omega == pytest.approx(sigma_cw, rel=1e-6, abs=0)
 
 
 class TestConverters:
@@ -174,4 +183,4 @@ class TestConverters:
         sigma = 1.2e13
         lam_width = wavelength_width(omega0, sigma)
         back = lam_width * omega0**2 / (2.0 * math.pi * 299792458.0)
-        assert back == pytest.approx(sigma, rel=1e-12)
+        assert back == pytest.approx(sigma, rel=1e-12, abs=0)

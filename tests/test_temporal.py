@@ -36,7 +36,7 @@ class TestTimeDomain:
         for case in random_cases(8, seed=3):
             td = time_domain(case.tpsa)
             f_ratio = case.tpsa.f2s.real / case.tpsa.f2i.real
-            assert td.t2i / td.t2s == pytest.approx(f_ratio, rel=1e-10)
+            assert td.t2i / td.t2s == pytest.approx(f_ratio, rel=1e-10, abs=0)
 
     def test_no_linear_terms_without_corrections(self, make_case):
         td = time_domain(make_case(include_g=False, a_p=0.8).tpsa)
@@ -87,7 +87,7 @@ class TestFlux:
     def test_narrow_beam_limit(self, make_case):
         t = make_case(z_p=1e-8, include_g=False).tpsa
         assert flux(t, "s").sigma_tau == pytest.approx(
-            t.tau_p / math.sqrt(2.0), rel=1e-4)
+            t.tau_p / math.sqrt(2.0), rel=1e-4, abs=0)
 
     def test_simplified_width_formula(self, make_case):
         # sigma_tau_s = sqrt(tau^2/2 + 2/sigma_s^2 + Zp^2 V_ps^2/2), ap = 0
@@ -117,21 +117,21 @@ class TestFlux:
             for field in ("s", "i"):
                 closed = flux(case.tpsa, field).sigma_tau
                 numeric = oracle.numeric_time_marginal(td, field).sigma_e1
-                assert numeric == pytest.approx(closed, rel=1e-4)
+                assert numeric == pytest.approx(closed, rel=1e-4, abs=0)
 
 
 class TestTimeBandwidth:
     def test_ratio_unity_chirp_free(self, random_cases):
         for case in random_cases(8, seed=29):
-            assert time_bandwidth(case.tpsa).ratio == pytest.approx(1.0, rel=1e-10)
+            assert time_bandwidth(case.tpsa).ratio == pytest.approx(1.0, rel=1e-10, abs=0)
 
     def test_symmetric_minimum_product(self, make_case):
         v_s = group_velocity(make_case().wg, omega_of(1.064e-6), "guided")
         tau_p = 1e-13
         t = make_case(tau_p=tau_p, z_p=v_s * tau_p, include_g=False).tpsa
         tb = time_bandwidth(t)
-        assert tb.product_s == pytest.approx(1.0, rel=1e-10)
-        assert tb.product_i == pytest.approx(1.0, rel=1e-10)
+        assert tb.product_s == pytest.approx(1.0, rel=1e-10, abs=0)
+        assert tb.product_i == pytest.approx(1.0, rel=1e-10, abs=0)
 
     def test_product_formula_and_cw_growth(self, make_case):
         v_s = group_velocity(make_case().wg, omega_of(1.064e-6), "guided")
@@ -140,7 +140,7 @@ class TestTimeBandwidth:
             t = make_case(tau_p=tau_p, include_g=False).tpsa
             expected = 0.5 * (v_s * tau_p / t.z_p + t.z_p / (v_s * tau_p))
             tb = time_bandwidth(t)
-            assert tb.product_s == pytest.approx(expected, rel=1e-6)
+            assert tb.product_s == pytest.approx(expected, rel=1e-6, abs=0)
             assert tb.product_s >= 1.0
             products.append(tb.product_s)
         assert products[0] < products[1] < products[2]
@@ -165,35 +165,35 @@ class TestHom:
         vsum = t.v_ps + t.v_pi
         expected = (1.0 + t.z_p**2 * (1.0 + t.a_p**2) * vsum**2
                     / (4.0 * t.tau_p**2)) ** -0.5
-        assert hom_params(t).a == pytest.approx(expected, rel=1e-12)
+        assert hom_params(t).a == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_b_depends_only_on_beam_width_and_filters(self, make_case):
         ref = hom_params(make_case(include_g=False).tpsa).b
         for kwargs in (dict(tau_p=5e-13), dict(dtilde_theta=1e-16),
                        dict(a_p=0.9)):
             b = hom_params(make_case(include_g=False, **kwargs).tpsa).b
-            assert b == pytest.approx(ref, rel=1e-12)
+            assert b == pytest.approx(ref, rel=1e-12, abs=0)
         expected = 1.0 / (make_case().tpsa.z_p**2 * make_case().tpsa.v_si**2 / 2.0)
-        assert ref == pytest.approx(expected, rel=1e-12)
+        assert ref == pytest.approx(expected, rel=1e-12, abs=0)
         sigma_s, sigma_i = 2e13, 3e13
         filtered = hom_params(make_case(sigma_s=sigma_s, sigma_i=sigma_i,
                                         include_g=False).tpsa)
         t = make_case(sigma_s=sigma_s, sigma_i=sigma_i).tpsa
         expected_f = 1.0 / (2.0 / sigma_s**2 + 2.0 / sigma_i**2
                             + t.z_p**2 * t.v_si**2 / 2.0)
-        assert filtered.b == pytest.approx(expected_f, rel=1e-12)
+        assert filtered.b == pytest.approx(expected_f, rel=1e-12, abs=0)
 
     def test_b_from_coefficient_combination(self, random_cases):
         for case in random_cases(8, seed=31, include_g=False):
             t = case.tpsa
             direct = 1.0 / (2.0 * (t.f2s.real + t.f2i.real - t.f2si.real))
-            assert hom_params(t).b == pytest.approx(direct, rel=1e-10)
+            assert hom_params(t).b == pytest.approx(direct, rel=1e-10, abs=0)
 
     def test_curve_asymptotics_and_floor(self, make_case):
         t = make_case(dtilde_theta=9e-17).tpsa
         dip = hom_params(t)
-        assert hom_curve(t, 0.0) == pytest.approx(1.0 - dip.a, rel=1e-12)
-        assert hom_curve(t, 1e-9) == pytest.approx(1.0, rel=1e-12)
+        assert hom_curve(t, 0.0) == pytest.approx(1.0 - dip.a, rel=1e-12, abs=0)
+        assert hom_curve(t, 1e-9) == pytest.approx(1.0, rel=1e-12, abs=0)
         assert 1.0 - dip.a >= 0.0
 
     def test_floor_nonnegative_over_random_sets(self, random_cases):
@@ -202,7 +202,7 @@ class TestHom:
             assert 0.0 <= 1.0 - dip.a < 1.0
             if case.omega_s0 == case.omega_i0:
                 assert hom_curve(case.tpsa, 0.0) == pytest.approx(
-                    1.0 - dip.a, rel=1e-12)
+                    1.0 - dip.a, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(dtilde_theta=1.2e-16),           # asymmetric contrast, a < 1
@@ -232,7 +232,7 @@ class TestDipWidth:
     def test_degenerate_closed_form(self, make_case):
         dip = hom_params(make_case().tpsa)
         assert dip.delta_tau_l == pytest.approx(
-            2.0 * math.sqrt(math.log(2.0) / dip.b), rel=1e-12)
+            2.0 * math.sqrt(math.log(2.0) / dip.b), rel=1e-12, abs=0)
 
     def test_bisection_agrees_with_closed_form(self, make_case):
         # force the bracketing path with a tiny artificial beat
@@ -240,7 +240,7 @@ class TestDipWidth:
         tiny_beat = 1e-4 * math.sqrt(dip.b)
         numeric = _solve_dip_width(dip.b, tiny_beat)
         closed = 2.0 * math.sqrt(math.log(2.0) / dip.b)
-        assert numeric == pytest.approx(closed, rel=1e-8)
+        assert numeric == pytest.approx(closed, rel=1e-8, abs=0)
 
     def test_beat_oscillation_narrows_the_dip(self, make_case):
         t = make_case(lambda_s=1.055e-6).tpsa
@@ -255,7 +255,7 @@ class TestDipWidth:
         widths = [hom_params(make_case(tau_p=tp, include_g=False).tpsa).delta_tau_l
                   for tp in (4e-14, 1e-13, 6e-13, 2e-12)]
         for w in widths[1:]:
-            assert w == pytest.approx(widths[0], rel=1e-10)
+            assert w == pytest.approx(widths[0], rel=1e-10, abs=0)
 
     def test_monotone_in_beam_width(self, make_case):
         widths = [hom_params(make_case(z_p=zp).tpsa).delta_tau_l
