@@ -30,7 +30,7 @@ from .config import (
     _read_assignments,
     build_scenario_tpsa,
     compute_scenario,
-    failed_point,
+    failed_sweep,
     parse_config,
     parse_sweep,
     resolve_scenario,
@@ -94,20 +94,24 @@ def _cmd_scenario(args) -> int:
     return 0
 
 
-def _grid_csv(axis1, axis2, values) -> str:
-    """Row-major grid CSV; first column axis1, header row axis2."""
+def _grid_csv(axis1, axis2, rows, label: str) -> str:
+    """Row-major grid CSV; first column axis1, header row axis2.
+
+    axis = (param, values, unit or None); label names the cells of a
+    one-axis grid.
+    """
     unit1 = "" if axis1[2] is None else f" [{axis1[2]}]"
     lines = []
     if axis2 is None:
-        lines.append(f"{axis1[0]}{unit1},value [{axis1[3]}]")
-        for v, row in zip(axis1[1], values):
+        lines.append(f"{axis1[0]}{unit1},{label}")
+        for v, row in zip(axis1[1], rows):
             lines.append(f"{_fmt(v)},{_fmt(row[0])}")
     else:
         unit2 = "" if axis2[2] is None else f" [{axis2[2]}]"
         header = [f"{axis1[0]}{unit1} \\ {axis2[0]}{unit2}"]
         header += [_fmt(v) for v in axis2[1]]
         lines.append(",".join(header))
-        for v1, row in zip(axis1[1], values):
+        for v1, row in zip(axis1[1], rows):
             lines.append(",".join([_fmt(v1)] + [_fmt(x) for x in row]))
     return "\n".join(lines) + "\n"
 
@@ -119,32 +123,33 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    v2_list = [None] if spec.axis2 is None else list(spec.axis2.values)
-    points = [(v1, v2) for v1 in spec.axis1.values for v2 in v2_list]
     # Every sweepable parameter is a pump or filter setting, so one material
     # point serves every cell; when it cannot be evaluated, every cell fails.
     try:
         mp = scenario_material(sc)
     except CounterpairsError as exc:
-        results = [failed_point(spec, exc) for _ in points]
+        grid = failed_sweep(spec, exc)
     else:
-        results = [sweep_point(sc, spec, mp, v1, v2) for v1, v2 in points]
+        grid = sweep_point(sc, spec, mp, spec.axis1.values,
+                           None if spec.axis2 is None else spec.axis2.values)
 
-    n2 = len(v2_list)
+    ax1 = (spec.axis1.param, spec.axis1.values, SWEEP_PARAMS[spec.axis1.param])
+    ax2 = None if spec.axis2 is None else (
+        spec.axis2.param, spec.axis2.values, SWEEP_PARAMS[spec.axis2.param])
     files = {}
     for name in spec.quantities:
-        unit, _ = QUANTITIES[name]
-        rows = []
-        for i1 in range(len(spec.axis1.values)):
-            rows.append([results[i1 * n2 + j][name] for j in range(n2)])
-        ax1 = (spec.axis1.param, spec.axis1.values, SWEEP_PARAMS[spec.axis1.param], unit)
-        ax2 = None
-        if spec.axis2 is not None:
-            ax2 = (spec.axis2.param, spec.axis2.values,
-                   SWEEP_PARAMS[spec.axis2.param], unit)
         path = out_dir / f"{name}.csv"
-        path.write_text(_grid_csv(ax1, ax2, rows))
+        path.write_text(_grid_csv(ax1, ax2, grid.values[name],
+                                  f"value [{QUANTITIES[name][0]}]"))
         files[name] = path.name
+    failed = [exc for row in grid.errors for exc in row if exc is not None]
+    errors_path = out_dir / "errors.csv"
+    if failed:
+        names = [["" if exc is None else type(exc).__name__ for exc in row]
+                 for row in grid.errors]
+        errors_path.write_text(_grid_csv(ax1, ax2, names, "error"))
+    else:
+        errors_path.unlink(missing_ok=True)
 
     manifest = {
         "package": "counterpairs",
@@ -158,7 +163,7 @@ def _cmd_sweep(args) -> int:
             "scale": spec.axis2.scale},
         "quantities": {name: QUANTITIES[name][0] for name in spec.quantities},
         "files": files,
-        "errors": sorted({r["_error"] for r in results if "_error" in r}),
+        "errors": sorted({str(exc) for exc in failed}),
     }
     (out_dir / "sweep_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")

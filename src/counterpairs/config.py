@@ -18,6 +18,9 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
+from . import _elementwise as ew
 from .constants import C_LIGHT
 from .dispersion import (
     MaterialPoint,
@@ -253,7 +256,10 @@ def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
 
 def with_sweep_value(sc: Scenario, mp: MaterialPoint, param: str,
                      value: float) -> Scenario:
-    """apply_sweep_value with the scenario's material already evaluated."""
+    """apply_sweep_value with the scenario's material already evaluated.
+
+    value may be an array of swept values, broadcast over a sweep grid.
+    """
     if param not in SWEEP_PARAMS:
         raise ConfigInvalid(f"{param!r} is not sweepable; choose from "
                             f"{sorted(SWEEP_PARAMS)}", field=param)
@@ -403,28 +409,40 @@ def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
     }
 
 
-# Sweep output quantities: name -> (unit label, extractor from the bundle).
+def _sigma_lambda_nm(tpsa: GaussianTPSA, field: str):
+    omega0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
+    return wavelength_width(omega0, spectrum(tpsa, field).sigma_omega) * 1e9
+
+
+def _schmidt(sc: Scenario, tpsa: GaussianTPSA):
+    return schmidt(normalize(tpsa), p_min=sc.p_min)
+
+
+# Sweep output quantities: name -> (unit label, value from the swept scenario
+# and its amplitude). Each computes only what it reports, on one cell or on
+# a whole broadcast grid, with the formulas of scenario_bundle.
 QUANTITIES = {
-    "N": ("1/s", lambda b: b["rate"]["N_pairs_per_s"]),
-    "per_pulse": ("1", lambda b: b["rate"]["per_pulse_probability"]),
-    "sigma_omega_s": ("rad/s", lambda b: b["spectra"]["sigma_omega_s_rad_per_s"]),
-    "sigma_omega_i": ("rad/s", lambda b: b["spectra"]["sigma_omega_i_rad_per_s"]),
-    "sigma_lambda_s": ("nm", lambda b: b["spectra"]["sigma_lambda_s_nm"]),
-    "sigma_lambda_i": ("nm", lambda b: b["spectra"]["sigma_lambda_i_nm"]),
-    "ratio_lambda_si": ("1", lambda b: (b["spectra"]["sigma_lambda_s_nm"]
-                                        / b["spectra"]["sigma_lambda_i_nm"])),
-    "sigma_tau_s": ("fs", lambda b: b["flux"]["sigma_tau_s_fs"]),
-    "sigma_tau_i": ("fs", lambda b: b["flux"]["sigma_tau_i_fs"]),
-    "hom_A": ("1", lambda b: b["hom"]["A"]),
-    "hom_B": ("1/s^2", lambda b: b["hom"]["B_per_s2"]),
-    "visibility": ("1", lambda b: b["hom"]["visibility"]),
-    "delta_tau_l": ("fs", lambda b: b["hom"]["delta_tau_l_fs"]),
-    "entropy": ("bits", lambda b: b["schmidt"]["entropy_bits"]),
-    "vartheta": ("1", lambda b: b["schmidt"]["vartheta"]),
-    "n_min": ("modes", lambda b: b["schmidt"]["n_min"]),
-    "psi_si": ("deg", lambda b: b["principal_axes"]["psi_si_deg"]),
-    "theta_p0": ("deg", lambda b: b["inputs"]["pump"]["theta_p0_deg"]),
+    "N": ("1/s", lambda sc, t: pair_rate(t).pairs_per_s),
+    "per_pulse": ("1", lambda sc, t: pair_rate(t).per_pulse),
+    "sigma_omega_s": ("rad/s", lambda sc, t: spectrum(t, "s").sigma_omega),
+    "sigma_omega_i": ("rad/s", lambda sc, t: spectrum(t, "i").sigma_omega),
+    "sigma_lambda_s": ("nm", lambda sc, t: _sigma_lambda_nm(t, "s")),
+    "sigma_lambda_i": ("nm", lambda sc, t: _sigma_lambda_nm(t, "i")),
+    "ratio_lambda_si": ("1", lambda sc, t: (_sigma_lambda_nm(t, "s")
+                                            / _sigma_lambda_nm(t, "i"))),
+    "sigma_tau_s": ("fs", lambda sc, t: flux(t, "s").sigma_tau * 1e15),
+    "sigma_tau_i": ("fs", lambda sc, t: flux(t, "i").sigma_tau * 1e15),
+    "hom_A": ("1", lambda sc, t: hom_params(t).a),
+    "hom_B": ("1/s^2", lambda sc, t: hom_params(t).b),
+    "visibility": ("1", lambda sc, t: hom_params(t).visibility),
+    "delta_tau_l": ("fs", lambda sc, t: hom_params(t).delta_tau_l * 1e15),
+    "entropy": ("bits", lambda sc, t: _schmidt(sc, t).entropy_bits),
+    "vartheta": ("1", lambda sc, t: _schmidt(sc, t).vartheta),
+    "n_min": ("modes", lambda sc, t: _schmidt(sc, t).n_min),
+    "psi_si": ("deg", lambda sc, t: principal_axes(t).psi_si / _DEG),
+    "theta_p0": ("deg", lambda sc, t: sc.pump.theta_p0 / _DEG),
 }
+_INTEGER_QUANTITIES = ("n_min",)
 
 
 @dataclass(frozen=True)
@@ -501,23 +519,75 @@ def parse_sweep(raw: dict) -> SweepSpec:
     return SweepSpec(axis1=axis1, axis2=axis2, quantities=names)
 
 
-def sweep_point(sc: Scenario, spec: SweepSpec, mp: MaterialPoint, v1: float,
-                v2: float | None) -> dict:
-    """Evaluate one sweep grid point (top level so worker pools can pickle it).
+def _evaluate_sweep(sc: Scenario, spec: SweepSpec, mp: MaterialPoint, v1, v2):
+    """The requested quantities at axis values v1, v2 (scalars or broadcast arrays)."""
+    point = with_sweep_value(sc, mp, spec.axis1.param, v1)
+    if spec.axis2 is not None:
+        point = with_sweep_value(point, mp, spec.axis2.param, v2)
+    tpsa = assemble_tpsa(mp, point.pump, point.filt, include_g=sc.include_g)
+    return tpsa, {name: QUANTITIES[name][1](point, tpsa) for name in spec.quantities}
 
-    mp is scenario_material(sc), evaluated once for the whole sweep. A
-    swept value the scenario rejects fails this point only.
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """Sweep results: one row per axis1 value, one column per axis2 value.
+
+    values maps each requested quantity to its rows (floats; ints for
+    n_min; NaN in failed cells). errors holds each failed cell's exception
+    and None where the cell succeeded.
     """
-    try:
-        point = with_sweep_value(sc, mp, spec.axis1.param, v1)
-        if spec.axis2 is not None and v2 is not None:
-            point = with_sweep_value(point, mp, spec.axis2.param, v2)
-        bundle = scenario_bundle(point, mp)
-        return {name: QUANTITIES[name][1](bundle) for name in spec.quantities}
-    except CounterpairsError as exc:
-        return failed_point(spec, exc)
+
+    values: dict
+    errors: list
 
 
-def failed_point(spec: SweepSpec, exc: CounterpairsError) -> dict:
-    """A sweep grid point whose scenario raised: NaN quantities plus the message."""
-    return {name: float("nan") for name in spec.quantities} | {"_error": str(exc)}
+def sweep_point(sc: Scenario, spec: SweepSpec, mp: MaterialPoint, v1,
+                v2) -> SweepGrid:
+    """Evaluate the requested quantities over the whole sweep grid at once.
+
+    v1 and v2 are the axis values (v2 None without a second axis); mp is
+    scenario_material(sc), fixed over the sweep. One broadcast amplitude
+    serves every cell. A cell fails when its amplitude or any requested
+    quantity fails there: the broadcast evaluation leaves such cells
+    non-finite, and each is evaluated again on its own, with scalars, to
+    get its exception (a cell that then succeeds keeps those values).
+    """
+    axis1 = np.asarray(v1, dtype=float).reshape(-1, 1)
+    axis2 = None if v2 is None else np.asarray(v2, dtype=float).reshape(1, -1)
+    shape = (axis1.shape[0], 1 if axis2 is None else axis2.shape[1])
+    with np.errstate(all="ignore"):
+        try:
+            tpsa, grids = _evaluate_sweep(sc, spec, mp, axis1, axis2)
+            ok = ew.finite_cells(tpsa)
+        except CounterpairsError:
+            # a check on a value that every cell shares failed: so does every cell
+            grids, ok = {}, False
+        grids = {name: np.broadcast_to(grids.get(name, math.nan), shape)
+                 for name in spec.quantities}
+        for grid in grids.values():
+            ok = ok & np.isfinite(grid)
+    values = {name: grid.tolist() for name, grid in grids.items()}
+    errors = [[None] * shape[1] for _ in range(shape[0])]
+    for i, j in np.argwhere(~ok).tolist():
+        try:
+            cell = _evaluate_sweep(sc, spec, mp, float(axis1[i, 0]),
+                                   None if axis2 is None else float(axis2[0, j]))[1]
+        except CounterpairsError as exc:
+            cell = dict.fromkeys(spec.quantities, math.nan)
+            errors[i][j] = exc
+        for name in spec.quantities:
+            values[name][i][j] = cell[name]
+    for name in _INTEGER_QUANTITIES:
+        if name in values:
+            values[name] = [[int(x) if math.isfinite(x) else x for x in row]
+                            for row in values[name]]
+    return SweepGrid(values=values, errors=errors)
+
+
+def failed_sweep(spec: SweepSpec, exc: CounterpairsError) -> SweepGrid:
+    """A sweep whose every cell raised exc (its material cannot be evaluated)."""
+    n1 = len(spec.axis1.values)
+    n2 = 1 if spec.axis2 is None else len(spec.axis2.values)
+    return SweepGrid(values={name: [[math.nan] * n2 for _ in range(n1)]
+                             for name in spec.quantities},
+                     errors=[[exc] * n2 for _ in range(n1)])

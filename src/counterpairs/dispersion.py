@@ -162,8 +162,12 @@ def beta(spec: WaveguideSpec, omega: float) -> float:
     beta = (n0 w / c) sqrt(1 - alpha c / (n0 w)); raises ModeCutoff when
     the radicand is non-positive.
     """
-    n = refractive_index(spec.model, omega)
-    radicand = 1.0 - spec.alpha * C_LIGHT / (n * omega)
+    return _beta(spec.alpha, refractive_index(spec.model, omega), omega)
+
+
+def _beta(alpha: float, n: float, omega: float) -> float:
+    """beta from the index n0 at omega."""
+    radicand = 1.0 - alpha * C_LIGHT / (n * omega)
     if radicand <= 0.0:
         raise ModeCutoff(
             f"no guided mode at omega = {omega:.6g} rad/s "
@@ -187,9 +191,16 @@ def group_velocity(spec: WaveguideSpec, omega: float, which: str = "guided") -> 
     if which not in ("guided", "pump_bulk"):
         raise ValueError("which must be 'guided' or 'pump_bulk'")
     n, dn, _ = _index_derivatives(spec.model, omega)
+    beta_guided = _beta(spec.alpha, n, omega) if which == "guided" else None
+    return _group_velocity(spec.alpha, n, dn, omega, beta_guided)
+
+
+def _group_velocity(alpha: float, n: float, dn: float, omega: float,
+                    beta_guided: float | None) -> float:
+    """group_velocity from n0 and dn0/domega; guided when beta_guided is given."""
     inv_v = (n + omega * dn) / C_LIGHT
-    if which == "guided":
-        inv_v *= (n * omega / C_LIGHT - 0.5 * spec.alpha) / beta(spec, omega)
+    if beta_guided is not None:
+        inv_v *= (n * omega / C_LIGHT - 0.5 * alpha) / beta_guided
     if inv_v <= 0.0:
         raise ModeCutoff(f"non-positive group slowness at omega = {omega:.6g}")
     return 1.0 / inv_v
@@ -243,13 +254,20 @@ def g_taylor(spec: WaveguideSpec, omega_s0: float, omega_i0: float) -> GTaylor:
     g2si = 2 u_s' u_i'/S^3. Raises DegenerateExpansion when S falls below
     floor (alpha -> 0 limit, where every coefficient diverges).
     """
-    def u_derivatives(omega):
-        n, dn, d2n = _index_derivatives(spec.model, omega)
-        a = spec.alpha / C_LIGHT
+    return _g_taylor(spec.alpha, omega_s0, _index_derivatives(spec.model, omega_s0),
+                     omega_i0, _index_derivatives(spec.model, omega_i0))
+
+
+def _g_taylor(alpha: float, omega_s0: float, derivs_s: tuple,
+              omega_i0: float, derivs_i: tuple) -> GTaylor:
+    """g_taylor from (n0, n0', n0'') at each central."""
+    def u_derivatives(omega, derivs):
+        n, dn, d2n = derivs
+        a = alpha / C_LIGHT
         return a * n * omega, a * (n + omega * dn), a * (2.0 * dn + omega * d2n)
 
-    us, us1, us2 = u_derivatives(omega_s0)
-    ui, ui1, ui2 = u_derivatives(omega_i0)
+    us, us1, us2 = u_derivatives(omega_s0, derivs_s)
+    ui, ui1, ui2 = u_derivatives(omega_i0, derivs_i)
     total = us + ui
     if total < _GAMMA_SQ_FLOOR:
         raise DegenerateExpansion(
@@ -300,25 +318,28 @@ class MaterialPoint:
 def material_point(spec: WaveguideSpec, omega_s0: float, omega_i0: float) -> MaterialPoint:
     """Evaluate every material quantity at the centrals once.
 
-    The quantities are evaluated in the order the amplitude assembly
-    first needs them (keyword arguments run left to right), so an
-    unusable material (out of window, mode cutoff, alpha -> 0) raises
-    the error the assembly would have raised first.
+    The index and its two derivatives are evaluated once per frequency
+    (pump, signal, idler) and every field is derived from them, in the
+    order the amplitude assembly first needs them, so an unusable material
+    (out of window, mode cutoff, alpha -> 0) raises the error the assembly
+    would have raised first.
     """
     omega_p0 = omega_s0 + omega_i0
+    alpha = spec.alpha
+    n_p, dn_p, _ = _index_derivatives(spec.model, omega_p0)
+    k_p0 = n_p * omega_p0 / C_LIGHT
+    derivs_s = _index_derivatives(spec.model, omega_s0)
+    beta_s = _beta(alpha, derivs_s[0], omega_s0)
+    derivs_i = _index_derivatives(spec.model, omega_i0)
+    beta_i = _beta(alpha, derivs_i[0], omega_i0)
     return MaterialPoint(
         wg=spec, omega_s0=omega_s0, omega_i0=omega_i0,
-        k_p0=pump_wavevector(spec.model, omega_p0),
-        beta_s=beta(spec, omega_s0),
-        beta_i=beta(spec, omega_i0),
-        v_s=group_velocity(spec, omega_s0, "guided"),
-        v_i=group_velocity(spec, omega_i0, "guided"),
-        v_p=group_velocity(spec, omega_p0, "pump_bulk"),
-        gt=g_taylor(spec, omega_s0, omega_i0),
-        n_s=refractive_index(spec.model, omega_s0),
-        n_i=refractive_index(spec.model, omega_i0),
-        n_p=refractive_index(spec.model, omega_p0),
-        dn_dw_p=index_derivative(spec.model, omega_p0),
+        k_p0=k_p0, beta_s=beta_s, beta_i=beta_i,
+        v_s=_group_velocity(alpha, derivs_s[0], derivs_s[1], omega_s0, beta_s),
+        v_i=_group_velocity(alpha, derivs_i[0], derivs_i[1], omega_i0, beta_i),
+        v_p=_group_velocity(alpha, n_p, dn_p, omega_p0, None),
+        gt=_g_taylor(alpha, omega_s0, derivs_s, omega_i0, derivs_i),
+        n_s=derivs_s[0], n_i=derivs_i[0], n_p=n_p, dn_dw_p=dn_p,
     )
 
 

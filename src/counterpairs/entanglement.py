@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _elementwise as ew
 from .dispersion import MaterialPoint
 from .errors import NonNormalizable, OutOfRange
 from .tpsa import GaussianTPSA, PumpSpec, l2_norm
@@ -48,7 +49,7 @@ class ReducedKernel:
     c_psi_sq: float
 
     def __post_init__(self):
-        if self.e2c < 0 or self.e2.real <= self.e2c:
+        if ew.violated((self.e2c >= 0) & (self.e2.real > self.e2c), self):
             raise NonNormalizable(
                 f"reduced kernel not normalizable: Re e2 = {self.e2.real:.3g}, "
                 f"e2c = {self.e2c:.3g}"
@@ -72,7 +73,7 @@ class SchmidtSpectrum:
     p_min: float
 
     def __post_init__(self):
-        if not (0.0 <= self.vartheta < 1.0):
+        if ew.violated((0.0 <= self.vartheta) & (self.vartheta < 1.0), self):
             raise ValueError("vartheta must lie in [0, 1)")
 
     def lambda_sq(self, n: int) -> float:
@@ -92,18 +93,19 @@ class SchmidtSpectrum:
 def reduced_kernel(tpsa: GaussianTPSA) -> ReducedKernel:
     """Trace out the idler of a normalized amplitude."""
     norm = l2_norm(tpsa)
-    if abs(norm - 1.0) > _NORMALIZED_TOL:
+    normalized = abs(norm - 1.0) <= _NORMALIZED_TOL
+    if ew.violated(normalized):
         raise NonNormalizable(
             f"amplitude L2 norm is {norm:.6g}; normalize() it before reducing"
         )
     f2i_r = tpsa.f2i.real
-    e2 = tpsa.f2s - tpsa.f2si**2 / (8.0 * f2i_r)
+    e2 = ew.where(normalized, tpsa.f2s - tpsa.f2si**2 / (8.0 * f2i_r), math.nan)
     e2c = abs(tpsa.f2si) ** 2 / (8.0 * f2i_r)
     e1 = tpsa.f1s - tpsa.f2si * tpsa.f1i.real / (2.0 * f2i_r)
     gap = e2.real - e2c
-    if gap <= 0:
+    if ew.violated(gap > 0):
         raise NonNormalizable(f"Re e2 - e2c = {gap:.3g} <= 0")
-    c_psi_sq = math.sqrt(2.0 * gap / math.pi) * math.exp(-e1.real**2 / (2.0 * gap))
+    c_psi_sq = ew.sqrt(2.0 * gap / math.pi) * ew.exp(-e1.real**2 / (2.0 * gap))
     return ReducedKernel(e2=e2, e2c=e2c, e1=e1, c_psi_sq=c_psi_sq)
 
 
@@ -129,28 +131,30 @@ def p_from_f(tpsa: GaussianTPSA) -> float:
     return math.sqrt(1.0 + 16.0 * f2i_r * inner / c4) - 1.0
 
 
-def entropy(vartheta: float) -> float:
+def entropy(vartheta):
     """Base-2 entropy of the geometric spectrum; 0 at vartheta = 0."""
-    if not (0.0 <= vartheta < 1.0):
+    in_range = (0.0 <= vartheta) & (vartheta < 1.0)
+    if ew.violated(in_range):
         raise OutOfRange(f"vartheta = {vartheta} outside [0, 1)")
-    if vartheta == 0.0:
+    if ew.holds(vartheta == 0.0):
         return 0.0
-    return (-math.log2(1.0 - vartheta)
-            - vartheta * math.log2(vartheta) / (1.0 - vartheta))
+    bits = (-ew.log2(1.0 - vartheta)
+            - vartheta * ew.log2(vartheta) / (1.0 - vartheta))
+    return ew.where(vartheta == 0.0, 0.0, ew.where(in_range, bits, math.nan))
 
 
-def _mode_count(vartheta: float, p_min: float) -> int:
-    """Smallest m >= 1 with 1 - vartheta^m >= p_min."""
+def _mode_count(vartheta, p_min: float):
+    """Smallest m >= 1 with 1 - vartheta^m >= p_min (float cells for arrays)."""
     if not (0.0 < p_min < 1.0):
         raise ValueError("p_min must lie in (0, 1)")
-    if vartheta == 0.0:
+    if ew.holds(vartheta == 0.0):
         return 1
-    m = max(1, math.ceil(math.log(1.0 - p_min) / math.log(vartheta)))
-    while 1.0 - vartheta**m < p_min:
-        m += 1
-    while m > 1 and 1.0 - vartheta ** (m - 1) >= p_min:
-        m -= 1
-    return m
+    m = ew.maximum(1, ew.ceil(math.log(1.0 - p_min) / ew.log(vartheta)))
+    while ew.any_(short := 1.0 - vartheta**m < p_min):
+        m = m + short
+    while ew.any_(spare := (m > 1) & (1.0 - vartheta ** (m - 1) >= p_min)):
+        m = m - spare
+    return ew.where(vartheta == 0.0, 1, m)
 
 
 def schmidt(tpsa: GaussianTPSA, p_min: float = 0.95) -> SchmidtSpectrum:
@@ -160,11 +164,12 @@ def schmidt(tpsa: GaussianTPSA, p_min: float = 0.95) -> SchmidtSpectrum:
     vartheta = 0 with a single unit eigenvalue.
     """
     kernel = reduced_kernel(tpsa)
-    if kernel.e2c <= _SEPARABLE_SNAP * abs(kernel.e2):
+    separable = kernel.e2c <= _SEPARABLE_SNAP * abs(kernel.e2)
+    if ew.holds(separable):
         return SchmidtSpectrum(p=math.inf, vartheta=0.0, entropy_bits=0.0,
                                n_min=1, n_min_index=0, p_min=p_min)
-    p = kernel.e2.real / kernel.e2c - 1.0
-    vartheta = 1.0 / (1.0 + p + math.sqrt(p * p + 2.0 * p))
+    p = ew.where(separable, math.inf, kernel.e2.real / kernel.e2c - 1.0)
+    vartheta = 1.0 / (1.0 + p + ew.sqrt(p * p + 2.0 * p))
     n_min = _mode_count(vartheta, p_min)
     return SchmidtSpectrum(p=p, vartheta=vartheta, entropy_bits=entropy(vartheta),
                            n_min=n_min, n_min_index=n_min - 1, p_min=p_min)
@@ -217,15 +222,11 @@ def principal_axes(tpsa: GaussianTPSA) -> PrincipalAxes:
     a = tpsa.f2s.real
     b = tpsa.f2i.real
     c = tpsa.f2si.real
-    root = math.hypot(a - b, c)
-    if root < 1e-12 * (a + b):
-        psi = 0.0
-    else:
-        psi = 0.5 * math.atan2(c, a - b)
-        if psi > math.pi / 4.0:
-            psi -= math.pi / 2.0
-        elif psi < -math.pi / 4.0:
-            psi += math.pi / 2.0
+    root = ew.hypot(a - b, c)
+    psi = 0.5 * ew.atan2(c, a - b)
+    psi = ew.where(psi > math.pi / 4.0, psi - math.pi / 2.0,
+                   ew.where(psi < -math.pi / 4.0, psi + math.pi / 2.0, psi))
+    psi = ew.where(root < 1e-12 * (a + b), 0.0, psi)
     return PrincipalAxes(mu1=(a + b + root) / 2.0, mu2=(a + b - root) / 2.0,
                          psi_si=psi)
 

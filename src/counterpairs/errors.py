@@ -41,10 +41,6 @@ class SingularTransform(CounterpairsError):
     """Time-domain transform singular (quadratic-form determinant ~ 0)."""
 
 
-class NoRootInInterval(CounterpairsError):
-    """Coincidence-dip half-depth equation has no root in the search interval."""
-
-
 class OutOfRange(CounterpairsError):
     """Parameter outside its mathematical domain (e.g. vartheta not in [0, 1))."""
 

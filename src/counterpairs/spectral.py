@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _elementwise as ew
 from .constants import C_LIGHT, HBAR
 from .errors import NonNormalizable
 from .tpsa import GaussianTPSA, e_factor, l2_norm
@@ -29,7 +30,7 @@ class SpectrumParams:
     field: str              # "s" or "i"
 
     def __post_init__(self):
-        if self.amplitude < 0 or self.sigma_omega <= 0:
+        if ew.violated((self.amplitude >= 0) & (self.sigma_omega > 0), self):
             raise ValueError("amplitude must be >= 0 and sigma_omega > 0")
 
 
@@ -43,7 +44,7 @@ class RateResult:
     e_fr: float
 
     def __post_init__(self):
-        if self.pairs_per_s < 0 or self.d_fr <= 0:
+        if ew.violated((self.pairs_per_s >= 0) & (self.d_fr > 0), self):
             raise ValueError("rate must be >= 0 and d_fr > 0")
 
 
@@ -72,7 +73,7 @@ def spectrum(tpsa: GaussianTPSA, field: str = "s") -> SpectrumParams:
     """Gaussian parameters of the signal or idler intensity spectrum."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
-    if tpsa.d_fr <= 0:
+    if ew.violated(tpsa.d_fr > 0):
         raise NonNormalizable(f"D_fr = {tpsa.d_fr:.3g} <= 0")
     own_omega0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
     # Marginalizing over the partner field puts the partner curvature in charge.
@@ -81,13 +82,13 @@ def spectrum(tpsa: GaussianTPSA, field: str = "s") -> SpectrumParams:
     other_f1 = (tpsa.f1i if field == "s" else tpsa.f1s).real
     f2si_r = tpsa.f2si.real
 
-    sigma = math.sqrt(2.0 * other_f2 / tpsa.d_fr)
+    sigma = ew.sqrt(2.0 * other_f2 / tpsa.d_fr)
     shift = -(2.0 * other_f2 * own_f1 - f2si_r * other_f1) / tpsa.d_fr
-    amp = (tpsa.c_phi_sq * math.exp(-2.0 * tpsa.f0)
+    amp = (tpsa.c_phi_sq * ew.exp(-2.0 * tpsa.f0)
            * math.sqrt(math.pi) * HBAR * own_omega0
            * tpsa.tau_p * tpsa.z_p
            / (math.sqrt(2.0) * (1.0 + tpsa.a_p**2))
-           * e_factor(tpsa) / math.sqrt(other_f2))
+           * e_factor(tpsa) / ew.sqrt(other_f2))
     return SpectrumParams(amplitude=amp, sigma_omega=sigma,
                           delta_omega0=shift, field=field)
 
@@ -95,7 +96,7 @@ def spectrum(tpsa: GaussianTPSA, field: str = "s") -> SpectrumParams:
 def width_ratio(tpsa: GaussianTPSA) -> WidthRatio:
     """F = f2s^r / f2i^r; equals sigma_wi^2/sigma_ws^2, and 1 when symmetric."""
     f = tpsa.f2s.real / tpsa.f2i.real
-    return WidthRatio(f=f, sigma_ratio_si=1.0 / math.sqrt(f))
+    return WidthRatio(f=f, sigma_ratio_si=1.0 / ew.sqrt(f))
 
 
 def fwhm(sigma: float) -> float:

@@ -14,14 +14,14 @@ by the pulse duration) fixes the dip width.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _elementwise as ew
 from .constants import HBAR
-from .errors import NonNormalizable, NoRootInInterval, OutOfRange, SingularTransform
+from .errors import NonNormalizable, OutOfRange, SingularTransform
 from .spectral import spectrum
 from .tpsa import GaussianTPSA, e_factor
 
@@ -55,7 +55,7 @@ class TimeDomainTPSA:
     src: GaussianTPSA
 
     def __post_init__(self):
-        if self.t2s <= 0 or self.t2i <= 0 or self.d_t <= 0:
+        if ew.violated((self.t2s > 0) & (self.t2i > 0) & (self.d_t > 0), self):
             raise SingularTransform(
                 f"time-domain quadratic form not positive: t2s = {self.t2s:.3g}, "
                 f"t2i = {self.t2i:.3g}, d_t = {self.d_t:.3g}"
@@ -63,7 +63,11 @@ class TimeDomainTPSA:
 
     @property
     def d_t(self) -> float:
-        return 4.0 * self.t2s * self.t2i - self.t2si**2
+        """4 t2s t2i - t2si^2, evaluated as the identical D_fr / |D_f|^2.
+
+        The difference of products cancels; the quotient does not.
+        """
+        return self.src.d_fr / abs(self.d_f) ** 2
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class FluxParams:
     field: str
 
     def __post_init__(self):
-        if self.sigma_tau <= 0:
+        if ew.violated(self.sigma_tau > 0, self):
             raise ValueError("sigma_tau must be positive")
 
 
@@ -96,9 +100,9 @@ class HomDip:
     delta_tau_l: float
 
     def __post_init__(self):
-        if not (0.0 < self.a <= 1.0):
+        if ew.violated((0.0 < self.a) & (self.a <= 1.0), self):
             raise OutOfRange(f"dip contrast a = {self.a} outside (0, 1]")
-        if self.b <= 0:
+        if ew.violated(self.b > 0, self):
             raise OutOfRange("b must be positive")
 
 
@@ -106,10 +110,12 @@ def time_domain(tpsa: GaussianTPSA) -> TimeDomainTPSA:
     """Invert the spectral quadratic form into the time domain."""
     d_f = tpsa.d_f
     scale = 4.0 * abs(tpsa.f2s) * abs(tpsa.f2i) + abs(tpsa.f2si) ** 2
-    if abs(d_f) <= _DF_REL_FLOOR * scale:
+    ok = abs(d_f) > _DF_REL_FLOOR * scale
+    if ew.violated(ok):
         raise SingularTransform(
             f"|D_f| = {abs(d_f):.3g} below {_DF_REL_FLOOR:.0e} of its term scale"
         )
+    d_f = ew.where(ok, d_f, math.nan)
     exp_ss = tpsa.f2i / d_f
     exp_ii = tpsa.f2s / d_f
     exp_si = -tpsa.f2si / d_f
@@ -117,8 +123,8 @@ def time_domain(tpsa: GaussianTPSA) -> TimeDomainTPSA:
     t1i = ((2.0 * tpsa.f2s * tpsa.f1i - tpsa.f2si * tpsa.f1s) / d_f).imag
     t0 = tpsa.f0 - ((tpsa.f2i * tpsa.f1s**2 + tpsa.f2s * tpsa.f1i**2
                      - tpsa.f2si * tpsa.f1s * tpsa.f1i) / d_f).real
-    amp = (math.sqrt(tpsa.c_phi_sq) * math.exp(-tpsa.f0)
-           * tpsa.prefactor / cmath.sqrt(d_f))
+    amp = (ew.sqrt(tpsa.c_phi_sq) * ew.exp(-tpsa.f0)
+           * tpsa.prefactor / ew.csqrt(d_f))
     return TimeDomainTPSA(
         d_f=d_f, amp=amp, exp_ss=exp_ss, exp_ii=exp_ii, exp_si=exp_si,
         f1s=tpsa.f1s, f1i=tpsa.f1i,
@@ -154,16 +160,16 @@ def flux(tpsa: GaussianTPSA, field: str = "s") -> FluxParams:
     other_t2 = td.t2i if field == "s" else td.t2s
     own_t1 = td.t1s if field == "s" else td.t1i
     other_t1 = td.t1i if field == "s" else td.t1s
-    e_t = math.exp(2.0 * (td.t2s * td.t1i**2 + td.t2i * td.t1s**2
-                          - td.t2si * td.t1s * td.t1i) / td.d_t)
-    amp = (tpsa.c_phi_sq * math.exp(-2.0 * td.t0)
+    e_t = ew.exp(2.0 * (td.t2s * td.t1i**2 + td.t2i * td.t1s**2
+                        - td.t2si * td.t1s * td.t1i) / td.d_t)
+    amp = (tpsa.c_phi_sq * ew.exp(-2.0 * td.t0)
            * math.sqrt(math.pi) * HBAR * own_omega0
            * tpsa.tau_p * tpsa.z_p
            / (math.sqrt(2.0) * (1.0 + tpsa.a_p**2))
-           / abs(td.d_f) / math.sqrt(other_t2) * e_t)
+           / abs(td.d_f) / ew.sqrt(other_t2) * e_t)
     return FluxParams(
         amplitude=amp,
-        sigma_tau=math.sqrt(2.0 * other_t2 / td.d_t),
+        sigma_tau=ew.sqrt(2.0 * other_t2 / td.d_t),
         delta_tau0=-(2.0 * other_t2 * own_t1 - td.t2si * other_t1) / td.d_t,
         field=field,
     )
@@ -200,18 +206,17 @@ def hom_params(tpsa: GaussianTPSA) -> HomDip:
     closed form does not carry, because a single-blob amplitude has no
     support at exchanged frequencies.
     """
-    if tpsa.d_fr <= 0:
+    if ew.violated(tpsa.d_fr > 0):
         raise NonNormalizable(f"D_fr = {tpsa.d_fr:.3g} <= 0")
     fsum = tpsa.f2s.real + tpsa.f2i.real
     cross = tpsa.f2si.real
-    a = math.sqrt(tpsa.d_fr / (fsum**2 - cross**2))
+    a = ew.sqrt(tpsa.d_fr / (fsum**2 - cross**2))
     f1_sum = tpsa.f1s.real + tpsa.f1i.real
-    if f1_sum != 0.0:
-        a *= math.exp(f1_sum**2 / (2.0 * (fsum + cross)))
-        a /= e_factor(tpsa)
+    if ew.any_(f1_sum != 0.0):
+        a = ew.where(f1_sum != 0.0,
+                     a * ew.exp(f1_sum**2 / (2.0 * (fsum + cross))) / e_factor(tpsa), a)
     b = 1.0 / (2.0 * (fsum - cross))
-    if a <= 1.0 + 1e-9:
-        a = min(a, 1.0)
+    a = ew.where(a <= 1.0 + 1e-9, ew.minimum(a, 1.0), a)
     beat = tpsa.omega_s0 - tpsa.omega_i0
     return HomDip(a=a, b=b, visibility=a / (2.0 - a), beat=beat,
                   delta_tau_l=_solve_dip_width(b, beat))
@@ -225,40 +230,28 @@ def hom_curve(tpsa: GaussianTPSA, tau_l):
     return out if out.ndim else float(out)
 
 
-def _solve_dip_width(b: float, beat: float) -> float:
-    """Root of exp(-b x^2/4) cos(beat x / 2) = 1/2, x in (0, 2 pi/|beat|).
+def _solve_dip_width(b, beat: float):
+    """Root x of exp(-b x^2/4) cos(beat x / 2) = 1/2 (b scalar or array).
 
-    Near-degenerate beats fall back to the closed form 2 sqrt(ln 2 / b).
+    On (0, pi/|beat|) the left side is a product of two positive
+    decreasing factors, so it falls from 1 to 0 and that interval
+    brackets the only root; bisection stops at 1e-9 relative width.
+    Near-degenerate beats use the closed form 2 sqrt(ln 2 / b).
     """
-    if b <= 0:
+    if ew.violated(b > 0):
         raise ValueError("b must be positive")
-    if abs(beat) / math.sqrt(b) < 1e-6:
-        return 2.0 * math.sqrt(math.log(2.0) / b)
-
-    def g(x):
-        return math.exp(-b * x * x / 4.0) * math.cos(beat * x / 2.0) - 0.5
-
-    upper = 2.0 * math.pi / abs(beat)
-    n_scan = 4096
-    lo, g_lo = 0.0, 0.5
-    hi = None
-    for k in range(1, n_scan + 1):
-        x = upper * k / n_scan
-        gx = g(x)
-        if gx <= 0.0:
-            hi, g_hi = x, gx
-            break
-        lo, g_lo = x, gx
-    if hi is None:
-        raise NoRootInInterval(
-            f"no half-depth crossing in (0, {upper:.3g}) s; b = {b:.3g}, beat = {beat:.3g}"
-        )
+    closed = 2.0 * ew.sqrt(math.log(2.0) / b)
+    split = abs(beat) / ew.sqrt(b) >= 1e-6
+    if not ew.any_(split):
+        return closed
+    lo = 0.0 * b
+    hi = lo + math.pi / abs(beat)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (hi - lo) <= 1e-9 * mid:
+        open_ = (hi - lo) > 1e-9 * mid
+        if not ew.any_(open_):
             break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        g = ew.exp(-b * mid * mid / 4.0) * ew.cos(beat * mid / 2.0) - 0.5
+        lo = ew.where(open_ & (g > 0.0), mid, lo)
+        hi = ew.where(open_ & (g <= 0.0), mid, hi)
+    return ew.where(split, 0.5 * (lo + hi), closed)

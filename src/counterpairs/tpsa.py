@@ -12,6 +12,10 @@ ap), the transverse pump profile (Zp) through group-velocity-mismatch
 coefficients V_ps/V_pi, Gaussian frequency filters, and small corrections
 (the G terms) from the frequency dependence of the transverse mode
 overlap. All values are SI; angles are radians.
+
+The swept pump and filter settings may be numpy arrays broadcast over a
+sweep grid; the coefficients and every closed form built on them then
+hold one value per grid cell (see _elementwise for how checks behave).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _elementwise as ew
 from .constants import C_LIGHT, EPSILON_0
 from .dispersion import (
     MaterialPoint,
@@ -65,9 +70,10 @@ class PumpSpec:
     f_rep: float = 8e7
 
     def __post_init__(self):
-        if self.lambda_p0 <= 0 or self.tau_p <= 0 or self.z_p <= 0 or self.y_p <= 0:
+        if ew.violated((self.lambda_p0 > 0) & (self.tau_p > 0) & (self.z_p > 0)
+                       & (self.y_p > 0), self):
             raise OutOfRange("lambda_p0, tau_p, z_p, y_p must be positive")
-        if self.p_p < 0 or self.f_rep <= 0:
+        if ew.violated((self.p_p >= 0) & (self.f_rep > 0), self):
             raise OutOfRange("p_p must be >= 0 and f_rep > 0")
         if abs(self.theta_p0) >= math.pi / 2:
             raise OutOfRange("|theta_p0| must be below pi/2")
@@ -86,7 +92,7 @@ class FilterSpec:
 
     def __post_init__(self):
         for s in (self.sigma_s, self.sigma_i):
-            if s is not None and s <= 0:
+            if s is not None and ew.violated(s > 0, self):
                 raise OutOfRange("finite filter widths must be positive")
 
 
@@ -114,6 +120,8 @@ class VCoefficients:
 @dataclass(frozen=True)
 class GaussianTPSA:
     """Immutable value holding the full Gaussian-amplitude description.
+
+    Fields that depend on swept settings are arrays for a sweep grid.
 
     c_phi_sq is |C|^2 (the unobservable global phase of C is dropped);
     prefactor = sqrt(z_p tau_p / (1 + a_p^2)). The pump scalars and
@@ -145,7 +153,7 @@ class GaussianTPSA:
     def __post_init__(self):
         if abs(self.omega_p0 - self.omega_s0 - self.omega_i0) > 1e-6 * self.omega_p0:
             raise ValueError("omega_p0 must equal omega_s0 + omega_i0")
-        if self.f2s.real <= 0 or self.f2i.real <= 0 or self.d_fr <= 0:
+        if ew.violated((self.f2s.real > 0) & (self.f2i.real > 0) & (self.d_fr > 0), self):
             raise NonNormalizable(
                 f"quadratic form not positive definite: Re f2s = {self.f2s.real:.3g}, "
                 f"Re f2i = {self.f2i.real:.3g}, D_fr = {self.d_fr:.3g}"
@@ -203,7 +211,7 @@ def pair_norm_constant(mp: MaterialPoint, pump: PumpSpec) -> float:
                 / (EPSILON_0 * C_LIGHT**2 * n_p**2 * n_s**3 * n_i**3))
     overlap = (math.sqrt(n_s * n_i * omega_s0 * omega_i0)
                / (n_s * omega_s0 + n_i * omega_i0))
-    aperture = (pump.y_p / wg.ly**2) * math.erf(wg.ly / (2.0 * pump.y_p)) ** 2
+    aperture = (pump.y_p / wg.ly**2) * ew.erf(wg.ly / (2.0 * pump.y_p)) ** 2
     return material * overlap * aperture * pump.p_p / (mp.v_p * math.cos(pump.theta_p0))
 
 
@@ -229,7 +237,8 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
     include_g=False drops the transverse-overlap corrections (the G
     terms) and the linear coefficients they generate, reproducing the
     paper's simplified closed forms; the constant f0 is always kept.
-    Filters enter the diagonal coefficients only.
+    Filters enter the diagonal coefficients only. Pump and filter
+    settings may be broadcast arrays (one amplitude per sweep cell).
     """
     omega_s0, omega_i0 = mp.omega_s0, mp.omega_i0
     omega_p0 = omega_s0 + omega_i0
@@ -264,8 +273,8 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
         g_i = (kc / 2.0) * (kc * gt.g2i + 2.0 * b1 * gt.g1i + b2 * gt.g0)
         g_si = (kc / 2.0) * (kc * gt.g2si + 2.0 * b1 * (gt.g1s + gt.g1i)
                              + 2.0 * b2 * gt.g0)
-        f1s = complex(kc * (kc / 2.0 * gt.g1s + b1 * gt.g0))
-        f1i = complex(kc * (kc / 2.0 * gt.g1i + b1 * gt.g0))
+        f1s = kc * (kc / 2.0 * gt.g1s + b1 * gt.g0) + 0j
+        f1i = kc * (kc / 2.0 * gt.g1i + b1 * gt.g0) + 0j
     else:
         g_s = g_i = g_si = 0.0
         f1s = f1i = 0.0 + 0.0j
@@ -285,7 +294,7 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
         omega_s0=omega_s0, omega_i0=omega_i0, omega_p0=omega_p0,
         f2s=f2s, f2i=f2i, f2si=f2si, f1s=f1s, f1i=f1i, f0=f0,
         c_phi_sq=pair_norm_constant(mp, pump),
-        prefactor=math.sqrt(pump.z_p * pump.tau_p / (1.0 + pump.a_p**2)),
+        prefactor=ew.sqrt(pump.z_p * pump.tau_p / (1.0 + pump.a_p**2)),
         v_ps=vc.v_ps, v_pi=vc.v_pi, v_si=vc.v_si,
         g_s=g_s, g_i=g_i, g_si=g_si,
         tau_p=pump.tau_p, a_p=pump.a_p, z_p=pump.z_p, f_rep=pump.f_rep,
@@ -317,24 +326,25 @@ def e_factor(tpsa: GaussianTPSA) -> float:
     f1s, f1i = tpsa.f1s.real, tpsa.f1i.real
     num = (tpsa.f2s.real * f1i**2 + tpsa.f2i.real * f1s**2
            - tpsa.f2si.real * f1s * f1i)
-    return math.exp(2.0 * num / tpsa.d_fr)
+    return ew.exp(2.0 * num / tpsa.d_fr)
 
 
 def l2_norm(tpsa: GaussianTPSA) -> float:
     """Exact integral of |Phi|^2 over both frequencies (the pair rate scale)."""
     d = tpsa.d_fr
-    if d <= 0:
+    if ew.violated(d > 0):
         raise NonNormalizable(f"D_fr = {d:.3g} <= 0")
-    return (tpsa.c_phi_sq * tpsa.prefactor**2 * math.exp(-2.0 * tpsa.f0)
-            * math.pi * e_factor(tpsa) / math.sqrt(d))
+    return (tpsa.c_phi_sq * tpsa.prefactor**2 * ew.exp(-2.0 * tpsa.f0)
+            * math.pi * e_factor(tpsa) / ew.sqrt(d))
 
 
 def normalize(tpsa: GaussianTPSA) -> GaussianTPSA:
     """Rescale the amplitude to unit L2 norm; idempotent, coefficients untouched."""
     norm = l2_norm(tpsa)
-    if not (norm > 0.0 and math.isfinite(norm)):
+    ok = (norm > 0.0) & (norm < math.inf)
+    if ew.violated(ok):
         raise NonNormalizable(f"L2 norm {norm} is not positive and finite")
-    return replace(tpsa, c_phi_sq=tpsa.c_phi_sq / norm)
+    return replace(tpsa, c_phi_sq=ew.where(ok, tpsa.c_phi_sq / norm, math.nan))
 
 
 def refract_out(n: float, dn_dw: float, omega_p0: float, theta_p0: float,

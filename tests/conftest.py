@@ -184,6 +184,20 @@ def mp_material_point(wg, omega_s0, omega_i0):
     )
 
 
+@mpmath.workdps(60)
+def mp_sigma_tau(tpsa, field):
+    """Flux width (s) of the signal or idler from the amplitude's coefficients.
+
+    The spectral quadratic form is inverted at 60 digits, so the
+    cancellation in 4 t2s t2i - t2si^2 costs nothing here.
+    """
+    f2s, f2i, f2si = (mpmath.mpc(z.real, z.imag) for z in (tpsa.f2s, tpsa.f2i, tpsa.f2si))
+    d_f = 4 * f2s * f2i - f2si**2
+    t2s, t2i, t2si = (f2i / d_f).real, (f2s / d_f).real, (-f2si / d_f).real
+    other = t2i if field == "s" else t2s
+    return float(mpmath.sqrt(2 * other / (4 * t2s * t2i - t2si**2)))
+
+
 # --- tree comparison of JSON-like documents -----------------------------------
 
 TREE_REL = 1e-12

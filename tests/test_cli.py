@@ -10,12 +10,16 @@ import pytest
 from counterpairs.cli import main
 from counterpairs.config import (
     apply_sweep_value,
-    compute_scenario,
+    build_scenario_tpsa,
     parse_config,
     parse_sweep,
     resolve_scenario,
 )
+from counterpairs.entanglement import schmidt
 from counterpairs.errors import CounterpairsError
+from counterpairs.spectral import pair_rate
+from counterpairs.temporal import hom_params
+from counterpairs.tpsa import normalize
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -177,23 +181,31 @@ class TestSweep:
 
     def test_failing_cells_do_not_abort_the_sweep(self, capsys, tmp_path):
         # at tau_p = 0.52 fs the dip contrast computes slightly above 1 at
-        # Z_p = 1.8 cm and D_f is singular at 10 cm; those cells turn NaN
-        # with their message and the rest are still written
-        text = (CONFIG_DIR / "fig2.cfg").read_text().replace(
+        # Z_p = 1.8 cm: that cell turns NaN in every requested grid, with its
+        # message in the manifest and its class name in errors.csv, and the
+        # rest are still written. D_f is singular at 10 cm, which fails only
+        # the quantities that need the time domain.
+        base = (CONFIG_DIR / "fig2.cfg").read_text().replace(
             "pump.tau_p = 1e-13 s", "pump.tau_p = 5.2e-16 s") + (
             "sweep.axis1 = pump.Z_p\n"
             "sweep.axis1_range = 1e-7 1e-1 m\n"
             "sweep.axis1_scale = log\n"
             "sweep.axis1_points = 9\n"
-            "sweep.quantities = hom_A visibility entropy N\n"
         )
-        cfg = tmp_path / "short.cfg"
-        cfg.write_text(text)
-        out_dir = tmp_path / "out"
-        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
-                             "--out-dir", str(out_dir))
-        assert code == 0
-        manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+
+        def sweep(quantities):
+            cfg = tmp_path / f"{quantities}.cfg"
+            cfg.write_text(base + f"sweep.quantities = {quantities}\n")
+            out_dir = tmp_path / quantities
+            code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                                 "--out-dir", str(out_dir))
+            assert code == 0
+            manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+            errors = [row.split(",")[1] for row in
+                      (out_dir / "errors.csv").read_text().splitlines()[1:]]
+            return cfg, out_dir, manifest, errors
+
+        cfg, out_dir, manifest, errors = sweep("hom_A visibility entropy N")
         assert sorted(manifest["files"]) == ["N", "entropy", "hom_A", "visibility"]
 
         raw = parse_config(cfg)
@@ -202,19 +214,25 @@ class TestSweep:
         failed = []
         for z_p in parse_sweep(raw).axis1.values:
             try:
-                compute_scenario(apply_sweep_value(sc, "pump.Z_p", z_p))
-                failed.append(False)
+                tpsa = build_scenario_tpsa(apply_sweep_value(sc, "pump.Z_p", z_p))
+                hom_params(tpsa), schmidt(normalize(tpsa)), pair_rate(tpsa)
+                failed.append("")
             except CounterpairsError as exc:
                 messages.add(str(exc))
-                failed.append(True)
+                failed.append(type(exc).__name__)
         assert any(failed) and not all(failed)
         assert any("dip contrast" in m for m in messages)
         assert manifest["errors"] == sorted(messages)
+        assert errors == failed
         for fname in manifest["files"].values():
             rows = (out_dir / fname).read_text().splitlines()[1:]
             cells = [float(row.split(",")[1]) for row in rows]
-            assert [np.isnan(x) for x in cells] == failed
+            assert [np.isnan(x) for x in cells] == [bool(f) for f in failed]
 
+        assert failed[-1] == ""
+        _, _, manifest, errors = sweep("sigma_tau_s")
+        assert errors[-1] == "SingularTransform"
+        assert any(m.startswith("|D_f| = ") for m in manifest["errors"])
 
     def test_invalid_swept_value_fails_only_its_cells(self, capsys, tmp_path):
         # a linear Z_p axis from 0: PumpSpec rejects Z_p = 0 for that row only
@@ -236,6 +254,37 @@ class TestSweep:
             cells = [float(row.split(",")[1]) for row in rows]
             assert float(rows[0].split(",")[0]) == 0.0 and np.isnan(cells[0])
             assert all(np.isfinite(cells[1:])) and len(cells) == 3
+
+
+class TestOutputFormat:
+    """Outputs carry plain numbers: no numpy reprs, and every sweep cell parses."""
+
+    @pytest.mark.parametrize("stem", ["fig2", "separable"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_scenario_output_has_no_numpy_repr(self, capsys, stem, fmt):
+        code, out, _ = run_cli(capsys, "scenario", "--config",
+                               str(CONFIG_DIR / f"{stem}.cfg"), "--format", fmt)
+        assert code == 0 and "np." not in out
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*_sweep.cfg")))
+    def test_sweep_cells_parse_as_numbers(self, capsys, tmp_path, name):
+        out_dir = tmp_path / name
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(CONFIG_DIR / f"{name}.cfg"),
+                             "--out-dir", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+        two_axes = manifest["axis2"] is not None
+        for fname in manifest["files"].values():
+            text = (out_dir / fname).read_text()
+            assert "np." not in text
+            rows = [line.split(",") for line in text.splitlines()]
+            for cell in rows[0][1:] if two_axes else []:
+                float(cell)
+            for row in rows[1:]:
+                for cell in row:
+                    float(cell)
+                if fname == "n_min.csv":
+                    assert all(cell == str(int(cell)) for cell in row[1:])
 
 
 class TestHomAndSchmidt:

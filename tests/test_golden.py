@@ -3,20 +3,25 @@
 The files under tests/data/golden were written by the CLI once the
 material derivatives were closed forms (analytic Sellmeier derivatives,
 group velocities and overlap expansion) and the smallest feasible beam
-width the larger zero of a quadratic; any change that moves a number by
+width the larger zero of a quadratic (fig2_sweep/sigma_tau_s.csv again
+once the time-domain determinant was evaluated without cancellation);
+any change that moves a number by
 more than 1e-12 relative, or moves a NaN, fails here. Regenerate them
 only for a change that is meant to alter outputs, and say which outputs
 moved and why.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from counterpairs import config
 from counterpairs.cli import main
+from counterpairs.temporal import time_domain
 
-from conftest import assert_tree_close
+from conftest import assert_tree_close, mp_sigma_tau
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -83,3 +88,27 @@ def test_scenario_goldens_cover_the_infeasible_beam_path():
         sep = doc["separability"]
         assert sep["dtilde_theta_roots_rad_s"] == []
         assert sep["min_feasible_Z_p_m"] == pytest.approx(1.332e-5, rel=1e-3, abs=0)
+
+
+def test_fig2_flux_widths_follow_an_mpmath_inversion():
+    # fig2_sweep/sigma_tau_s.csv was regenerated when the time-domain
+    # determinant became D_fr/|D_f|^2: the stored cells sit within 1e-15 of
+    # a 60-digit inversion of the same coefficients, where the difference
+    # 4 t2s t2i - t2si^2 that the earlier file came from is off by ~1e-12
+    raw = config.parse_config(CONFIG_DIR / "fig2_sweep.cfg")
+    sc = config.resolve_scenario(raw)
+    spec = config.parse_sweep(raw)
+    rows = read_grid(GOLDEN / "sweeps" / "fig2_sweep" / "sigma_tau_s.csv")[1:]
+    stored_err = difference_err = 0.0
+    for v1, row in zip(spec.axis1.values, rows, strict=True):
+        for v2, stored in zip(spec.axis2.values, row[1:], strict=True):
+            point = config.apply_sweep_value(
+                config.apply_sweep_value(sc, "pump.tau_p", v1), "pump.Z_p", v2)
+            tpsa = config.build_scenario_tpsa(point)
+            want = mp_sigma_tau(tpsa, "s") * 1e15
+            td = time_domain(tpsa)
+            difference = math.sqrt(2.0 * td.t2i / (4.0 * td.t2s * td.t2i - td.t2si**2)) * 1e15
+            stored_err = max(stored_err, abs(stored - want) / want)
+            difference_err = max(difference_err, abs(difference - want) / want)
+    assert stored_err < 1e-15
+    assert difference_err > 1e-13

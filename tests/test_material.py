@@ -128,17 +128,17 @@ def test_apply_sweep_value_matches_the_point_path():
 def test_scenario_evaluates_the_material_once(count_calls):
     sc = config.resolve_scenario(config.parse_config(CONFIG_DIR / "fig2.cfg"))
     index = count_calls("refractive_index")
-    taylor = count_calls("g_taylor")
+    taylor = count_calls("_g_taylor")
     bundle = config.compute_scenario(sc)
     # fig2 takes the infeasible-beam path of separability_roots
     assert bundle["separability"]["min_feasible_Z_p_m"] is not None
     assert taylor["calls"] == 1
-    assert index["calls"] <= 20
+    assert index["calls"] <= 3
 
 
 def test_sweep_evaluates_the_material_once(count_calls, capsys, tmp_path):
     index = count_calls("refractive_index")
-    taylor = count_calls("g_taylor")
+    taylor = count_calls("_g_taylor")
     assert main(["sweep", "--config", str(CONFIG_DIR / "fig6_sweep.cfg"),
                  "--out-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()

@@ -1,0 +1,166 @@
+"""Vectorized sweeps: one broadcast evaluation per map against per-cell scalars.
+
+Every sweepable parameter is swept against a Z_p axis that starts at 0
+(or, for Z_p itself, against tau_p), with all sweep quantities (with and
+without the G terms) and with each alone, around a non-degenerate, chirped scenario with a one-sided
+filter. Each grid cell
+must equal the scalar evaluation of that cell to 1e-12 relative, fail
+where it fails, and report the same messages.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from counterpairs import config
+from counterpairs.cli import main
+from counterpairs.constants import C_LIGHT
+from counterpairs.errors import CounterpairsError
+
+from conftest import LAMBDA_PUMP
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+LAMBDA_S = 1.05e-6
+LAMBDA_I = 1.0 / (1.0 / LAMBDA_PUMP - 1.0 / LAMBDA_S)
+SIGMA_S = 2.0 * math.pi * C_LIGHT / LAMBDA_S**2 * 5e-9   # a 5 nm signal filter
+
+# swept parameter -> range line of a 3-point axis
+AXIS1 = {
+    "pump.tau_p": "5e-14 5e-13 s",
+    "pump.Z_p": "5e-6 5e-5 m",
+    "pump.Y_p": "5e-6 2e-5 m",
+    "pump.a_p": "-1 1",
+    "pump.P_p": "0 2 W",
+    "pump.Dtilde_theta": "-1e-16 1e-16 rad*s",
+    "pump.D_theta_out": "-3e8 3e8 deg/m",
+    "filters.sigma_s": "1e13 1e14 rad/s",
+    "filters.sigma_i": "1e13 1e14 rad/s",
+    "filters.sigma_both": "1e13 1e14 rad/s",
+    "filters.sigma_both_nm": "2 40 nm",
+}
+
+
+def base_config() -> str:
+    text = (CONFIG_DIR / "fig2.cfg").read_text()
+    for old, new in (("pump.a_p = 0", "pump.a_p = 0.4"),
+                     ("centrals.lambda_s0 = 1.064e-6 m", f"centrals.lambda_s0 = {LAMBDA_S!r} m"),
+                     ("centrals.lambda_i0 = 1.064e-6 m", f"centrals.lambda_i0 = {LAMBDA_I!r} m"),
+                     ("filters.sigma_s = unfiltered", f"filters.sigma_s = {SIGMA_S!r} rad/s")):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def read_cells(path: Path):
+    """Grid cells of a sweep CSV, without the axis values, as strings."""
+    return [line.split(",")[1:] for line in path.read_text().splitlines()[1:]]
+
+
+def test_every_sweepable_parameter_is_covered():
+    assert sorted(AXIS1) == sorted(config.SWEEP_PARAMS)
+
+
+ALL = " ".join(config.QUANTITIES)
+
+
+@pytest.mark.parametrize("quantities,include_g",
+                         [(ALL, True), (ALL, False)] + [(q, True) for q in config.QUANTITIES])
+@pytest.mark.parametrize("param", sorted(AXIS1))
+def test_grid_equals_per_cell_scalar_evaluation(capsys, tmp_path, param, quantities,
+                                                include_g):
+    # alone, a quantity fails only where it (or the amplitude) fails
+    axis2, range2 = ("pump.tau_p", "5e-14 5e-13 s") if param == "pump.Z_p" \
+        else ("pump.Z_p", "0 4e-5 m")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(base_config() + (
+        f"sweep.axis1 = {param}\n"
+        f"sweep.axis1_range = {AXIS1[param]}\n"
+        "sweep.axis1_points = 3\n"
+        f"sweep.axis2 = {axis2}\n"
+        f"sweep.axis2_range = {range2}\n"
+        "sweep.axis2_points = 4\n"
+        f"sweep.quantities = {quantities}\n"
+    ))
+    out = tmp_path / "out"
+    flag = "--include-g" if include_g else "--neglect-g"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out), flag]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+
+    raw = config.parse_config(cfg)
+    sc = config.resolve_scenario(raw, include_g=include_g)
+    spec = config.parse_sweep(raw)
+    assert sc.omega_s0 != sc.omega_i0 and sc.pump.a_p != 0.0
+    assert sc.filt.sigma_s is not None and sc.filt.sigma_i is None
+    want = {name: [] for name in spec.quantities}
+    classes, messages = [], set()
+    for v1 in spec.axis1.values:
+        for name in spec.quantities:
+            want[name].append([])
+        classes.append([])
+        for v2 in spec.axis2.values:
+            try:
+                point = config.apply_sweep_value(
+                    config.apply_sweep_value(sc, param, v1), axis2, v2)
+                tpsa = config.build_scenario_tpsa(point)
+                cell = {name: config.QUANTITIES[name][1](point, tpsa)
+                        for name in spec.quantities}
+                classes[-1].append("")
+            except CounterpairsError as exc:
+                cell = dict.fromkeys(spec.quantities, math.nan)
+                classes[-1].append(type(exc).__name__)
+                messages.add(str(exc))
+            for name in spec.quantities:
+                want[name][-1].append(cell[name])
+
+    assert manifest["errors"] == sorted(messages)
+    if messages:
+        assert read_cells(out / "errors.csv") == classes
+    else:
+        assert not (out / "errors.csv").exists()
+    for name in spec.quantities:
+        got = read_cells(out / f"{name}.csv")
+        for row_got, row_want in zip(got, want[name], strict=True):
+            for text, value in zip(row_got, row_want, strict=True):
+                if math.isnan(value):
+                    assert text == "nan", (name, text)
+                elif name == "n_min":
+                    assert type(value) is int and text == str(value)
+                else:
+                    assert type(value) is float
+                    assert float(text) == pytest.approx(value, rel=1e-12, abs=0), name
+
+
+def test_assembly_runs_once_per_sweep(capsys, tmp_path, monkeypatch):
+    calls = []
+    assemble = config.assemble_tpsa
+    monkeypatch.setattr(config, "assemble_tpsa",
+                        lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
+    assert main(["sweep", "--config", str(CONFIG_DIR / "fig6_sweep.cfg"),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_a_failure_every_cell_shares_fails_each_cell(capsys, tmp_path):
+    # a Y_p axis leaves f2s, f2i, f2si scalar, so the singular D_f of this
+    # short-pulse, wide-beam scenario raises once for the whole grid
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text((CONFIG_DIR / "fig2.cfg").read_text()
+                   .replace("pump.tau_p = 1e-13 s", "pump.tau_p = 5.2e-16 s")
+                   .replace("pump.Z_p = 1e-5 m", "pump.Z_p = 0.1 m") + (
+        "sweep.axis1 = pump.Y_p\n"
+        "sweep.axis1_range = 5e-6 2e-5 m\n"
+        "sweep.axis1_points = 3\n"
+        "sweep.quantities = N sigma_tau_s\n"
+    ))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    assert len(manifest["errors"]) == 1 and manifest["errors"][0].startswith("|D_f| = ")
+    assert read_cells(out / "errors.csv") == [["SingularTransform"]] * 3
+    for name in ("N", "sigma_tau_s"):
+        assert read_cells(out / f"{name}.csv") == [["nan"]] * 3
