@@ -13,9 +13,8 @@ limit; P -> 0 is maximal entanglement.
 
 Only the real part of e2 can influence the spectrum: the imaginary
 diagonal parts of the kernel are a pure gauge exp(i Im(e2) w^2) that a
-local unitary removes. The magnitude-based diagnostics p_from_kernel and
-p_from_f (which use |e2| and agree with each other identically) are kept
-for cross-checks; they coincide with P for chirp-free pumps.
+local unitary removes. A magnitude-based asymmetry built from |e2|
+instead coincides with P only for chirp-free pumps.
 """
 
 from __future__ import annotations
@@ -74,20 +73,14 @@ class SchmidtSpectrum:
 
     def __post_init__(self):
         if ew.violated((0.0 <= self.vartheta) & (self.vartheta < 1.0), self):
-            raise ValueError("vartheta must lie in [0, 1)")
+            raise OutOfRange("vartheta must lie in [0, 1)")
 
     def lambda_sq(self, n: int) -> float:
         if n < 0:
-            raise ValueError("n must be >= 0")
+            raise OutOfRange("n must be >= 0")
         if self.vartheta == 0.0:
             return 1.0 if n == 0 else 0.0
         return (1.0 - self.vartheta) * self.vartheta**n
-
-    def cumulative(self, count: int) -> float:
-        """Probability captured by the first `count` modes: 1 - vartheta^count."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return 1.0 - self.vartheta**count
 
 
 def reduced_kernel(tpsa: GaussianTPSA) -> ReducedKernel:
@@ -107,28 +100,6 @@ def reduced_kernel(tpsa: GaussianTPSA) -> ReducedKernel:
         raise NonNormalizable(f"Re e2 - e2c = {gap:.3g} <= 0")
     c_psi_sq = ew.sqrt(2.0 * gap / math.pi) * ew.exp(-e1.real**2 / (2.0 * gap))
     return ReducedKernel(e2=e2, e2c=e2c, e1=e1, c_psi_sq=c_psi_sq)
-
-
-def p_from_kernel(kernel: ReducedKernel) -> float:
-    """Magnitude-based asymmetry |e2|/e2c - 1 (diagnostic; inf when separable)."""
-    if kernel.e2c == 0.0:
-        return math.inf
-    return abs(kernel.e2) / kernel.e2c - 1.0
-
-
-def p_from_f(tpsa: GaussianTPSA) -> float:
-    """Magnitude-based asymmetry directly from the f coefficients (diagnostic).
-
-    sqrt(1 + 16 f2i^r (4 |f2s|^2 f2i^r - Re(f2s conj(f2si)^2)) / |f2si|^4) - 1;
-    algebraically identical to p_from_kernel.
-    """
-    c4 = abs(tpsa.f2si) ** 4
-    if c4 == 0.0:
-        return math.inf
-    f2i_r = tpsa.f2i.real
-    inner = (4.0 * abs(tpsa.f2s) ** 2 * f2i_r
-             - (tpsa.f2s * tpsa.f2si.conjugate() ** 2).real)
-    return math.sqrt(1.0 + 16.0 * f2i_r * inner / c4) - 1.0
 
 
 def entropy(vartheta):

@@ -2,13 +2,19 @@
 
 Every analytic result in this package has an independent numerical
 counterpart here: adaptive tensor Gauss-Kronrod quadrature for rates,
-Simpson-grid marginals for widths and shifts, a discretized singular
-value decomposition for Schmidt spectra, a direct Riemann-sum Fourier
-transform for the time-domain amplitude, and a no-Taylor evaluation of
-the single-pulse amplitude (exact propagation constants and exact
+Simpson marginals for widths and shifts, a discretized singular value
+decomposition for Schmidt spectra, a direct Riemann-sum Fourier transform
+for the time-domain amplitude, and a no-Taylor evaluation of the
+single-pulse amplitude (exact propagation constants and exact
 transverse-overlap factor). Special functions are evaluated by in-house
 routines (rational-approximation erf, three-term Hermite recurrence) so
 the oracle shares no numerics with the paths it checks.
+
+Rates and marginals integrate |Phi|^2 = scale exp(-2q), q the real
+quadratic form, one real exp per point, on a grid sheared along the
+amplitude: the outer axis spans the field's marginal, the inner one the
+partner's conditional width about its conditional centre. This resolves
+the thin diagonal ridges that a box aligned with the field axes cannot.
 
 Oracles favor correctness and determinism over speed.
 """
@@ -24,9 +30,9 @@ import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0, HBAR
 from .dispersion import WaveguideSpec, beta, gamma, group_velocity, refractive_index
-from .errors import GridTooCoarse, QuadratureNotConverged
+from .errors import ExponentOverflow, GridTooCoarse, QuadratureNotConverged
 from .temporal import TimeDomainTPSA, evaluate_time
-from .tpsa import GaussianTPSA, PumpSpec, evaluate
+from .tpsa import _EXP_GUARD, GaussianTPSA, PumpSpec, evaluate
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK constants).
 _XGK = (0.991455371120813, 0.949107912342759, 0.864864423359769,
@@ -121,35 +127,65 @@ def quad1d(f, lim, abs_tol: float, max_cells: int = 20000):
     return math.fsum(c[4] for c in done), err_total
 
 
-def _marginal_frame(tpsa: GaussianTPSA):
-    """Grid frame (centers and 1/e widths) from the quadratic form.
+def _spectral_form(tpsa: GaussianTPSA):
+    """(scale, origin, coefficients) with |Phi|^2 = scale exp(-2q) in
+    detunings from the centrals; q = Re phi = a_s x_s^2 + a_i x_i^2
+    + a_si x_s x_i + b_s x_s + b_i x_i + c."""
+    return (tpsa.c_phi_sq * tpsa.prefactor**2, (tpsa.omega_s0, tpsa.omega_i0),
+            (tpsa.f2s.real, tpsa.f2i.real, tpsa.f2si.real,
+             tpsa.f1s.real, tpsa.f1i.real, tpsa.f0))
 
-    Used only to place sampling windows; the numbers themselves are
-    never asserted against.
-    """
-    d = tpsa.d_fr
-    f1s, f1i = tpsa.f1s.real, tpsa.f1i.real
-    sigma_s = math.sqrt(2.0 * tpsa.f2i.real / d)
-    sigma_i = math.sqrt(2.0 * tpsa.f2s.real / d)
-    shift_s = -(2.0 * tpsa.f2i.real * f1s - tpsa.f2si.real * f1i) / d
-    shift_i = -(2.0 * tpsa.f2s.real * f1i - tpsa.f2si.real * f1s) / d
-    return (tpsa.omega_s0 + shift_s, sigma_s, tpsa.omega_i0 + shift_i, sigma_i)
+
+def _time_form(td: TimeDomainTPSA):
+    """The same for |Phi(tau_s, tau_i)|^2: q is the real part of evaluate_time's
+    exponent expanded in the times (the carrier is a pure phase), built from
+    the complex exponent, not from the t block the flux closed forms read."""
+    us, ui = -1j * td.f1s, -1j * td.f1i      # constant parts of tau - i f1
+    e_ss, e_ii, e_si = td.exp_ss, td.exp_ii, td.exp_si
+    return (abs(td.amp) ** 2, (0.0, 0.0),
+            (e_ss.real, e_ii.real, e_si.real,
+             (2.0 * e_ss * us + e_si * ui).real, (2.0 * e_ii * ui + e_si * us).real,
+             (e_ss * us**2 + e_ii * ui**2 + e_si * us * ui).real))
+
+
+def _density(form, xs, xi):
+    """scale exp(-2q) at offsets (xs, xi) from the origin; one real exp per point."""
+    scale, _, (a_s, a_i, a_si, b_s, b_i, c) = form
+    q = np.asarray(a_s * xs**2 + a_i * xi**2 + a_si * xs * xi + b_s * xs + b_i * xi + c)
+    worst = -float(q.min())
+    if worst > _EXP_GUARD:
+        raise ExponentOverflow(f"-q = {worst:.3g} exceeds {_EXP_GUARD}")
+    q *= -2.0                   # in place: the grids hold millions of points
+    np.exp(q, out=q)
+    q *= scale
+    return q
+
+
+def _shear(form, field: str):
+    """Sheared frame (cx, sx, k, m, w) of one field's marginal: the field x
+    has marginal centre cx and 1/e width sx; at each x the partner peaks at
+    k x + m with conditional 1/e width w. These only place grids."""
+    a_s, a_i, a_si, b_s, b_i, _ = form[2]
+    a_o, a_p, b_o, b_p = (a_s, a_i, b_s, b_i) if field == "s" else (a_i, a_s, b_i, b_s)
+    d = 4.0 * a_o * a_p - a_si**2
+    return (-(2.0 * a_p * b_o - a_si * b_p) / d, math.sqrt(2.0 * a_p / d),
+            -a_si / (2.0 * a_p), -b_p / (2.0 * a_p), 1.0 / math.sqrt(2.0 * a_p))
 
 
 def quad_norm(tpsa: GaussianTPSA, span: float = 8.0,
               abs_tol: float | None = None) -> float:
-    """Integral of |Phi|^2 over both frequencies by adaptive quadrature."""
-    cs, ss, ci, si = _marginal_frame(tpsa)
-    peak = abs(evaluate(tpsa, cs, ci)) ** 2
-    area = (2.0 * span * ss) * (2.0 * span * si)
+    """Integral of |Phi|^2 over both frequencies by adaptive quadrature,
+    over +-span widths of the signal's sheared frame (unit Jacobian, so
+    the inner width w is the only scale factor)."""
+    form = _spectral_form(tpsa)
+    cx, sx, k, m, w = _shear(form, "s")
+
+    def f(x, u):
+        return w * _density(form, x, k * x + m + w * u)
+
     if abs_tol is None:
-        abs_tol = 1e-9 * peak * area
-
-    def f(ws, wi):
-        return np.abs(evaluate(tpsa, ws, wi)) ** 2
-
-    value, _ = quad2d(f, (cs - span * ss, cs + span * ss),
-                      (ci - span * si, ci + span * si), abs_tol)
+        abs_tol = 1e-9 * float(f(cx, 0.0)) * (2.0 * span * sx) * (2.0 * span)
+    value, _ = quad2d(f, (cx - span * sx, cx + span * sx), (-span, span), abs_tol)
     return value
 
 
@@ -189,92 +225,54 @@ def _moments(axis, marginal, h):
     return norm, mean, var
 
 
-def numeric_marginal(tpsa: GaussianTPSA, field: str = "s",
-                     n_points: int = 2049, span: float = 8.0) -> MarginalResult:
-    """Marginal of |Phi|^2 over the partner frequency, with moments.
-
-    Dense Simpson grid over +-span marginal widths; the hbar*omega
-    intensity prefactor is intentionally not applied so the moments
-    compare directly against the Gaussian closed forms.
-    """
+def _marginal(form, field: str, n_points: int, span: float) -> MarginalResult:
+    """Marginal of scale exp(-2q) over the partner, on the sheared Simpson
+    grid of +-span marginal widths by +-span conditional widths."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
-    cs, ss, ci, si = _marginal_frame(tpsa)
-    own_c, own_s = (cs, ss) if field == "s" else (ci, si)
-    par_c, par_s = (ci, si) if field == "s" else (cs, ss)
-    own = np.linspace(own_c - span * own_s, own_c + span * own_s, n_points)
-    par = np.linspace(par_c - span * par_s, par_c + span * par_s, n_points)
-    if field == "s":
-        dens = np.abs(evaluate(tpsa, own[:, None], par[None, :])) ** 2
-    else:
-        dens = np.abs(evaluate(tpsa, par[None, :], own[:, None])) ** 2
-    h_par = par[1] - par[0]
-    h_own = own[1] - own[0]
-    marginal = _simpson(dens, h_par, axis=1)
-    norm, mean, var = _moments(own, marginal, h_own)
+    cx, sx, k, m, w = _shear(form, field)
+    t = np.linspace(-span, span, n_points)
+    x = cx + sx * t
+    p = (k * x + m)[:, None] + w * t
+    dens = _density(form, x[:, None], p) if field == "s" else _density(form, p, x[:, None])
+    h_p, h_x = w * (t[1] - t[0]), x[1] - x[0]
+    marginal = _simpson(dens, h_p, axis=1)
+    norm, mean, var = _moments(x, marginal, h_x)
 
-    coarse = _simpson(dens[::2, ::2], 2.0 * h_par, axis=1)
-    c_norm, c_mean, c_var = _moments(own[::2], coarse, 2.0 * h_own)
+    coarse = _simpson(dens[::2, ::2], 2.0 * h_p, axis=1)
+    c_norm, c_mean, c_var = _moments(x[::2], coarse, 2.0 * h_x)
     conv = max(abs(c_norm / norm - 1.0), abs(c_var / var - 1.0))
     if conv > 1e-6:
         raise QuadratureNotConverged(
             f"marginal moments changed by {conv:.3g} under grid halving"
         )
-    own0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
-    return MarginalResult(field=field, axis=own, values=marginal, norm=norm,
-                          mean=mean, sigma_e1=math.sqrt(2.0 * var),
-                          shift=mean - own0, conv_error=conv)
+    own0 = form[1][0 if field == "s" else 1]
+    return MarginalResult(field=field, axis=own0 + x, values=marginal, norm=norm,
+                          mean=own0 + mean, sigma_e1=math.sqrt(2.0 * var),
+                          shift=mean, conv_error=conv)
+
+
+def numeric_marginal(tpsa: GaussianTPSA, field: str = "s",
+                     n_points: int = 2049, span: float = 8.0) -> MarginalResult:
+    """Marginal of |Phi|^2 over the partner frequency, with moments; without
+    the hbar*omega intensity prefactor, to compare with the closed forms."""
+    return _marginal(_spectral_form(tpsa), field, n_points, span)
 
 
 def numeric_time_marginal(td: TimeDomainTPSA, field: str = "s",
                           n_points: int = 2049, span: float = 8.0) -> MarginalResult:
     """Marginal of |Phi(tau_s, tau_i)|^2 over the partner time, with moments."""
-    if field not in ("s", "i"):
-        raise ValueError("field must be 's' or 'i'")
-    sigma_s = math.sqrt(2.0 * td.t2i / td.d_t)
-    sigma_i = math.sqrt(2.0 * td.t2s / td.d_t)
-    shift_s = -(2.0 * td.t2i * td.t1s - td.t2si * td.t1i) / td.d_t
-    shift_i = -(2.0 * td.t2s * td.t1i - td.t2si * td.t1s) / td.d_t
-    own_c, own_s = (shift_s, sigma_s) if field == "s" else (shift_i, sigma_i)
-    par_c, par_s = (shift_i, sigma_i) if field == "s" else (shift_s, sigma_s)
-    own = np.linspace(own_c - span * own_s, own_c + span * own_s, n_points)
-    par = np.linspace(par_c - span * par_s, par_c + span * par_s, n_points)
-    if field == "s":
-        dens = np.abs(evaluate_time(td, own[:, None], par[None, :])) ** 2
-    else:
-        dens = np.abs(evaluate_time(td, par[None, :], own[:, None])) ** 2
-    h_par = par[1] - par[0]
-    h_own = own[1] - own[0]
-    marginal = _simpson(dens, h_par, axis=1)
-    norm, mean, var = _moments(own, marginal, h_own)
-    coarse = _simpson(dens[::2, ::2], 2.0 * h_par, axis=1)
-    c_norm, c_mean, c_var = _moments(own[::2], coarse, 2.0 * h_own)
-    conv = max(abs(c_norm / norm - 1.0), abs(c_var / var - 1.0))
-    if conv > 1e-6:
-        raise QuadratureNotConverged(
-            f"time-marginal moments changed by {conv:.3g} under grid halving"
-        )
-    return MarginalResult(field=field, axis=own, values=marginal, norm=norm,
-                          mean=mean, sigma_e1=math.sqrt(2.0 * var),
-                          shift=mean, conv_error=conv)
+    return _marginal(_time_form(td), field, n_points, span)
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Sampled complex amplitude on a rectangular frequency grid."""
-
-    omega_s: np.ndarray
-    omega_i: np.ndarray
-    amplitude: np.ndarray
-
-
-def sample_grid(tpsa: GaussianTPSA, n_points: int, span: float) -> Grid2D:
-    """Sample the amplitude over +-span marginal widths about the centers."""
-    cs, ss, ci, si = _marginal_frame(tpsa)
+def sample_grid(tpsa: GaussianTPSA, n_points: int, span: float):
+    """(omega_s, omega_i, amplitude) over +-span marginal widths about the centers."""
+    form = _spectral_form(tpsa)
+    (cs, ss, *_), (ci, si, *_) = _shear(form, "s"), _shear(form, "i")
+    cs, ci = tpsa.omega_s0 + cs, tpsa.omega_i0 + ci
     ws = np.linspace(cs - span * ss, cs + span * ss, n_points)
     wi = np.linspace(ci - span * si, ci + span * si, n_points)
-    return Grid2D(omega_s=ws, omega_i=wi,
-                  amplitude=evaluate(tpsa, ws[:, None], wi[None, :]))
+    return ws, wi, evaluate(tpsa, ws[:, None], wi[None, :])
 
 
 def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
@@ -288,8 +286,8 @@ def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
     """
     if n_points < 256:
         raise ValueError("n_points must be at least 256")
-    grid = sample_grid(tpsa, n_points, span)
-    dens = np.abs(grid.amplitude) ** 2
+    amplitude = sample_grid(tpsa, n_points, span)[2]
+    dens = np.abs(amplitude) ** 2
     total = float(dens.sum())
     ring = float(dens[0, :].sum() + dens[-1, :].sum()
                  + dens[:, 0].sum() + dens[:, -1].sum())
@@ -298,7 +296,7 @@ def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
             f"boundary ring carries {ring / total if total else math.inf:.3g} "
             "of the sampled mass; widen the grid"
         )
-    svals = np.linalg.svd(grid.amplitude, compute_uv=False)
+    svals = np.linalg.svd(amplitude, compute_uv=False)
     return svals / math.sqrt(float((svals**2).sum()))
 
 
@@ -310,16 +308,15 @@ def dft_time_amplitude(tpsa: GaussianTPSA, tau_s, tau_i,
     evaluated as an explicit double sum over an n_points^2 grid (the
     brute-force counterpart of the closed-form transform).
     """
-    grid = sample_grid(tpsa, n_points, span)
-    dws = grid.omega_s[1] - grid.omega_s[0]
-    dwi = grid.omega_i[1] - grid.omega_i[0]
+    omega_s, omega_i, amplitude = sample_grid(tpsa, n_points, span)
+    dws, dwi = omega_s[1] - omega_s[0], omega_i[1] - omega_i[0]
     taus = np.atleast_1d(np.asarray(tau_s, dtype=float))
     tauis = np.atleast_1d(np.asarray(tau_i, dtype=float))
     out = np.empty(taus.shape, dtype=complex)
     for k, (ts, ti) in enumerate(zip(taus.ravel(), tauis.ravel())):
-        vs = np.exp(-1j * grid.omega_s * ts)
-        vi = np.exp(-1j * grid.omega_i * ti)
-        out.ravel()[k] = vs @ grid.amplitude @ vi * dws * dwi / (2.0 * math.pi)
+        vs = np.exp(-1j * omega_s * ts)
+        vi = np.exp(-1j * omega_i * ti)
+        out.ravel()[k] = vs @ amplitude @ vi * dws * dwi / (2.0 * math.pi)
     return out
 
 

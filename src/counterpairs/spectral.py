@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import _elementwise as ew
 from .constants import C_LIGHT, HBAR
-from .errors import NonNormalizable
+from .errors import NonNormalizable, OutOfRange
 from .tpsa import GaussianTPSA, e_factor, l2_norm
 
 
@@ -31,7 +31,7 @@ class SpectrumParams:
 
     def __post_init__(self):
         if ew.violated((self.amplitude >= 0) & (self.sigma_omega > 0), self):
-            raise ValueError("amplitude must be >= 0 and sigma_omega > 0")
+            raise OutOfRange("amplitude must be >= 0 and sigma_omega > 0")
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class RateResult:
 
     def __post_init__(self):
         if ew.violated((self.pairs_per_s >= 0) & (self.d_fr > 0), self):
-            raise ValueError("rate must be >= 0 and d_fr > 0")
+            raise OutOfRange("rate must be >= 0 and d_fr > 0")
 
 
 @dataclass(frozen=True)

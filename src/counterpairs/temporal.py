@@ -81,7 +81,7 @@ class FluxParams:
 
     def __post_init__(self):
         if ew.violated(self.sigma_tau > 0, self):
-            raise ValueError("sigma_tau must be positive")
+            raise OutOfRange("sigma_tau must be positive")
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ def _solve_dip_width(b, beat: float):
     Near-degenerate beats use the closed form 2 sqrt(ln 2 / b).
     """
     if ew.violated(b > 0):
-        raise ValueError("b must be positive")
+        raise OutOfRange("b must be positive")
     closed = 2.0 * ew.sqrt(math.log(2.0) / b)
     split = abs(beat) / ew.sqrt(b) >= 1e-6
     if not ew.any_(split):

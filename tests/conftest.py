@@ -11,6 +11,8 @@ import pytest
 import counterpairs as cp
 from counterpairs.constants import C_LIGHT
 from counterpairs.dispersion import GTaylor, MaterialPoint
+from counterpairs.entanglement import ReducedKernel
+from counterpairs.tpsa import GaussianTPSA
 
 LAMBDA_PUMP = 0.532e-6     # transverse pump
 LAMBDA_PAIR = 1.064e-6     # degenerate signal/idler
@@ -100,6 +102,30 @@ def random_cases(make_case):
         return cases
 
     return gen
+
+
+# --- magnitude-based Schmidt asymmetry (cross-checks of entanglement) ------
+
+def p_from_kernel(kernel: ReducedKernel) -> float:
+    """Magnitude-based asymmetry |e2|/e2c - 1 (diagnostic; inf when separable)."""
+    if kernel.e2c == 0.0:
+        return math.inf
+    return abs(kernel.e2) / kernel.e2c - 1.0
+
+
+def p_from_f(tpsa: GaussianTPSA) -> float:
+    """Magnitude-based asymmetry directly from the f coefficients (diagnostic).
+
+    sqrt(1 + 16 f2i^r (4 |f2s|^2 f2i^r - Re(f2s conj(f2si)^2)) / |f2si|^4) - 1;
+    algebraically identical to p_from_kernel.
+    """
+    c4 = abs(tpsa.f2si) ** 4
+    if c4 == 0.0:
+        return math.inf
+    f2i_r = tpsa.f2i.real
+    inner = (4.0 * abs(tpsa.f2s) ** 2 * f2i_r
+             - (tpsa.f2s * tpsa.f2si.conjugate() ** 2).real)
+    return math.sqrt(1.0 + 16.0 * f2i_r * inner / c4) - 1.0
 
 
 # --- mpmath oracle for the material layer -----------------------------------

@@ -16,7 +16,7 @@ import counterpairs as cp
 from counterpairs import oracle
 from counterpairs.cli import main as cli_main
 from counterpairs.dispersion import group_velocity
-from counterpairs.entanglement import p_from_f, p_from_kernel, reduced_kernel, schmidt
+from counterpairs.entanglement import reduced_kernel, schmidt
 from counterpairs.inverse import MeasurementSet, estimate, fit_hom_B
 from counterpairs.spectral import pair_rate, spectrum, wavelength_width
 from counterpairs.temporal import (
@@ -28,7 +28,7 @@ from counterpairs.temporal import (
     time_domain,
 )
 from counterpairs.tpsa import evaluate, normalize
-from conftest import LAMBDA_PAIR, omega_of
+from conftest import LAMBDA_PAIR, omega_of, p_from_f, p_from_kernel
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

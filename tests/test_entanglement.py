@@ -10,8 +10,6 @@ from counterpairs import oracle
 from counterpairs.dispersion import group_velocity, pump_wavevector
 from counterpairs.entanglement import (
     entropy,
-    p_from_f,
-    p_from_kernel,
     principal_axes,
     reduced_kernel,
     schmidt,
@@ -21,6 +19,7 @@ from counterpairs.entanglement import (
 from counterpairs.errors import NonNormalizable, OutOfRange
 from counterpairs.oracle import quad1d
 from counterpairs.tpsa import build_tpsa, normalize
+from conftest import p_from_f, p_from_kernel
 
 
 class TestReducedKernel:

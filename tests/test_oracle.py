@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import counterpairs as cp
-from counterpairs import oracle
-from counterpairs.errors import GridTooCoarse, QuadratureNotConverged
+from counterpairs import config, oracle
+from counterpairs.errors import ExponentOverflow, GridTooCoarse, QuadratureNotConverged
 from counterpairs.oracle import (
     dft_time_amplitude,
     erf_rational,
@@ -21,7 +22,10 @@ from counterpairs.oracle import (
     quad_norm,
 )
 from counterpairs.spectral import pair_rate, spectrum
+from counterpairs.temporal import evaluate_time, flux, time_domain
 from counterpairs.tpsa import evaluate, normalize
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestQuadrature:
@@ -90,6 +94,91 @@ class TestNumericMarginal:
         t = make_case(sigma_s=2.5e13, sigma_i=7e13).tpsa
         assert numeric_marginal(t, "s").norm == pytest.approx(
             pair_rate(t).pairs_per_s, rel=1e-8, abs=0)
+
+
+class TestRealDensity:
+    """The marginal oracles integrate scale * exp(-2q), with q the real
+    quadratic form read from the coefficients; it must be |amplitude|^2."""
+
+    @staticmethod
+    def _sheared_grid(form, field, n=65, span=8.0):
+        # the oracle's own frame: +-span marginal widths of the field, and
+        # +-span conditional widths of the partner at each of its points
+        cx, sx, k, m, w = oracle._shear(form, field)
+        t = np.linspace(-span, span, n)
+        x = (cx + sx * t)[:, None]
+        p = k * x + m + w * t[None, :]
+        return (x, p) if field == "s" else (p, x)
+
+    @staticmethod
+    def _cases(random_cases):
+        cases = random_cases(12, seed=41, chirp=True)
+        ts = [c.tpsa for c in cases]
+        assert any(t.a_p != 0.0 for t in ts)
+        assert any(c.filt.sigma_s is not None for c in cases)
+        assert any(t.omega_s0 != t.omega_i0 for t in ts)
+        return ts
+
+    def test_spectral_density_is_abs_evaluate_squared(self, random_cases):
+        for t in self._cases(random_cases):
+            form = oracle._spectral_form(t)
+            for field in ("s", "i"):
+                xs, xi = self._sheared_grid(form, field)
+                ws, wi = t.omega_s0 + xs, t.omega_i0 + xi
+                want = np.abs(evaluate(t, ws, wi)) ** 2
+                got = oracle._density(form, ws - t.omega_s0, wi - t.omega_i0)
+                assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+    def test_time_density_is_abs_evaluate_time_squared(self, random_cases):
+        # Along a ridge the terms of Re q cancel, and evaluate_time's complex
+        # arithmetic rounds them differently from the expanded form (against
+        # 50 digits, evaluate_time is off by up to 3.4e-14 of the peak and
+        # the expansion by 6.7e-14), so the error is bounded relative to the
+        # peak, which also bounds its share of the integral.
+        for t in self._cases(random_cases):
+            td = time_domain(t)
+            form = oracle._time_form(td)
+            for field in ("s", "i"):
+                xs, xi = self._sheared_grid(form, field)
+                want = np.abs(evaluate_time(td, xs, xi)) ** 2
+                got = oracle._density(form, xs, xi)
+                assert np.max(np.abs(got - want)) <= 2e-13 * np.max(want)
+
+    def test_exponent_guard(self):
+        form = (1.0, (0.0, 0.0), (1.0, 1.0, 0.0, 0.0, 0.0, -701.0))
+        with pytest.raises(ExponentOverflow):
+            oracle._density(form, np.zeros(3), np.zeros(3))
+
+
+def _fig2_map_cell(i, j):
+    raw = config.parse_config(CONFIG_DIR / "fig2_sweep.cfg")
+    spec = config.parse_sweep(raw)
+    point = config.apply_sweep_value(config.resolve_scenario(raw), spec.axis1.param,
+                                     spec.axis1.values[i])
+    point = config.apply_sweep_value(point, spec.axis2.param, spec.axis2.values[j])
+    return config.build_scenario_tpsa(point)
+
+
+class TestRidgeCells:
+    """Corners of the fig2 map (tau_p near 10 fs with wide beams, near 2 ps
+    with narrow ones), where the amplitude is a thin diagonal ridge. A grid
+    aligned with the field axes fails its halving test on these cells, and
+    puts quad_norm 0.24-0.42 % off on (23, 0) and (0, 23)."""
+
+    @pytest.mark.parametrize("cell", [(0, 18), (0, 23), (5, 23), (16, 0), (23, 0), (23, 7)])
+    def test_marginal_widths_converge(self, cell):
+        t = _fig2_map_cell(*cell)
+        td = time_domain(t)
+        for field in ("s", "i"):
+            m = numeric_marginal(t, field, n_points=1537)
+            assert m.sigma_e1 == pytest.approx(spectrum(t, field).sigma_omega, rel=1e-4, abs=0)
+            m = oracle.numeric_time_marginal(td, field, n_points=1537)
+            assert m.sigma_e1 == pytest.approx(flux(t, field).sigma_tau, rel=1e-4, abs=0)
+
+    @pytest.mark.parametrize("cell", [(0, 23), (23, 0)])
+    def test_quad_norm_matches_rate(self, cell):
+        t = _fig2_map_cell(*cell)
+        assert quad_norm(t) == pytest.approx(pair_rate(t).pairs_per_s, rel=1e-6, abs=0)
 
 
 class TestNumericSchmidt:
