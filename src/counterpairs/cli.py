@@ -25,7 +25,6 @@ from .config import (
     QUANTITIES,
     SWEEP_PARAMS,
     Scenario,
-    SweepSpec,
     _parse_quantity,
     _read_assignments,
     build_scenario_tpsa,
@@ -42,14 +41,15 @@ from .dispersion import (
     beta,
     gamma,
     group_velocity,
-    phase_match_residual,
+    momentum_mismatch,
     pump_wavevector,
     refractive_index,
-    solve_phase_matching,
 )
+from .entanglement import schmidt
 from .errors import ConfigInvalid, CounterpairsError
 from .inverse import MeasurementSet, estimate, fit_hom_B
 from .temporal import hom_curve, hom_params
+from .tpsa import normalize
 
 _DEG = math.pi / 180.0
 
@@ -89,9 +89,8 @@ def _load_scenario(args) -> Scenario:
     return resolve_scenario(raw, include_g=args.include_g, p_min=args.p_min)
 
 
-def _cmd_scenario(args) -> int:
-    _emit(compute_scenario(_load_scenario(args)), args.format, args.out)
-    return 0
+def _cmd_scenario(args) -> dict:
+    return compute_scenario(_load_scenario(args))
 
 
 def _grid_csv(axis1, axis2, rows, label: str) -> str:
@@ -116,7 +115,7 @@ def _grid_csv(axis1, axis2, rows, label: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     raw = parse_config(args.config)
     sc = resolve_scenario(raw, include_g=args.include_g, p_min=args.p_min)
     spec = parse_sweep(raw)
@@ -167,12 +166,10 @@ def _cmd_sweep(args) -> int:
     }
     (out_dir / "sweep_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return 0
 
 
-def _cmd_hom(args) -> int:
-    sc = _load_scenario(args)
-    tpsa = build_scenario_tpsa(sc)
+def _cmd_hom(args) -> dict:
+    tpsa = build_scenario_tpsa(_load_scenario(args))
     dip = hom_params(tpsa)
     doc = {
         "A": dip.a, "B_per_s2": dip.b, "visibility": dip.visibility,
@@ -186,22 +183,17 @@ def _cmd_hom(args) -> int:
         lines += [f"{_fmt(float(t))},{_fmt(float(r))}" for t, r in zip(taus, rates)]
         Path(args.curve_out).write_text("\n".join(lines) + "\n")
         doc["curve_file"] = args.curve_out
-    _emit(doc, args.format, args.out)
-    return 0
+    return doc
 
 
-def _cmd_schmidt(args) -> int:
-    from .entanglement import schmidt
-    from .tpsa import normalize
-
+def _cmd_schmidt(args) -> dict:
     sc = _load_scenario(args)
     sch = schmidt(normalize(build_scenario_tpsa(sc)), p_min=sc.p_min)
-    _emit({
+    return {
         "P": sch.p, "vartheta": sch.vartheta, "entropy_bits": sch.entropy_bits,
         "n_min": sch.n_min, "n_min_index": sch.n_min_index, "p_min": sch.p_min,
         "lambda_sq_first_8": [sch.lambda_sq(n) for n in range(8)],
-    }, args.format, args.out)
-    return 0
+    }
 
 
 _WIDTHS_KEYS = {
@@ -237,7 +229,7 @@ def _parse_hom_csv(path: str) -> list:
     return rows
 
 
-def _cmd_inverse(args) -> int:
+def _cmd_inverse(args) -> dict:
     widths = _parse_widths_file(args.widths)
     samples = _parse_hom_csv(args.hom_csv)
     beat = 0.0
@@ -250,7 +242,7 @@ def _cmd_inverse(args) -> int:
                         omega_s0=widths.get("measure.omega_s0"),
                         omega_i0=widths.get("measure.omega_i0"))
     result = estimate(ms)
-    _emit({
+    return {
         "fit": {"A": fit.a, "B_per_s2": fit.b, "beat_rad_per_s": fit.beat,
                 "residual_rms": fit.residual_rms},
         "F_ratio": result.f_ratio,
@@ -261,27 +253,24 @@ def _cmd_inverse(args) -> int:
              "vartheta": r.vartheta, "entropy_bits": r.entropy_bits}
             for r in result.roots
         ],
-    }, args.format, args.out)
-    return 0
+    }
 
 
-def _cmd_phase_match(args) -> int:
+def _cmd_phase_match(args) -> dict:
     sc = _load_scenario(args)
-    theta = solve_phase_matching(sc.wg, sc.omega_s0, sc.omega_i0)
-    omega_p0 = sc.omega_s0 + sc.omega_i0
-    _emit({
-        "theta_p0_rad": theta,
-        "theta_p0_deg": theta / _DEG,
-        "residual_rad_per_m": phase_match_residual(sc.wg, theta,
-                                                   sc.omega_s0, sc.omega_i0),
-        "k_p0_rad_per_m": pump_wavevector(sc.wg.model, omega_p0),
-        "beta_s0_rad_per_m": beta(sc.wg, sc.omega_s0),
-        "beta_i0_rad_per_m": beta(sc.wg, sc.omega_i0),
-    }, args.format, args.out)
-    return 0
+    k_p0 = pump_wavevector(sc.wg.model, sc.omega_s0 + sc.omega_i0)
+    beta_s0, beta_i0 = beta(sc.wg, sc.omega_s0), beta(sc.wg, sc.omega_i0)
+    return {
+        "theta_p0_rad": sc.pump.theta_p0,
+        "theta_p0_deg": sc.pump.theta_p0 / _DEG,
+        "residual_rad_per_m": momentum_mismatch(k_p0, sc.pump.theta_p0, beta_s0, beta_i0),
+        "k_p0_rad_per_m": k_p0,
+        "beta_s0_rad_per_m": beta_s0,
+        "beta_i0_rad_per_m": beta_i0,
+    }
 
 
-def _cmd_dispersion_info(args) -> int:
+def _cmd_dispersion_info(args) -> dict:
     sc = _load_scenario(args)
     doc = {"model": sc.wg.model.material, "points": []}
     for lam in args.at:
@@ -295,8 +284,7 @@ def _cmd_dispersion_info(args) -> int:
             "v_guided_m_per_s": group_velocity(sc.wg, omega, "guided"),
             "v_bulk_m_per_s": group_velocity(sc.wg, omega, "pump_bulk"),
         })
-    _emit(doc, args.format, args.out)
-    return 0
+    return doc
 
 
 def _add_common(parser, with_config=True):
@@ -313,6 +301,35 @@ def _add_common(parser, with_config=True):
                         help="mode-count probability target (default 0.95)")
 
 
+# subcommand -> (help, handler, its options after the common ones), in `--help` order
+_COMMANDS = {
+    "scenario": ("all observables of one configuration", _cmd_scenario, {}),
+    "sweep": ("parameter sweep to CSV grids", _cmd_sweep, {"--out-dir": dict(required=True)}),
+    "hom": ("coincidence-dip parameters and curve", _cmd_hom, {
+        "--curve-out": dict(default=None, help="write R_n(tau_l) CSV here"),
+        "--points": dict(type=int, default=201),
+        "--span": dict(type=float, default=3.0,
+                       help="curve half-range in units of the dip width")}),
+    "schmidt": ("Schmidt spectrum and entropy", _cmd_schmidt, {}),
+    "inverse": ("entropy from measured widths + dip samples", _cmd_inverse, {
+        "--widths": dict(required=True, help="measured-widths file"),
+        "--hom-csv": dict(required=True, help="CSV of (tau_l, R_n) samples")}),
+    "phase-match": ("central pump angle from momentum conservation", _cmd_phase_match, {}),
+    "dispersion-info": ("index/propagation numbers at wavelengths", _cmd_dispersion_info, {
+        "--at": dict(type=float, action="append", required=True, metavar="LAMBDA_M",
+                     help="vacuum wavelength in meters (repeatable)")}),
+}
+
+
+def _command_parser(parser, name):
+    _, handler, options = _COMMANDS[name]
+    _add_common(parser, with_config=name != "inverse")
+    for flag, kwargs in options.items():
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(command=name, fn=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="counterpairs",
@@ -322,52 +339,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scenario", help="all observables of one configuration")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_scenario)
-
-    p = sub.add_parser("sweep", help="parameter sweep to CSV grids")
-    _add_common(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: sweeps run in one process")
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("hom", help="coincidence-dip parameters and curve")
-    _add_common(p)
-    p.add_argument("--curve-out", default=None, help="write R_n(tau_l) CSV here")
-    p.add_argument("--points", type=int, default=201)
-    p.add_argument("--span", type=float, default=3.0,
-                   help="curve half-range in units of the dip width")
-    p.set_defaults(fn=_cmd_hom)
-
-    p = sub.add_parser("schmidt", help="Schmidt spectrum and entropy")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_schmidt)
-
-    p = sub.add_parser("inverse", help="entropy from measured widths + dip samples")
-    _add_common(p, with_config=False)
-    p.add_argument("--widths", required=True, help="measured-widths file")
-    p.add_argument("--hom-csv", required=True, help="CSV of (tau_l, R_n) samples")
-    p.set_defaults(fn=_cmd_inverse)
-
-    p = sub.add_parser("phase-match", help="central pump angle from momentum conservation")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_phase_match)
-
-    p = sub.add_parser("dispersion-info", help="index/propagation numbers at wavelengths")
-    _add_common(p)
-    p.add_argument("--at", type=float, action="append", required=True,
-                   metavar="LAMBDA_M", help="vacuum wavelength in meters (repeatable)")
-    p.set_defaults(fn=_cmd_dispersion_info)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # A request builds only its subcommand's parser; the full parser takes the
+    # rest and reports unrecognized arguments, with its usage text and exit code.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    if name:
+        parser = _command_parser(argparse.ArgumentParser(prog=f"counterpairs {name}"), name)
+        args, extra = parser.parse_known_args(argv[1:])
+    if not name or extra:
+        args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        doc = args.fn(args)
+        if doc is not None:     # sweep writes its own files
+            _emit(doc, args.format, args.out)
+        return 0
     except ConfigInvalid as exc:
         field = f" [field: {exc.field}]" if exc.field else ""
         print(f"error: {exc}{field}", file=sys.stderr)

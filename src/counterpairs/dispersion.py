@@ -381,13 +381,18 @@ def load_model(source: str | Path) -> DispersionModel:
         coefficients=tuple(tuple(pair) for pair in raw["coefficients"]),
         omega_window=(2.0 * math.pi * C_LIGHT / lam_hi, 2.0 * math.pi * C_LIGHT / lam_lo),
     )
-    lo, hi = model.omega_window
-    for k in range(65):
-        w = lo + (hi - lo) * k / 64.0
-        n = refractive_index(model, w)
-        if not (n > 1.0 and math.isfinite(n)):
-            raise ValueError(
-                f"model {model.material!r} gives n0 = {n} at omega = {w:.6g}; "
-                "index must be finite and > 1 across the validity window"
-            )
+    if model.kind == "sellmeier":   # then n^2 falls with L^2 between poles: n is least at L_hi
+        for b, c_um2 in model.coefficients:
+            if not (b > 0.0 and c_um2 >= 0.0):
+                raise ValueError(f"model {model.material!r}: Sellmeier term (B, C) = "
+                                 f"({b}, {c_um2}) needs B > 0 and C >= 0")
+            if (lam_lo * 1e6) ** 2 <= c_um2 <= (lam_hi * 1e6) ** 2:
+                raise ValueError(f"model {model.material!r} has a Sellmeier pole at C = "
+                                 f"{c_um2} um^2 inside its window [{lam_lo}, {lam_hi}] m")
+    n = refractive_index(model, model.omega_window[0])
+    if not (n > 1.0 and math.isfinite(n)):
+        raise ValueError(
+            f"model {model.material!r} gives n0 = {n} at omega = {model.omega_window[0]:.6g}; "
+            "index must be finite and > 1 across the validity window"
+        )
     return model

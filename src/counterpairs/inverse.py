@@ -12,6 +12,7 @@ silently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,23 +163,26 @@ def fit_hom_B(samples, beat: float = 0.0) -> HomFit:
     if tau_scale == 0.0:
         raise ValueError("samples must span a range of delays")
 
-    def amp_and_sse(b):
+    coss = [math.cos(beat * t) for t in taus]
+
+    @functools.cache        # keyed by log10 b: the golden section revisits trial points
+    def amp_and_sse(x):
+        b = 10.0**x
+        gs = [math.exp(-b * t * t) * cos_k for t, cos_k in zip(taus, coss)]
         gg = dd = 0.0
-        for t, d in zip(taus, depths):
-            g = math.exp(-b * t * t) * math.cos(beat * t)
+        for g, d in zip(gs, depths):
             gg += g * g
             dd += g * d
         a = dd / gg if gg > 0.0 else 0.0
         sse = 0.0
-        for t, d in zip(taus, depths):
-            g = math.exp(-b * t * t) * math.cos(beat * t)
+        for g, d in zip(gs, depths):
             sse += (d - a * g) ** 2
         return a, sse
 
     lo_exp = math.log10(1e-6 / tau_scale**2)
     hi_exp = math.log10(1e6 / tau_scale**2)
     grid = [lo_exp + (hi_exp - lo_exp) * k / 240 for k in range(241)]
-    sses = [amp_and_sse(10.0**e)[1] for e in grid]
+    sses = [amp_and_sse(e)[1] for e in grid]
     k_best = min(range(len(grid)), key=lambda k: (sses[k], k))
     left = grid[max(k_best - 1, 0)]
     right = grid[min(k_best + 1, len(grid) - 1)]
@@ -186,19 +190,18 @@ def fit_hom_B(samples, beat: float = 0.0) -> HomFit:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = right - invphi * (right - left)
     x2 = left + invphi * (right - left)
-    f1 = amp_and_sse(10.0**x1)[1]
-    f2 = amp_and_sse(10.0**x2)[1]
+    f1, f2 = amp_and_sse(x1)[1], amp_and_sse(x2)[1]
     for _ in range(120):
         if f1 < f2:
             right, x2, f2 = x2, x1, f1
             x1 = right - invphi * (right - left)
-            f1 = amp_and_sse(10.0**x1)[1]
+            f1 = amp_and_sse(x1)[1]
         else:
             left, x1, f1 = x1, x2, f2
             x2 = left + invphi * (right - left)
-            f2 = amp_and_sse(10.0**x2)[1]
+            f2 = amp_and_sse(x2)[1]
     b = 10.0 ** (0.5 * (left + right))
-    a, sse = amp_and_sse(b)
+    a, sse = amp_and_sse(0.5 * (left + right))
     if a <= 1e-10:
         raise FitDiverged(f"fitted dip contrast a = {a:.3g} is not identifiable")
     if not (grid[0] + 1e-3 < math.log10(b) < grid[-1] - 1e-3):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from counterpairs.cli import main
+from counterpairs import cli
+from counterpairs.cli import build_parser, main
 from counterpairs.config import (
     apply_sweep_value,
     build_scenario_tpsa,
@@ -166,18 +167,16 @@ class TestSweep:
                      "sweep_manifest.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
-    def test_worker_pool_output_is_byte_identical(self, capsys, tmp_path):
-        cfg = CONFIG_DIR / "fig7_sweep.cfg"
-        outputs = {}
-        for workers in (1, 2):
-            out_dir = tmp_path / f"workers{workers}"
-            code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
-                                 "--out-dir", str(out_dir), "--workers", str(workers))
-            assert code == 0
-            outputs[workers] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-        assert sorted(outputs[1]) == ["entropy.csv", "n_min.csv", "sweep_manifest.json",
-                                      "vartheta.csv"]
-        assert outputs[1] == outputs[2]
+    def test_workers_option_is_a_usage_error(self, capsys, tmp_path):
+        # sweeps run in one process, so there is no worker-count option
+        cfg = self._mini_sweep_cfg(tmp_path)
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir),
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_failing_cells_do_not_abort_the_sweep(self, capsys, tmp_path):
         # at tau_p = 0.52 fs the dip contrast computes slightly above 1 at
@@ -380,3 +379,74 @@ class TestDiagnostics:
         code, _, err = run_cli(capsys, "scenario", "--config", "/nowhere.cfg")
         assert code == 1
         assert err
+
+
+SUBCOMMANDS = ("scenario", "sweep", "hom", "schmidt", "inverse", "phase-match",
+               "dispersion-info")
+
+
+def _exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParser:
+    """main() builds only the named subcommand's parser.
+
+    Whatever it prints and the namespace it hands on are those of the
+    full build_parser().
+    """
+
+    EXITS = (
+        [["--help"], ["--version"], [], ["bogus"], ["bogus", "--config", "c"],
+         ["--version", "scenario"]]
+        + [[name, "--help"] for name in SUBCOMMANDS]
+        # a missing required option
+        + [["scenario"], ["sweep", "--config", "c"], ["inverse", "--widths", "w"],
+           ["dispersion-info", "--config", "c"]]
+        # a value of the wrong type or outside its choices
+        + [["hom", "--config", "c", "--points", "x"],
+           ["scenario", "--config", "c", "--p-min", "abc"],
+           ["schmidt", "--config", "c", "--format", "xml"]]
+        # unrecognized or conflicting arguments
+        + [["scenario", "--config", "c", "--bogus"],
+           ["scenario", "--config", "c", "--version"],
+           ["phase-match", "--config", "c", "--include-g", "--neglect-g"]]
+    )
+
+    @pytest.mark.parametrize("argv", EXITS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_exits_as_the_full_parser_does(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = _exit(capsys, main, argv)
+        assert got == _exit(capsys, build_parser().parse_args, argv)
+        assert got[0] == (0 if "--help" in argv[:2] or argv[:1] == ["--version"] else 2)
+
+    REQUESTS = [
+        ["scenario", "--config", "c", "--format", "csv", "--neglect-g"],
+        ["sweep", "--config", "c", "--out-dir", "d", "--p-min", "0.9"],
+        ["hom", "--config", "c", "--curve-out", "k.csv", "--points", "11", "--span", "2"],
+        ["schmidt", "--config", "c", "--p-min", "0.99", "--out", "o.json"],
+        ["inverse", "--widths", "w", "--hom-csv", "h.csv"],
+        ["phase-match", "--config", "c", "--include-g"],
+        ["dispersion-info", "--config", "c", "--at", "1e-6", "--at", "5e-7"],
+    ]
+
+    @pytest.mark.parametrize("argv", REQUESTS, ids=lambda argv: argv[0])
+    def test_request_namespace_is_the_full_parsers(self, monkeypatch, argv):
+        seen = []
+        help_text, _, options = cli._COMMANDS[argv[0]]
+        monkeypatch.setitem(cli._COMMANDS, argv[0], (help_text, seen.append, options))
+        assert main(argv) == 0
+        assert seen == [build_parser().parse_args(argv)]
+        assert seen[0].command == argv[0]
+
+    def test_a_request_builds_only_its_own_parser(self, capsys, monkeypatch, fig2_cfg):
+        def refuse():
+            raise AssertionError("full parser built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main(["scenario", "--config", str(fig2_cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["rate"]["N_pairs_per_s"] > 0

@@ -1,13 +1,16 @@
 """Dispersion, guided propagation, phase matching, and the overlap expansion."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import counterpairs as cp
+from counterpairs import dispersion
 from counterpairs.constants import C_LIGHT
 from counterpairs.dispersion import (
+    DispersionModel,
     GTaylor,
     _index_derivatives,
     beta,
@@ -58,6 +61,53 @@ class TestRefractiveIndex:
             refractive_index(linbo3, lo * 0.5)
         with pytest.raises(OutOfValidityWindow):
             refractive_index(linbo3, hi * 1.5)
+
+
+def _model_file(tmp_path, coefficients, window=(4.0e-7, 3.5e-6)):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "schema": "dispersion-model/1", "material": "test", "kind": "sellmeier",
+        "coefficients": coefficients, "wavelength_window_m": list(window)}))
+    return path
+
+
+class TestLoadModel:
+    def test_shipped_model_loads_with_one_index_evaluation(self, monkeypatch):
+        calls = []
+        original = dispersion.refractive_index
+
+        def counted(model, omega):
+            calls.append(omega)
+            return original(model, omega)
+
+        monkeypatch.setattr(dispersion, "refractive_index", counted)
+        model = cp.load_model("linbo3_e")
+        # the long-wavelength end, where the index is smallest
+        assert calls == [model.omega_window[0]]
+
+    def test_pole_inside_the_window_is_rejected(self, tmp_path):
+        # a weak pole at L = 1 um: the index is finite and > 1 at the 65 evenly
+        # spaced window frequencies a sampled check looks at, infinite at the pole
+        coefficients = [[2.9804, 0.02047], [1e-9, 1.0]]
+        lo, hi = omega_of(3.5e-6), omega_of(4.0e-7)
+        sampled = DispersionModel(material="test", kind="sellmeier",
+                                  coefficients=tuple(map(tuple, coefficients)),
+                                  omega_window=(lo, hi))
+        assert all(1.0 < refractive_index(sampled, lo + (hi - lo) * k / 64.0) < math.inf
+                   for k in range(65))
+        with pytest.raises(ValueError, match=r"pole at C = 1\.0 um\^2 inside"):
+            cp.load_model(_model_file(tmp_path, coefficients))
+
+    @pytest.mark.parametrize("pair", [[-0.5, 0.0666], [0.5, -0.0666]],
+                             ids=["negative-B", "negative-C"])
+    def test_other_coefficient_signs_are_rejected(self, tmp_path, pair):
+        with pytest.raises(ValueError, match="needs B > 0 and C >= 0"):
+            cp.load_model(_model_file(tmp_path, [[2.9804, 0.02047], pair]))
+
+    def test_index_not_above_one_is_rejected(self, tmp_path):
+        # the window check still evaluates the index where it is smallest
+        with pytest.raises(ValueError, match="finite and > 1"):
+            cp.load_model(_model_file(tmp_path, [[1e-3, 10.0]], window=(1e-7, 1e-6)))
 
 
 class TestBeta:

@@ -9,6 +9,13 @@ any change that moves a number by
 more than 1e-12 relative, or moves a NaN, fails here. Regenerate them
 only for a change that is meant to alter outputs, and say which outputs
 moved and why.
+
+The per-subcommand files (hom, schmidt, phase-match, dispersion-info,
+inverse and the help texts) are compared byte for byte: they pin the
+exact output of the CLI, not only its numbers. The inverse inputs are
+the fig2 widths and 201-point dip written by `scenario` and `hom`, with
+degenerate centrals and with 1.060/1.068 um centrals (fig2_split); they
+are stored, so the inverse goldens do not move with the forward model.
 """
 
 import json
@@ -66,6 +73,45 @@ def test_sweep_matches_golden(capsys, tmp_path, name):
     for fname in sorted(want_manifest["files"].values()):
         assert_tree_close(read_grid(out / fname), read_grid(want_dir / fname),
                           f"{name}/{fname}")
+
+
+@pytest.mark.parametrize("stem", ["fig2", "separable"])
+@pytest.mark.parametrize("neglect_g", [False, True])
+@pytest.mark.parametrize("command,extra", [
+    ("hom", ["--curve-out", "curve.csv"]),
+    ("schmidt", []),
+    ("phase-match", []),
+    ("dispersion-info", ["--at", "1.064e-6", "--at", "0.532e-6"]),
+], ids=["hom", "schmidt", "phase-match", "dispersion-info"])
+def test_subcommand_output_is_byte_identical(capsys, monkeypatch, tmp_path, stem, neglect_g,
+                                             command, extra):
+    monkeypatch.chdir(tmp_path)     # hom names its curve file, relative here, in the output
+    argv = [command, "--config", str(CONFIG_DIR / f"{stem}.cfg")] + extra
+    argv += ["--neglect-g"] if neglect_g else []
+    assert main(argv) == 0
+    name = stem + ("_neglect_g" if neglect_g else "")
+    assert capsys.readouterr().out == (GOLDEN / command / f"{name}.json").read_text()
+    if command == "hom":
+        assert ((tmp_path / "curve.csv").read_bytes()
+                == (GOLDEN / "hom" / f"{name}_curve.csv").read_bytes())
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig2_split"])
+def test_inverse_output_is_byte_identical(capsys, name):
+    inputs = GOLDEN / "inverse"
+    assert main(["inverse", "--widths", str(inputs / f"{name}_widths.cfg"),
+                 "--hom-csv", str(inputs / f"{name}_dip.csv")]) == 0
+    assert capsys.readouterr().out == (inputs / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["counterpairs", "scenario", "sweep", "hom", "schmidt",
+                                  "inverse", "phase-match", "dispersion-info"])
+def test_help_text_is_byte_identical(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if name == "counterpairs" else [name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / "help" / f"{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("stem", ["fig2", "separable"])

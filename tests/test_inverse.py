@@ -1,11 +1,13 @@
 """Recovering the amplitude and entropy from measurable quantities."""
 
+import math
+
 import numpy as np
 import pytest
 
 from counterpairs.entanglement import schmidt
 from counterpairs.errors import FitDiverged, NegativeDiscriminant, NoPhysicalRoot
-from counterpairs.inverse import MeasurementSet, estimate, fit_hom_B
+from counterpairs.inverse import HomFit, MeasurementSet, estimate, fit_hom_B
 from counterpairs.spectral import spectrum
 from counterpairs.temporal import hom_curve, hom_params
 from counterpairs.tpsa import normalize
@@ -69,6 +71,51 @@ class TestEstimate:
             MeasurementSet(sigma_omega_s=-1.0, sigma_omega_i=1e13, b=1e25)
 
 
+def reference_fit(samples, beat=0.0):
+    """fit_hom_B as a plain loop that evaluates the model twice per trial b.
+
+    The reference the fit must equal bit for bit: the same scan, the same
+    golden-section steps and the same summation order.
+    """
+    taus = [float(t) for t, _ in samples]
+    depths = [1.0 - float(r) for _, r in samples]
+
+    def amp_and_sse(b):
+        gg = dd = 0.0
+        for t, d in zip(taus, depths):
+            g = math.exp(-b * t * t) * math.cos(beat * t)
+            gg += g * g
+            dd += g * d
+        a = dd / gg if gg > 0.0 else 0.0
+        sse = 0.0
+        for t, d in zip(taus, depths):
+            g = math.exp(-b * t * t) * math.cos(beat * t)
+            sse += (d - a * g) ** 2
+        return a, sse
+
+    scale = max(abs(t) for t in taus)
+    lo, hi = math.log10(1e-6 / scale**2), math.log10(1e6 / scale**2)
+    grid = [lo + (hi - lo) * k / 240 for k in range(241)]
+    sses = [amp_and_sse(10.0**e)[1] for e in grid]
+    k_best = min(range(len(grid)), key=lambda k: (sses[k], k))
+    left, right = grid[max(k_best - 1, 0)], grid[min(k_best + 1, len(grid) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = right - invphi * (right - left), left + invphi * (right - left)
+    f1, f2 = amp_and_sse(10.0**x1)[1], amp_and_sse(10.0**x2)[1]
+    for _ in range(120):
+        if f1 < f2:
+            right, x2, f2 = x2, x1, f1
+            x1 = right - invphi * (right - left)
+            f1 = amp_and_sse(10.0**x1)[1]
+        else:
+            left, x1, f1 = x1, x2, f2
+            x2 = left + invphi * (right - left)
+            f2 = amp_and_sse(10.0**x2)[1]
+    b = 10.0 ** (0.5 * (left + right))
+    a, sse = amp_and_sse(b)
+    return HomFit(a=a, b=b, beat=beat, residual_rms=math.sqrt(sse / len(taus)))
+
+
 class TestFitHom:
     def _samples(self, tpsa, n, rng=None, noise=0.0):
         dip = hom_params(tpsa)
@@ -119,3 +166,27 @@ class TestFitHom:
         truth = schmidt(normalize(t)).entropy_bits
         best = min(result.roots, key=lambda r: abs(r.entropy_bits - truth))
         assert best.entropy_bits == pytest.approx(truth, abs=1e-6)
+
+    @pytest.mark.parametrize("n,lambda_s,noise", [(41, 1.064e-6, 0.0), (81, 1.058e-6, 0.0),
+                                                  (41, 1.064e-6, 0.01), (201, 1.06e-6, 0.0)])
+    def test_fit_equals_the_loop_reference_bit_for_bit(self, make_case, n, lambda_s, noise):
+        t = make_case(lambda_s=lambda_s).tpsa
+        samples = self._samples(t, n, rng=np.random.default_rng(7), noise=noise)
+        beat = hom_params(t).beat
+        assert fit_hom_B(samples, beat=beat) == reference_fit(samples, beat=beat)
+
+    def test_each_trial_evaluates_the_model_once(self, make_case, monkeypatch):
+        t = make_case(lambda_s=1.058e-6).tpsa
+        samples, beat = self._samples(t, 201), hom_params(t).beat
+        counts = {"cos": 0, "exp": 0}
+        for name in counts:
+            def counted(x, name=name, original=getattr(math, name)):
+                counts[name] += 1
+                return original(x)
+
+            monkeypatch.setattr(math, name, counted)
+        fit_hom_B(samples, beat=beat)
+        assert counts["cos"] == 201
+        # one exp per sample for each distinct trial b: at most the 241 scan
+        # points, the 122 golden-section points and the final b
+        assert counts["exp"] % 201 == 0 and counts["exp"] <= 364 * 201

@@ -136,6 +136,14 @@ def test_scenario_evaluates_the_material_once(count_calls):
     assert index["calls"] <= 3
 
 
+def test_scenario_request_evaluates_the_index_at_most_seven_times(count_calls, capsys):
+    # the material point's 3, phase matching's 3 and the load-time window check's 1
+    index = count_calls("refractive_index")
+    assert main(["scenario", "--config", str(CONFIG_DIR / "fig2.cfg")]) == 0
+    capsys.readouterr()
+    assert index["calls"] <= 7
+
+
 def test_sweep_evaluates_the_material_once(count_calls, capsys, tmp_path):
     index = count_calls("refractive_index")
     taylor = count_calls("_g_taylor")
