@@ -57,12 +57,12 @@ _DEG = math.pi / 180.0
 def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _emit(doc: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = ["key,value"]
 
@@ -190,7 +190,8 @@ def _cmd_schmidt(args) -> dict:
     sc = _load_scenario(args)
     sch = schmidt(normalize(build_scenario_tpsa(sc)), p_min=sc.p_min)
     return {
-        "P": sch.p, "vartheta": sch.vartheta, "entropy_bits": sch.entropy_bits,
+        "P": sch.p if math.isfinite(sch.p) else None,     # infinite when separable
+        "vartheta": sch.vartheta, "entropy_bits": sch.entropy_bits,
         "n_min": sch.n_min, "n_min_index": sch.n_min_index, "p_min": sch.p_min,
         "lambda_sq_first_8": [sch.lambda_sq(n) for n in range(8)],
     }
@@ -287,35 +288,41 @@ def _cmd_dispersion_info(args) -> dict:
     return doc
 
 
-def _add_common(parser, with_config=True):
-    if with_config:
-        parser.add_argument("--config", required=True, help="scenario config file")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="write output here instead of stdout")
-    g = parser.add_mutually_exclusive_group()
-    g.add_argument("--include-g", dest="include_g", action="store_true", default=True,
-                   help="keep transverse-overlap corrections (default)")
-    g.add_argument("--neglect-g", dest="include_g", action="store_false",
-                   help="drop transverse-overlap corrections")
-    parser.add_argument("--p-min", type=float, default=0.95,
-                        help="mode-count probability target (default 0.95)")
+# options that several subcommands read; each subcommand lists those it reads
+_CONFIG = {"--config": dict(required=True, help="scenario config file")}
+_OUTPUT = {"--format": dict(choices=("json", "csv"), default="json"),
+           "--out": dict(default=None, help="write output here instead of stdout")}
+_MODEL = {
+    ("--include-g", "--neglect-g"): (       # a tuple of flags: mutually exclusive
+        dict(dest="include_g", action="store_true", default=True,
+             help="keep transverse-overlap corrections (default)"),
+        dict(dest="include_g", action="store_false",
+             help="drop transverse-overlap corrections")),
+    "--p-min": dict(type=float, default=0.95,
+                    help="mode-count probability target (default 0.95)"),
+}
+_SCENARIO = {**_CONFIG, **_OUTPUT, **_MODEL}
 
-
-# subcommand -> (help, handler, its options after the common ones), in `--help` order
+# subcommand -> (help, handler, the options it reads), in `--help` order
 _COMMANDS = {
-    "scenario": ("all observables of one configuration", _cmd_scenario, {}),
-    "sweep": ("parameter sweep to CSV grids", _cmd_sweep, {"--out-dir": dict(required=True)}),
+    "scenario": ("all observables of one configuration", _cmd_scenario, _SCENARIO),
+    "sweep": ("parameter sweep to CSV grids", _cmd_sweep,
+              {**_CONFIG, **_MODEL, "--out-dir": dict(required=True)}),
     "hom": ("coincidence-dip parameters and curve", _cmd_hom, {
+        **_SCENARIO,
         "--curve-out": dict(default=None, help="write R_n(tau_l) CSV here"),
         "--points": dict(type=int, default=201),
         "--span": dict(type=float, default=3.0,
                        help="curve half-range in units of the dip width")}),
-    "schmidt": ("Schmidt spectrum and entropy", _cmd_schmidt, {}),
+    "schmidt": ("Schmidt spectrum and entropy", _cmd_schmidt, _SCENARIO),
     "inverse": ("entropy from measured widths + dip samples", _cmd_inverse, {
+        **_OUTPUT,
         "--widths": dict(required=True, help="measured-widths file"),
         "--hom-csv": dict(required=True, help="CSV of (tau_l, R_n) samples")}),
-    "phase-match": ("central pump angle from momentum conservation", _cmd_phase_match, {}),
+    "phase-match": ("central pump angle from momentum conservation", _cmd_phase_match,
+                    _SCENARIO),
     "dispersion-info": ("index/propagation numbers at wavelengths", _cmd_dispersion_info, {
+        **_SCENARIO,
         "--at": dict(type=float, action="append", required=True, metavar="LAMBDA_M",
                      help="vacuum wavelength in meters (repeatable)")}),
 }
@@ -323,9 +330,13 @@ _COMMANDS = {
 
 def _command_parser(parser, name):
     _, handler, options = _COMMANDS[name]
-    _add_common(parser, with_config=name != "inverse")
     for flag, kwargs in options.items():
-        parser.add_argument(flag, **kwargs)
+        if isinstance(flag, tuple):
+            group = parser.add_mutually_exclusive_group()
+            for one, one_kwargs in zip(flag, kwargs):
+                group.add_argument(one, **one_kwargs)
+        else:
+            parser.add_argument(flag, **kwargs)
     parser.set_defaults(command=name, fn=handler)
     return parser
 

@@ -397,7 +397,8 @@ def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
             "delta_tau_l_fs": dip.delta_tau_l * 1e15,
         },
         "schmidt": {
-            "P": sch.p, "vartheta": sch.vartheta,
+            "P": sch.p if math.isfinite(sch.p) else None,     # infinite when separable
+            "vartheta": sch.vartheta,
             "entropy_bits": sch.entropy_bits,
             "n_min": sch.n_min, "n_min_index": sch.n_min_index,
             "lambda_sq_first_8": [sch.lambda_sq(n) for n in range(8)],

@@ -350,6 +350,23 @@ def constant_model(n0: float, omega_window: tuple = (1e13, 2e16),
                            coefficients=(float(n0),), omega_window=omega_window)
 
 
+def _coefficients(material: str, kind: str, raw) -> tuple:
+    """A data file's coefficients as DispersionModel holds them: (n0,) for a
+    constant model, (B, C) pairs for a Sellmeier one."""
+    def numbers(values, count):
+        return (isinstance(values, list) and len(values) == count
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values))
+
+    if kind == "constant" and numbers(raw, 1):
+        return (raw[0],)
+    if kind == "sellmeier" and isinstance(raw, list) and all(numbers(pair, 2) for pair in raw):
+        return tuple(tuple(pair) for pair in raw)
+    if kind not in ("constant", "sellmeier"):
+        raise ValueError(f"model {material!r}: unknown dispersion model kind {kind!r}")
+    shape = "[n0]" if kind == "constant" else "a list of [B, C] pairs"
+    raise ValueError(f"model {material!r}: {kind} coefficients must be {shape}, got {raw!r}")
+
+
 def load_model(source: str | Path) -> DispersionModel:
     """Load a dispersion model from a JSON data file or a built-in name.
 
@@ -378,7 +395,7 @@ def load_model(source: str | Path) -> DispersionModel:
     model = DispersionModel(
         material=raw["material"],
         kind=raw["kind"],
-        coefficients=tuple(tuple(pair) for pair in raw["coefficients"]),
+        coefficients=_coefficients(raw["material"], raw["kind"], raw["coefficients"]),
         omega_window=(2.0 * math.pi * C_LIGHT / lam_hi, 2.0 * math.pi * C_LIGHT / lam_lo),
     )
     if model.kind == "sellmeier":   # then n^2 falls with L^2 between poles: n is least at L_hi

@@ -285,6 +285,28 @@ class TestOutputFormat:
                 if fname == "n_min.csv":
                     assert all(cell == str(int(cell)) for cell in row[1:])
 
+    @staticmethod
+    def _no_constant(name):
+        raise AssertionError(f"{name} is not strict JSON")
+
+    @pytest.mark.parametrize("command", ["scenario", "schmidt", "hom", "phase-match"])
+    @pytest.mark.parametrize("neglect_g", [False, True], ids=["with-g", "neglect-g"])
+    def test_json_output_is_strict(self, capsys, command, neglect_g):
+        # no NaN or Infinity on any shipped config: a separable P is null
+        for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
+            argv = [command, "--config", str(cfg)] + (["--neglect-g"] if neglect_g else [])
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), cfg.name
+            json.loads(out, parse_constant=self._no_constant)
+        assert len(list(CONFIG_DIR.glob("*.cfg"))) == 8
+
+    def test_separable_p_is_null_and_an_empty_csv_value(self, capsys):
+        argv = ["--config", str(CONFIG_DIR / "separable.cfg"), "--neglect-g"]
+        code, out, _ = run_cli(capsys, "schmidt", *argv)
+        assert code == 0 and json.loads(out)["P"] is None
+        code, out, _ = run_cli(capsys, "scenario", *argv, "--format", "csv")
+        assert code == 0 and "schmidt.P," in out.splitlines()
+
 
 class TestHomAndSchmidt:
     def test_hom_json_and_curve(self, capsys, fig2_cfg, tmp_path):
@@ -442,6 +464,23 @@ class TestParser:
         assert main(argv) == 0
         assert seen == [build_parser().parse_args(argv)]
         assert seen[0].command == argv[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "c", "--out-dir", "d", "--format", "csv"],
+        ["inverse", "--widths", "w", "--hom-csv", "h", "--include-g"],
+        ["inverse", "--widths", "w", "--hom-csv", "h", "--neglect-g"],
+        ["inverse", "--widths", "w", "--hom-csv", "h", "--p-min", "0.9"],
+    ], ids=lambda argv: f"{argv[0]} {argv[5]}")
+    def test_options_a_subcommand_does_not_read_are_usage_errors(self, capsys, argv):
+        # sweep writes no document, and inverse builds no scenario
+        code, _, err = _exit(capsys, main, argv)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(argv[5:])}" in err
+
+    def test_sweep_reads_out_as_its_out_dir(self):
+        # argparse takes a unique prefix of an option for the option itself
+        args = build_parser().parse_args(["sweep", "--config", "c", "--out", "o"])
+        assert args.out_dir == "o" and not hasattr(args, "out")
 
     def test_a_request_builds_only_its_own_parser(self, capsys, monkeypatch, fig2_cfg):
         def refuse():

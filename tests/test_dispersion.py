@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import counterpairs as cp
 from counterpairs import dispersion
+from counterpairs.cli import main
 from counterpairs.constants import C_LIGHT
 from counterpairs.dispersion import (
     DispersionModel,
@@ -40,6 +42,8 @@ from conftest import (
     omega_of,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
 
 class TestRefractiveIndex:
     def test_linbo3_regression(self, linbo3):
@@ -63,10 +67,10 @@ class TestRefractiveIndex:
             refractive_index(linbo3, hi * 1.5)
 
 
-def _model_file(tmp_path, coefficients, window=(4.0e-7, 3.5e-6)):
+def _model_file(tmp_path, coefficients, window=(4.0e-7, 3.5e-6), kind="sellmeier"):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
-        "schema": "dispersion-model/1", "material": "test", "kind": "sellmeier",
+        "schema": "dispersion-model/1", "material": "test", "kind": kind,
         "coefficients": coefficients, "wavelength_window_m": list(window)}))
     return path
 
@@ -108,6 +112,38 @@ class TestLoadModel:
         # the window check still evaluates the index where it is smallest
         with pytest.raises(ValueError, match="finite and > 1"):
             cp.load_model(_model_file(tmp_path, [[1e-3, 10.0]], window=(1e-7, 1e-6)))
+
+    def test_constant_model_loads(self, tmp_path):
+        model = cp.load_model(_model_file(tmp_path, [2.0], kind="constant"))
+        assert model.kind == "constant" and model.coefficients == (2.0,)
+        assert refractive_index(model, omega_of(1.064e-6)) == 2.0
+
+    def test_unknown_kind_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="model 'test': unknown dispersion model kind 'cauchy'"):
+            cp.load_model(_model_file(tmp_path, [2.0], kind="cauchy"))
+
+    @pytest.mark.parametrize("kind,coefficients", [
+        ("constant", [[2.0]]), ("constant", []), ("constant", [2.0, 3.0]), ("constant", ["2"]),
+        ("sellmeier", [2.9804, 0.02047]), ("sellmeier", [[2.9804]]), ("sellmeier", [[1, 2, 3]]),
+    ])
+    def test_malformed_coefficients_are_rejected(self, tmp_path, kind, coefficients):
+        with pytest.raises(ValueError, match=f"model 'test': {kind} coefficients must be"):
+            cp.load_model(_model_file(tmp_path, coefficients, kind=kind))
+
+    @pytest.mark.parametrize("kind,coefficients,code", [
+        ("constant", [2.0], 0), ("constant", [[2.0]], 1), ("cauchy", [2.0], 1),
+    ], ids=["constant", "nested-constant", "unknown-kind"])
+    def test_model_file_through_a_config(self, capsys, tmp_path, kind, coefficients, code):
+        # a loadable file runs; a bad one is a user error naming the field, never exit 2
+        model = _model_file(tmp_path, coefficients, kind=kind)
+        cfg = tmp_path / "fig2.cfg"
+        cfg.write_text((CONFIG_DIR / "fig2.cfg").read_text().replace(
+            "waveguide.model = linbo3_e", f"waveguide.model = {model}"))
+        assert main(["phase-match", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: waveguide.model: model 'test': ")
+            assert err.endswith("[field: waveguide.model]\n")
 
 
 class TestBeta:

@@ -1,6 +1,7 @@
 """The verifiers themselves: quadrature, special functions, exact amplitude."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,7 +166,9 @@ class TestRidgeCells:
     aligned with the field axes fails its halving test on these cells, and
     puts quad_norm 0.24-0.42 % off on (23, 0) and (0, 23)."""
 
-    @pytest.mark.parametrize("cell", [(0, 18), (0, 23), (5, 23), (16, 0), (23, 0), (23, 7)])
+    CELLS = [(0, 18), (0, 23), (5, 23), (16, 0), (23, 0), (23, 7)]
+
+    @pytest.mark.parametrize("cell", CELLS)
     def test_marginal_widths_converge(self, cell):
         t = _fig2_map_cell(*cell)
         td = time_domain(t)
@@ -179,6 +182,99 @@ class TestRidgeCells:
     def test_quad_norm_matches_rate(self, cell):
         t = _fig2_map_cell(*cell)
         assert quad_norm(t) == pytest.approx(pair_rate(t).pairs_per_s, rel=1e-6, abs=0)
+
+
+def _whole_grid_marginal(form, field, n_points, span=8.0):
+    """The marginal as formed before row blocking, kept as a reference: the
+    whole sheared grid through _density at once, reduced along its rows."""
+
+    def simpson_rows(values, h):
+        w = np.ones(values.shape[1])
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return np.tensordot(values, w, axes=([1], [0])) * (h / 3.0)
+
+    cx, sx, k, m, w = oracle._shear(form, field)
+    t = np.linspace(-span, span, n_points)
+    x = cx + sx * t
+    p = (k * x + m)[:, None] + w * t
+    dens = (oracle._density(form, x[:, None], p) if field == "s"
+            else oracle._density(form, p, x[:, None]))
+    h_p, h_x = w * (t[1] - t[0]), x[1] - x[0]
+    marginal = simpson_rows(dens, h_p)
+    norm, mean, var = oracle._moments(x, marginal, h_x)
+    coarse = simpson_rows(dens[::2, ::2], 2.0 * h_p)
+    c_norm, _, c_var = oracle._moments(x[::2], coarse, 2.0 * h_x)
+    conv = max(abs(c_norm / norm - 1.0), abs(c_var / var - 1.0))
+    if conv > 1e-6:
+        raise QuadratureNotConverged(f"marginal moments changed by {conv:.3g} under grid halving")
+    own0 = form[1][0 if field == "s" else 1]
+    return oracle.MarginalResult(field=field, axis=own0 + x, values=marginal, norm=norm,
+                                 mean=own0 + mean, sigma_e1=math.sqrt(2.0 * var),
+                                 shift=mean, conv_error=conv)
+
+
+class TestBlockedMarginal:
+    """_marginal forms and reduces the sheared grid a block of rows at a time;
+    it must give what the whole grid gives."""
+
+    @pytest.fixture(scope="class")
+    def forms(self, random_cases):
+        cases = [c.tpsa for c in random_cases(12, seed=43, chirp=True)]
+        assert any(t.a_p != 0.0 for t in cases)
+        cases += [_fig2_map_cell(*cell) for cell in TestRidgeCells.CELLS]
+        return [form for t in cases
+                for form in (oracle._spectral_form(t), oracle._time_form(time_domain(t)))]
+
+    # after its full blocks, a last one of 7 rows (1537, 257 points) or 1 row (1001)
+    @pytest.mark.parametrize("n_points", [1537, 257, 1001])
+    def test_matches_the_whole_grid(self, forms, n_points):
+        for form in forms:
+            for field in ("s", "i"):
+                want = _whole_grid_marginal(form, field, n_points)
+                got = oracle._marginal(form, field, n_points, 8.0)
+                assert np.array_equal(got.axis, want.axis)
+                assert got.norm == pytest.approx(want.norm, rel=1e-14, abs=0)
+                assert got.sigma_e1 == pytest.approx(want.sigma_e1, rel=1e-14, abs=0)
+                # a time marginal's mean is zero up to roundoff: its scale is the width
+                scale = 1e-14 * want.sigma_e1
+                assert got.mean == pytest.approx(want.mean, rel=1e-14, abs=scale)
+                assert got.shift == pytest.approx(want.shift, rel=1e-14, abs=scale)
+                assert np.max(np.abs(got.values / want.values - 1.0)) <= 1e-14
+                assert abs(got.conv_error - want.conv_error) <= 1e-12
+
+    @pytest.mark.parametrize("c,x_first,message", [
+        # only the last row, so only the last block, passes the guard
+        (-701.0, -32000.0, "-q = 701 exceeds"),
+        # every row does, the first block already; the worst is the last row
+        (-2000.0, -10.0, "-q = 2e+03 exceeds"),
+    ], ids=["last-block", "every-block"])
+    def test_guard_checks_each_block_before_its_exp(self, monkeypatch, c, x_first, message):
+        # q = x^2 + p^2 + c, deepest at x = 0, which the frame puts on the last row
+        form = (1.0, (0.0, 0.0), (1.0, 1.0, 0.0, 0.0, 0.0, c))
+        n, span = 1001, 8.0
+        sx = -x_first / (2.0 * span)
+        monkeypatch.setattr(oracle, "_shear",
+                            lambda form, field: (x_first + span * sx, sx, 0.0, 0.0, math.sqrt(0.5)))
+        with np.errstate(over="raise"):
+            with pytest.raises(ExponentOverflow) as got:
+                oracle._marginal(form, "s", n, span)
+            with pytest.raises(ExponentOverflow) as want:
+                _whole_grid_marginal(form, "s", n, span)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(message)
+
+    def test_peak_memory_of_one_marginal(self, make_case):
+        # the whole 1537^2 grid took 56.8 MB; a block of rows stays far below 4 MB
+        t = make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            numeric_marginal(t, "s", n_points=1537)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestNumericSchmidt:
