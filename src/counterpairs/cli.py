@@ -344,6 +344,7 @@ def _command_parser(parser, name):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="counterpairs",
+        allow_abbrev=False,
         description="Counter-propagating photon pairs from a transversely "
                     "pumped planar waveguide: rates, spectra, interference, "
                     "entanglement.",
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _command_parser(sub.add_parser(name, help=help_text), name)
+        _command_parser(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser
 
 
@@ -361,7 +362,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv and argv[0] in _COMMANDS else None
     if name:
-        parser = _command_parser(argparse.ArgumentParser(prog=f"counterpairs {name}"), name)
+        parser = _command_parser(
+            argparse.ArgumentParser(prog=f"counterpairs {name}", allow_abbrev=False), name)
         args, extra = parser.parse_known_args(argv[1:])
     if not name or extra:
         args = build_parser().parse_args(argv)

@@ -477,10 +477,18 @@ class TestParser:
         assert code == 2
         assert f"unrecognized arguments: {' '.join(argv[5:])}" in err
 
-    def test_sweep_reads_out_as_its_out_dir(self):
-        # argparse takes a unique prefix of an option for the option itself
-        args = build_parser().parse_args(["sweep", "--config", "c", "--out", "o"])
-        assert args.out_dir == "o" and not hasattr(args, "out")
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--config", "c", "--out", "o"],
+         "the following arguments are required: --out-dir"),
+        (["sweep", "--config", "c", "--out-dir", "d", "--out", "o"],
+         "unrecognized arguments: --out o"),
+        (["scenario", "--config", "c", "--neg"], "unrecognized arguments: --neg"),
+    ], ids=["sweep-out", "sweep-out-dir-out", "scenario-neg"])
+    def test_option_prefixes_are_usage_errors(self, capsys, argv, message):
+        # no unique-prefix abbreviations: a prefix never stands for an option
+        code, _, err = _exit(capsys, main, argv)
+        assert code == 2 and message in err
+        assert _exit(capsys, build_parser().parse_args, argv) == (code, "", err)
 
     def test_a_request_builds_only_its_own_parser(self, capsys, monkeypatch, fig2_cfg):
         def refuse():

@@ -1,6 +1,7 @@
 """The verifiers themselves: quadrature, special functions, exact amplitude."""
 
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -305,6 +306,68 @@ class TestNumericSchmidt:
             numeric_schmidt(t, n_points=128)
         with pytest.raises(GridTooCoarse):
             numeric_schmidt(t, n_points=256, span=1.5)
+
+    # (tau_p, z_p, a_p) with vartheta 0.85-0.92, where the spectrum decays slowest
+    HIGH_VARTHETA = [(5.68e-13, 3e-6, 0.8), (7.21e-13, 3e-6, 0.8), (9.14e-13, 3e-6, -1.2),
+                     (1.87e-12, 1e-5, -1.2), (2.37e-12, 1e-5, 0.8), (1e-14, 3e-5, -1.2)]
+
+    @pytest.fixture(scope="class")
+    def high_vartheta(self, make_case):
+        cases = [normalize(make_case(tau_p=tau, z_p=z_p, a_p=a_p).tpsa)
+                 for tau, z_p, a_p in self.HIGH_VARTHETA]
+        assert all(0.85 <= cp.schmidt(t).vartheta <= 0.92 for t in cases)
+        return cases
+
+    def test_matches_the_full_svd(self, random_cases, high_vartheta):
+        # criterion 2's first 12 cases
+        cases = [t for t in (normalize(c.tpsa) for c in random_cases(70, seed=204, chirp=True))
+                 if cp.schmidt(t).vartheta <= 0.9][:12]
+        for t in cases + high_vartheta:
+            got = numeric_schmidt(t)
+            assert len(got) == 8
+            assert np.max(np.abs(got - _full_svd_schmidt(t)[:8])) <= 1e-12
+
+    def test_is_deterministic(self, high_vartheta):
+        t = high_vartheta[2]
+        assert np.array_equal(numeric_schmidt(t), numeric_schmidt(t))
+
+    def test_step_cap_raises(self, monkeypatch, high_vartheta):
+        monkeypatch.setattr(oracle, "_SCHMIDT_MAX_STEPS", 1)
+        with pytest.raises(QuadratureNotConverged):
+            numeric_schmidt(high_vartheta[-1])
+
+    def test_flush_keeps_every_product_normal(self):
+        small = math.sqrt(np.finfo(float).tiny)
+        x = np.array([5e-324, -1e-310, 1e-200, -0.99 * small, small, -small, 1e-100, -1.0, 0.0])
+        assert np.array_equal(oracle._flush(x), [0.0] * 4 + [small, -small, 1e-100, -1.0, 0.0])
+        products = np.abs(np.multiply.outer(x, x))
+        assert np.all((products == 0.0) | (products >= np.finfo(float).tiny))
+
+    def test_leaves_complex_exp_fast(self, high_vartheta):
+        # On OpenBLAS a complex matrix product can leave every later complex
+        # exp 15-40x slower until another BLAS call; numeric_schmidt must not.
+        x = np.linspace(-1.0, 1.0, 65536) * (1.0 + 1.0j)
+
+        def exp_s():
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                np.exp(x)
+                times.append(time.perf_counter() - start)
+            return float(np.median(times))
+
+        np.ones((64, 64)) @ np.ones((64, 64))       # start from the clean state
+        before = exp_s()
+        numeric_schmidt(high_vartheta[0])
+        assert exp_s() < 5.0 * before
+
+
+def _full_svd_schmidt(tpsa, n_points=512, span=5.0):
+    """The Schmidt oracle as it was before subspace iteration, kept as a
+    reference: every singular value of the sampled amplitude by a full SVD,
+    scaled so their squares sum to one."""
+    svals = np.linalg.svd(oracle.sample_grid(tpsa, n_points, span)[2], compute_uv=False)
+    return svals / math.sqrt(float((svals**2).sum()))
 
 
 class TestExactAmplitude:
