@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 user/input error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -25,15 +27,16 @@ from .config import (
     QUANTITIES,
     SWEEP_PARAMS,
     Scenario,
+    _hom_section,
     _parse_quantity,
     _read_assignments,
+    _schmidt,
+    _schmidt_section,
     build_scenario_tpsa,
     compute_scenario,
-    failed_sweep,
     parse_config,
     parse_sweep,
     resolve_scenario,
-    scenario_material,
     sweep_point,
 )
 from .constants import C_LIGHT
@@ -45,11 +48,9 @@ from .dispersion import (
     pump_wavevector,
     refractive_index,
 )
-from .entanglement import schmidt
 from .errors import ConfigInvalid, CounterpairsError
 from .inverse import MeasurementSet, estimate, fit_hom_B
 from .temporal import hom_curve, hom_params
-from .tpsa import normalize
 
 _DEG = math.pi / 180.0
 
@@ -64,7 +65,7 @@ def _emit(doc: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
-        lines = ["key,value"]
+        rows = [["key", "value"]]
 
         def walk(prefix, node):
             if isinstance(node, dict):
@@ -74,10 +75,12 @@ def _emit(doc: dict, fmt: str, out: str | None) -> None:
                 for k, item in enumerate(node):
                     walk(f"{prefix}{k}.", item)
             else:
-                lines.append(f"{prefix[:-1]},{_fmt(node)}")
+                rows.append([prefix[:-1], _fmt(node)])
 
         walk("", doc)
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
     if out:
         Path(out).write_text(text)
     else:
@@ -122,15 +125,8 @@ def _cmd_sweep(args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Every sweepable parameter is a pump or filter setting, so one material
-    # point serves every cell; when it cannot be evaluated, every cell fails.
-    try:
-        mp = scenario_material(sc)
-    except CounterpairsError as exc:
-        grid = failed_sweep(spec, exc)
-    else:
-        grid = sweep_point(sc, spec, mp, spec.axis1.values,
-                           None if spec.axis2 is None else spec.axis2.values)
+    grid = sweep_point(sc, spec, spec.axis1.values,
+                       None if spec.axis2 is None else spec.axis2.values)
 
     ax1 = (spec.axis1.param, spec.axis1.values, SWEEP_PARAMS[spec.axis1.param])
     ax2 = None if spec.axis2 is None else (
@@ -171,10 +167,7 @@ def _cmd_sweep(args) -> None:
 def _cmd_hom(args) -> dict:
     tpsa = build_scenario_tpsa(_load_scenario(args))
     dip = hom_params(tpsa)
-    doc = {
-        "A": dip.a, "B_per_s2": dip.b, "visibility": dip.visibility,
-        "beat_rad_per_s": dip.beat, "delta_tau_l_fs": dip.delta_tau_l * 1e15,
-    }
+    doc = _hom_section(dip)
     if args.curve_out:
         span = args.span * dip.delta_tau_l
         taus = np.linspace(-span, span, args.points)
@@ -188,13 +181,8 @@ def _cmd_hom(args) -> dict:
 
 def _cmd_schmidt(args) -> dict:
     sc = _load_scenario(args)
-    sch = schmidt(normalize(build_scenario_tpsa(sc)), p_min=sc.p_min)
-    return {
-        "P": sch.p if math.isfinite(sch.p) else None,     # infinite when separable
-        "vartheta": sch.vartheta, "entropy_bits": sch.entropy_bits,
-        "n_min": sch.n_min, "n_min_index": sch.n_min_index, "p_min": sch.p_min,
-        "lambda_sq_first_8": [sch.lambda_sq(n) for n in range(8)],
-    }
+    sch = _schmidt(sc, build_scenario_tpsa(sc))
+    return {**_schmidt_section(sch), "p_min": sch.p_min}
 
 
 _WIDTHS_KEYS = {
@@ -238,10 +226,7 @@ def _cmd_inverse(args) -> dict:
         beat = widths["measure.omega_s0"] - widths["measure.omega_i0"]
     fit = fit_hom_B(samples, beat=beat)
     ms = MeasurementSet(sigma_omega_s=widths["measure.sigma_omega_s"],
-                        sigma_omega_i=widths["measure.sigma_omega_i"],
-                        b=fit.b,
-                        omega_s0=widths.get("measure.omega_s0"),
-                        omega_i0=widths.get("measure.omega_i0"))
+                        sigma_omega_i=widths["measure.sigma_omega_i"], b=fit.b)
     result = estimate(ms)
     return {
         "fit": {"A": fit.a, "B_per_s2": fit.b, "beat_rad_per_s": fit.beat,

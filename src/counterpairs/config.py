@@ -31,10 +31,10 @@ from .dispersion import (
     refractive_index,
     solve_phase_matching,
 )
-from .entanglement import principal_axes, schmidt, separability_roots
+from .entanglement import SchmidtSpectrum, principal_axes, schmidt, separability_roots
 from .errors import ConfigInvalid, CounterpairsError, OutOfRange
 from .spectral import pair_rate, spectrum, wavelength_width, width_ratio
-from .temporal import flux, hom_params, time_bandwidth
+from .temporal import HomDip, flux, hom_params, time_bandwidth
 from .tpsa import (
     FilterSpec,
     GaussianTPSA,
@@ -391,23 +391,24 @@ def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
             "time_bandwidth_i": tb.product_i,
             "time_bandwidth_ratio": tb.ratio,
         },
-        "hom": {
-            "A": dip.a, "B_per_s2": dip.b, "visibility": dip.visibility,
-            "beat_rad_per_s": dip.beat,
-            "delta_tau_l_fs": dip.delta_tau_l * 1e15,
-        },
-        "schmidt": {
-            "P": sch.p if math.isfinite(sch.p) else None,     # infinite when separable
-            "vartheta": sch.vartheta,
-            "entropy_bits": sch.entropy_bits,
-            "n_min": sch.n_min, "n_min_index": sch.n_min_index,
-            "lambda_sq_first_8": [sch.lambda_sq(n) for n in range(8)],
-        },
+        "hom": _hom_section(dip),
+        "schmidt": _schmidt_section(sch),
         "separability": sep_out,
         "principal_axes": {"mu1_s2": axes.mu1, "mu2_s2": axes.mu2,
                            "psi_si_rad": axes.psi_si,
                            "psi_si_deg": axes.psi_si / _DEG},
     }
+
+
+def _hom_section(dip: HomDip) -> dict:
+    return {"A": dip.a, "B_per_s2": dip.b, "visibility": dip.visibility,
+            "beat_rad_per_s": dip.beat, "delta_tau_l_fs": dip.delta_tau_l * 1e15}
+
+
+def _schmidt_section(sch: SchmidtSpectrum) -> dict:
+    return {"P": sch.p if math.isfinite(sch.p) else None,     # infinite when separable
+            "vartheta": sch.vartheta, "entropy_bits": sch.entropy_bits, "n_min": sch.n_min,
+            "lambda_sq_first_8": [sch.lambda_sq(n) for n in range(8)]}
 
 
 def _sigma_lambda_nm(tpsa: GaussianTPSA, field: str):
@@ -542,20 +543,26 @@ class SweepGrid:
     errors: list
 
 
-def sweep_point(sc: Scenario, spec: SweepSpec, mp: MaterialPoint, v1,
-                v2) -> SweepGrid:
+def sweep_point(sc: Scenario, spec: SweepSpec, v1, v2) -> SweepGrid:
     """Evaluate the requested quantities over the whole sweep grid at once.
 
-    v1 and v2 are the axis values (v2 None without a second axis); mp is
-    scenario_material(sc), fixed over the sweep. One broadcast amplitude
-    serves every cell. A cell fails when its amplitude or any requested
-    quantity fails there: the broadcast evaluation leaves such cells
-    non-finite, and each is evaluated again on its own, with scalars, to
-    get its exception (a cell that then succeeds keeps those values).
+    v1 and v2 are the axis values (v2 None without a second axis). One
+    material point (every sweepable parameter is a pump or filter setting)
+    and one broadcast amplitude serve every cell. A cell fails when its
+    amplitude or any requested quantity fails there: the broadcast
+    evaluation leaves such cells non-finite, and each is evaluated again on
+    its own, with scalars, to get its exception (a cell that then succeeds
+    keeps those values). When the material fails, every cell fails with it.
     """
     axis1 = np.asarray(v1, dtype=float).reshape(-1, 1)
     axis2 = None if v2 is None else np.asarray(v2, dtype=float).reshape(1, -1)
     shape = (axis1.shape[0], 1 if axis2 is None else axis2.shape[1])
+    try:
+        mp = scenario_material(sc)
+    except CounterpairsError as exc:
+        return SweepGrid(values={name: np.full(shape, math.nan).tolist()
+                                 for name in spec.quantities},
+                         errors=np.full(shape, exc, dtype=object).tolist())
     with np.errstate(all="ignore"):
         try:
             tpsa, grids = _evaluate_sweep(sc, spec, mp, axis1, axis2)
@@ -584,11 +591,3 @@ def sweep_point(sc: Scenario, spec: SweepSpec, mp: MaterialPoint, v1,
                             for row in values[name]]
     return SweepGrid(values=values, errors=errors)
 
-
-def failed_sweep(spec: SweepSpec, exc: CounterpairsError) -> SweepGrid:
-    """A sweep whose every cell raised exc (its material cannot be evaluated)."""
-    n1 = len(spec.axis1.values)
-    n2 = 1 if spec.axis2 is None else len(spec.axis2.values)
-    return SweepGrid(values={name: [[math.nan] * n2 for _ in range(n1)]
-                             for name in spec.quantities},
-                     errors=[[exc] * n2 for _ in range(n1)])

@@ -59,16 +59,13 @@ class ReducedKernel:
 class SchmidtSpectrum:
     """Geometric Schmidt spectrum lambda_n^2 = (1 - vartheta) vartheta^n.
 
-    n_min is the mode count reaching probability p_min (separable -> 1);
-    n_min_index = n_min - 1 is the raw index satisfying the bracketing
-    inequalities on the cumulative sums.
+    n_min is the mode count reaching probability p_min (separable -> 1).
     """
 
     p: float
     vartheta: float
     entropy_bits: float
     n_min: int
-    n_min_index: int
     p_min: float
 
     def __post_init__(self):
@@ -78,8 +75,6 @@ class SchmidtSpectrum:
     def lambda_sq(self, n: int) -> float:
         if n < 0:
             raise OutOfRange("n must be >= 0")
-        if self.vartheta == 0.0:
-            return 1.0 if n == 0 else 0.0
         return (1.0 - self.vartheta) * self.vartheta**n
 
 
@@ -128,22 +123,25 @@ def _mode_count(vartheta, p_min: float):
     return ew.where(vartheta == 0.0, 1, m)
 
 
+def _p_vartheta(e2, e2c):
+    """(P, vartheta) of a reduced kernel's e2 (complex or real) and e2c; exactly
+    separable kernels (e2c below 1e-14 of |e2|) snap to P = inf, vartheta = 0."""
+    separable = e2c <= _SEPARABLE_SNAP * abs(e2)
+    if ew.holds(separable):
+        return math.inf, 0.0
+    p = ew.where(separable, math.inf, e2.real / e2c - 1.0)
+    return p, 1.0 / (1.0 + p + ew.sqrt(p * p + 2.0 * p))
+
+
 def schmidt(tpsa: GaussianTPSA, p_min: float = 0.95) -> SchmidtSpectrum:
     """Schmidt spectrum of a normalized Gaussian amplitude.
 
-    Exactly separable kernels (e2c below 1e-14 of |e2|) snap to
-    vartheta = 0 with a single unit eigenvalue.
+    Separable kernels have vartheta = 0 and a single unit eigenvalue.
     """
     kernel = reduced_kernel(tpsa)
-    separable = kernel.e2c <= _SEPARABLE_SNAP * abs(kernel.e2)
-    if ew.holds(separable):
-        return SchmidtSpectrum(p=math.inf, vartheta=0.0, entropy_bits=0.0,
-                               n_min=1, n_min_index=0, p_min=p_min)
-    p = ew.where(separable, math.inf, kernel.e2.real / kernel.e2c - 1.0)
-    vartheta = 1.0 / (1.0 + p + ew.sqrt(p * p + 2.0 * p))
-    n_min = _mode_count(vartheta, p_min)
+    p, vartheta = _p_vartheta(kernel.e2, kernel.e2c)
     return SchmidtSpectrum(p=p, vartheta=vartheta, entropy_bits=entropy(vartheta),
-                           n_min=n_min, n_min_index=n_min - 1, p_min=p_min)
+                           n_min=_mode_count(vartheta, p_min), p_min=p_min)
 
 
 def schmidt_mode(vartheta: float, n: int, x):

@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .entanglement import entropy
+from .entanglement import _p_vartheta, entropy
 from .errors import FitDiverged, NegativeDiscriminant, NoPhysicalRoot
 
 _F_SYMMETRIC_TOL = 1e-12
@@ -30,8 +30,6 @@ class MeasurementSet:
     sigma_omega_s: float
     sigma_omega_i: float
     b: float
-    omega_s0: float | None = None
-    omega_i0: float | None = None
 
     def __post_init__(self):
         if self.sigma_omega_s <= 0 or self.sigma_omega_i <= 0 or self.b <= 0:
@@ -57,17 +55,6 @@ class EstimateResult:
     f_ratio: float
     ambiguous: bool
     method: str
-
-
-def _entanglement_of(f2s: float, f2i: float, f2si: float) -> tuple[float, float]:
-    """(vartheta, entropy_bits) of a real coefficient triple."""
-    e2 = f2s - f2si**2 / (8.0 * f2i)
-    e2c = f2si**2 / (8.0 * f2i)
-    if e2c <= 1e-14 * abs(e2):
-        return 0.0, 0.0
-    p = e2 / e2c - 1.0
-    vartheta = 1.0 / (1.0 + p + math.sqrt(p * p + 2.0 * p))
-    return vartheta, entropy(vartheta)
 
 
 def _candidate(f2s: float, f: float, b: float) -> tuple[float, float, float] | None:
@@ -116,9 +103,9 @@ def estimate(ms: MeasurementSet) -> EstimateResult:
         if cand is None:
             continue
         f2s, f2i, f2si = cand
-        vartheta, se = _entanglement_of(f2s, f2i, f2si)
+        vartheta = _p_vartheta(f2s - f2si**2 / (8.0 * f2i), f2si**2 / (8.0 * f2i))[1]
         roots.append(RootEstimate(f2s_r=f2s, f2i_r=f2i, f2si_r=f2si,
-                                  vartheta=vartheta, entropy_bits=se))
+                                  vartheta=vartheta, entropy_bits=entropy(vartheta)))
     if not roots:
         raise NoPhysicalRoot(
             "no quadratic root gives positive coefficients with a "

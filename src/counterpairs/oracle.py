@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -55,6 +56,45 @@ _W7 = np.array(list(_WG[:3]) + [_WG[3]] + list(_WG[2::-1]))
 _ROW_BLOCK = 10     # rows at once: 10 x 1537 doubles, under the 128 KiB malloc mmaps
 _SCHMIDT_BLOCK, _SCHMIDT_MODES, _SCHMIDT_MAX_STEPS = 32, 8, 100
 _NORMAL_SQRT = math.sqrt(sys.float_info.min)
+_SPAN = 8.0         # rate and marginal grids reach +-8 widths of the sheared frame
+
+
+def _adaptive_gk(f, box, abs_tol: float, max_cells: int):
+    """quad2d over a box of (lo, hi) pairs in any dimension: a cell splits in
+    half along every axis."""
+    gauss = np.ix_(*[_G_IDX] * len(box))
+    shapes = [(-1,) + (1,) * k for k in reversed(range(len(box)))]    # axis k along dim k
+
+    def eval_cell(cell):
+        h = [0.5 * (hi - lo) for lo, hi in cell]
+        vals = f(*[(0.5 * (lo + hi) + hk * _NODES15).reshape(shape)
+                   for (lo, hi), hk, shape in zip(cell, h, shapes)])
+        val_k, val_g = vals, vals[gauss]
+        for _ in cell:
+            val_k, val_g = _W15 @ val_k, _W7 @ val_g
+        vol = math.prod(h)
+        val = vol * float(val_k)
+        return val, abs(val - vol * float(val_g))
+
+    val, err_total = eval_cell(box)
+    heap = [(-err_total, 0, box, val)]      # (-error, creation index, cell, value)
+    n_cells = 1
+    while err_total > abs_tol and heap:
+        if n_cells >= max_cells:
+            raise QuadratureNotConverged(
+                f"error estimate {err_total:.3g} above {abs_tol:.3g} "
+                f"after {n_cells} cells"
+            )
+        neg_err, _, cell, _ = heapq.heappop(heap)
+        err_total += neg_err
+        halves = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in cell]
+        for child in itertools.product(*halves):
+            v, e = eval_cell(child)
+            heapq.heappush(heap, (-e, n_cells, child, v))
+            err_total += e
+            n_cells += 1
+    done = sorted(heap, key=lambda c: c[1])
+    return math.fsum(c[3] for c in done), err_total
 
 
 def quad2d(f, xlim, ylim, abs_tol: float, max_cells: int = 20000):
@@ -66,72 +106,12 @@ def quad2d(f, xlim, ylim, abs_tol: float, max_cells: int = 20000):
     fixed-order final summation. Returns (value, error_estimate) and
     raises QuadratureNotConverged when the cell budget is exhausted.
     """
-
-    def eval_cell(ax, bx, ay, by):
-        hx, mx = 0.5 * (bx - ax), 0.5 * (ax + bx)
-        hy, my = 0.5 * (by - ay), 0.5 * (ay + by)
-        grid = f(mx + hx * _NODES15[:, None], my + hy * _NODES15[None, :])
-        val_k = hx * hy * float(_W15 @ grid @ _W15)
-        val_g = hx * hy * float(_W7 @ grid[np.ix_(_G_IDX, _G_IDX)] @ _W7)
-        return val_k, abs(val_k - val_g)
-
-    counter = 0
-    val, err = eval_cell(*xlim, *ylim)
-    heap = [(-err, counter, xlim[0], xlim[1], ylim[0], ylim[1], val)]
-    err_total = err
-    n_cells = 1
-    while err_total > abs_tol and heap:
-        if n_cells >= max_cells:
-            raise QuadratureNotConverged(
-                f"error estimate {err_total:.3g} above {abs_tol:.3g} "
-                f"after {n_cells} cells"
-            )
-        neg_err, _, ax, bx, ay, by, _ = heapq.heappop(heap)
-        err_total += neg_err
-        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-        for cxl, cxh in ((ax, mx), (mx, bx)):
-            for cyl, cyh in ((ay, my), (my, by)):
-                v, e = eval_cell(cxl, cxh, cyl, cyh)
-                counter += 1
-                heapq.heappush(heap, (-e, counter, cxl, cxh, cyl, cyh, v))
-                err_total += e
-                n_cells += 1
-    done = sorted(heap, key=lambda c: c[1])
-    value = math.fsum(c[6] for c in done)
-    return value, err_total
+    return _adaptive_gk(f, (xlim, ylim), abs_tol, max_cells)
 
 
 def quad1d(f, lim, abs_tol: float, max_cells: int = 20000):
     """Adaptive 1-D Gauss-Kronrod quadrature; same contract as quad2d."""
-
-    def eval_cell(a, b):
-        h, m = 0.5 * (b - a), 0.5 * (a + b)
-        vals = f(m + h * _NODES15)
-        val_k = h * float(_W15 @ vals)
-        val_g = h * float(_W7 @ vals[_G_IDX])
-        return val_k, abs(val_k - val_g)
-
-    counter = 0
-    val, err = eval_cell(*lim)
-    heap = [(-err, counter, lim[0], lim[1], val)]
-    err_total = err
-    n_cells = 1
-    while err_total > abs_tol and heap:
-        if n_cells >= max_cells:
-            raise QuadratureNotConverged(
-                f"error estimate {err_total:.3g} above {abs_tol:.3g}"
-            )
-        neg_err, _, a, b, _ = heapq.heappop(heap)
-        err_total += neg_err
-        m = 0.5 * (a + b)
-        for lo, hi in ((a, m), (m, b)):
-            v, e = eval_cell(lo, hi)
-            counter += 1
-            heapq.heappush(heap, (-e, counter, lo, hi, v))
-            err_total += e
-            n_cells += 1
-    done = sorted(heap, key=lambda c: c[1])
-    return math.fsum(c[4] for c in done), err_total
+    return _adaptive_gk(f, (lim,), abs_tol, max_cells)
 
 
 def _spectral_form(tpsa: GaussianTPSA):
@@ -183,10 +163,9 @@ def _shear(form, field: str):
             -a_si / (2.0 * a_p), -b_p / (2.0 * a_p), 1.0 / math.sqrt(2.0 * a_p))
 
 
-def quad_norm(tpsa: GaussianTPSA, span: float = 8.0,
-              abs_tol: float | None = None) -> float:
+def quad_norm(tpsa: GaussianTPSA, abs_tol: float | None = None) -> float:
     """Integral of |Phi|^2 over both frequencies by adaptive quadrature,
-    over +-span widths of the signal's sheared frame (unit Jacobian, so
+    over +-8 widths of the signal's sheared frame (unit Jacobian, so
     the inner width w is the only scale factor)."""
     form = _spectral_form(tpsa)
     cx, sx, k, m, w = _shear(form, "s")
@@ -195,8 +174,8 @@ def quad_norm(tpsa: GaussianTPSA, span: float = 8.0,
         return w * _density(form, x, k * x + m + w * u)
 
     if abs_tol is None:
-        abs_tol = 1e-9 * float(f(cx, 0.0)) * (2.0 * span * sx) * (2.0 * span)
-    value, _ = quad2d(f, (cx - span * sx, cx + span * sx), (-span, span), abs_tol)
+        abs_tol = 1e-9 * float(f(cx, 0.0)) * (2.0 * _SPAN * sx) * (2.0 * _SPAN)
+    value, _ = quad2d(f, (cx - _SPAN * sx, cx + _SPAN * sx), (-_SPAN, _SPAN), abs_tol)
     return value
 
 
@@ -239,13 +218,13 @@ def _moments(axis, marginal, h):
     return norm, mean, var
 
 
-def _marginal(form, field: str, n_points: int, span: float) -> MarginalResult:
-    """Marginal of scale exp(-2q) over the partner, on the sheared Simpson grid of +-span
-    marginal by +-span conditional widths, formed and reduced _ROW_BLOCK rows at a time."""
+def _marginal(form, field: str, n_points: int) -> MarginalResult:
+    """Marginal of scale exp(-2q) over the partner, on the sheared Simpson grid of +-8
+    marginal by +-8 conditional widths, formed and reduced _ROW_BLOCK rows at a time."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
     cx, sx, k, m, w = _shear(form, field)
-    t = np.linspace(-span, span, n_points)
+    t = np.linspace(-_SPAN, _SPAN, n_points)
     x = cx + sx * t
     h_p, h_x = w * (t[1] - t[0]), x[1] - x[0]
     fine = _simpson_weights(n_points) * (form[0] * h_p / 3.0)
@@ -277,16 +256,16 @@ def _marginal(form, field: str, n_points: int, span: float) -> MarginalResult:
 
 
 def numeric_marginal(tpsa: GaussianTPSA, field: str = "s",
-                     n_points: int = 2049, span: float = 8.0) -> MarginalResult:
+                     n_points: int = 2049) -> MarginalResult:
     """Marginal of |Phi|^2 over the partner frequency, with moments; without
     the hbar*omega intensity prefactor, to compare with the closed forms."""
-    return _marginal(_spectral_form(tpsa), field, n_points, span)
+    return _marginal(_spectral_form(tpsa), field, n_points)
 
 
 def numeric_time_marginal(td: TimeDomainTPSA, field: str = "s",
-                          n_points: int = 2049, span: float = 8.0) -> MarginalResult:
+                          n_points: int = 2049) -> MarginalResult:
     """Marginal of |Phi(tau_s, tau_i)|^2 over the partner time, with moments."""
-    return _marginal(_time_form(td), field, n_points, span)
+    return _marginal(_time_form(td), field, n_points)
 
 
 def sample_grid(tpsa: GaussianTPSA, n_points: int, span: float):

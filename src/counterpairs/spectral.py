@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import _elementwise as ew
 from .constants import C_LIGHT, HBAR
 from .errors import NonNormalizable, OutOfRange
-from .tpsa import GaussianTPSA, e_factor, l2_norm
+from .tpsa import GaussianTPSA, _marginal_form, l2_norm
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class RateResult:
     pairs_per_s: float
     per_pulse: float        # probability per pump pulse, pairs_per_s / f_rep
     d_fr: float
-    e_fr: float
 
     def __post_init__(self):
         if ew.violated((self.pairs_per_s >= 0) & (self.d_fr > 0), self):
@@ -65,8 +64,7 @@ def pair_rate(tpsa: GaussianTPSA) -> RateResult:
     tau_p and z_p.
     """
     n = l2_norm(tpsa)
-    return RateResult(pairs_per_s=n, per_pulse=n / tpsa.f_rep,
-                      d_fr=tpsa.d_fr, e_fr=e_factor(tpsa))
+    return RateResult(pairs_per_s=n, per_pulse=n / tpsa.f_rep, d_fr=tpsa.d_fr)
 
 
 def spectrum(tpsa: GaussianTPSA, field: str = "s") -> SpectrumParams:
@@ -76,19 +74,14 @@ def spectrum(tpsa: GaussianTPSA, field: str = "s") -> SpectrumParams:
     if ew.violated(tpsa.d_fr > 0):
         raise NonNormalizable(f"D_fr = {tpsa.d_fr:.3g} <= 0")
     own_omega0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
-    # Marginalizing over the partner field puts the partner curvature in charge.
-    other_f2 = (tpsa.f2i if field == "s" else tpsa.f2s).real
-    own_f1 = (tpsa.f1s if field == "s" else tpsa.f1i).real
-    other_f1 = (tpsa.f1i if field == "s" else tpsa.f1s).real
-    f2si_r = tpsa.f2si.real
-
-    sigma = ew.sqrt(2.0 * other_f2 / tpsa.d_fr)
-    shift = -(2.0 * other_f2 * own_f1 - f2si_r * other_f1) / tpsa.d_fr
+    sigma, shift, e, other_f2 = _marginal_form(
+        tpsa.f2s.real, tpsa.f2i.real, tpsa.f2si.real, tpsa.f1s.real, tpsa.f1i.real,
+        tpsa.d_fr, field)
     amp = (tpsa.c_phi_sq * ew.exp(-2.0 * tpsa.f0)
            * math.sqrt(math.pi) * HBAR * own_omega0
            * tpsa.tau_p * tpsa.z_p
            / (math.sqrt(2.0) * (1.0 + tpsa.a_p**2))
-           * e_factor(tpsa) / ew.sqrt(other_f2))
+           * e / ew.sqrt(other_f2))
     return SpectrumParams(amplitude=amp, sigma_omega=sigma,
                           delta_omega0=shift, field=field)
 

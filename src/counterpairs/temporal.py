@@ -23,7 +23,7 @@ from . import _elementwise as ew
 from .constants import HBAR
 from .errors import NonNormalizable, OutOfRange, SingularTransform
 from .spectral import spectrum
-from .tpsa import GaussianTPSA, e_factor
+from .tpsa import GaussianTPSA, _marginal_form, e_factor
 
 _DF_REL_FLOOR = 1e-12
 
@@ -156,23 +156,14 @@ def flux(tpsa: GaussianTPSA, field: str = "s") -> FluxParams:
         raise ValueError("field must be 's' or 'i'")
     td = time_domain(tpsa)
     own_omega0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
-    # The partner-axis curvature governs each marginal, as in the spectra.
-    other_t2 = td.t2i if field == "s" else td.t2s
-    own_t1 = td.t1s if field == "s" else td.t1i
-    other_t1 = td.t1i if field == "s" else td.t1s
-    e_t = ew.exp(2.0 * (td.t2s * td.t1i**2 + td.t2i * td.t1s**2
-                        - td.t2si * td.t1s * td.t1i) / td.d_t)
+    sigma, shift, e, other_t2 = _marginal_form(td.t2s, td.t2i, td.t2si, td.t1s, td.t1i,
+                                                td.d_t, field)
     amp = (tpsa.c_phi_sq * ew.exp(-2.0 * td.t0)
            * math.sqrt(math.pi) * HBAR * own_omega0
            * tpsa.tau_p * tpsa.z_p
            / (math.sqrt(2.0) * (1.0 + tpsa.a_p**2))
-           / abs(td.d_f) / ew.sqrt(other_t2) * e_t)
-    return FluxParams(
-        amplitude=amp,
-        sigma_tau=ew.sqrt(2.0 * other_t2 / td.d_t),
-        delta_tau0=-(2.0 * other_t2 * own_t1 - td.t2si * other_t1) / td.d_t,
-        field=field,
-    )
+           / abs(td.d_f) / ew.sqrt(other_t2) * e)
+    return FluxParams(amplitude=amp, sigma_tau=sigma, delta_tau0=shift, field=field)
 
 
 @dataclass(frozen=True)

@@ -317,16 +317,23 @@ def evaluate(tpsa: GaussianTPSA, omega_s, omega_i):
     return out if out.ndim else complex(out)
 
 
+def _marginal_form(a_s, a_i, a_si, b_s, b_i, d, field: str):
+    """(1/e width, centre, linear-term factor, partner curvature) of one field's
+    marginal of exp(-2q), q = a_s x_s^2 + a_i x_i^2 + a_si x_s x_i + b_s x_s + b_i x_i,
+    d = 4 a_s a_i - a_si^2."""
+    a_p, b_o, b_p = (a_i, b_s, b_i) if field == "s" else (a_s, b_i, b_s)
+    factor = ew.exp(2.0 * (a_s * b_i**2 + a_i * b_s**2 - a_si * b_s * b_i) / d)
+    return ew.sqrt(2.0 * a_p / d), -(2.0 * a_p * b_o - a_si * b_p) / d, factor, a_p
+
+
 def e_factor(tpsa: GaussianTPSA) -> float:
     """Linear-coefficient enhancement of the squared-amplitude integral.
 
     exp(2 (f2s^r f1i^2 + f2i^r f1s^2 - f2si^r f1s f1i) / D_fr), using the
     real parts of the linear coefficients.
     """
-    f1s, f1i = tpsa.f1s.real, tpsa.f1i.real
-    num = (tpsa.f2s.real * f1i**2 + tpsa.f2i.real * f1s**2
-           - tpsa.f2si.real * f1s * f1i)
-    return ew.exp(2.0 * num / tpsa.d_fr)
+    return _marginal_form(tpsa.f2s.real, tpsa.f2i.real, tpsa.f2si.real,
+                          tpsa.f1s.real, tpsa.f1i.real, tpsa.d_fr, "s")[2]
 
 
 def l2_norm(tpsa: GaussianTPSA) -> float:

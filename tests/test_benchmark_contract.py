@@ -1,9 +1,10 @@
 """The library surface the benchmark under perfbench/ calls and traces.
 
 perfbench/workloads.py, sheared.py and layers.py call the package with
-the argument shapes bound below, and the tracer looks functions up by
-"module.function" name. A change to the public API that breaks either
-fails here, in the fast tests, instead of in a benchmark run.
+the argument shapes bound below and read the attributes listed in READS
+off the values it returns, and the tracer looks functions up by
+"module.function" name. A change to the public API that breaks any of
+these fails here, in the fast tests, instead of in a benchmark run.
 """
 
 import importlib
@@ -16,6 +17,7 @@ import pytest
 import counterpairs as cp
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MODULES = ("cli", "config", "dispersion", "tpsa", "spectral", "temporal",
            "entanglement", "inverse", "oracle")
 for _module in MODULES:     # perfbench imports each one; the package does not
@@ -82,6 +84,46 @@ def test_sweep_point_takes_the_spec_second():
     # the tracer reads args[1].quantities of every config.sweep_point call
     params = list(inspect.signature(cp.config.sweep_point).parameters)
     assert params[:2] == ["sc", "spec"]
+
+
+# (type of a package value, the attribute paths perfbench reads off it)
+READS = [
+    ("TimeDomainTPSA", ("t2s", "t2i", "t2si", "t1s", "t1i")),
+    ("GaussianTPSA", ("omega_s0", "omega_i0", "f2s", "f2i", "f2si", "f1s", "f1i")),
+    ("Scenario", ("omega_s0", "omega_i0", "pump.f_rep")),
+    ("SweepSpec", ("axis1", "axis2", "quantities", "axis1.param", "axis1.values")),
+    ("HomDip", ("delta_tau_l",)),
+    ("SchmidtSpectrum", ("vartheta", "lambda_sq")),
+    ("SpectrumParams", ("sigma_omega",)),
+    ("FluxParams", ("sigma_tau",)),
+    ("RateResult", ("pairs_per_s",)),
+    ("MarginalResult", ("sigma_e1",)),
+    ("SeparabilityRoots", ("roots",)),
+]
+
+
+@pytest.fixture(scope="module")
+def package_values():
+    """One value of each READS type, from the shipped fig2 configs."""
+    sc = cp.config.resolve_scenario(cp.config.parse_config(CONFIGS / "fig2.cfg"))
+    tpsa = cp.config.build_scenario_tpsa(sc)
+    values = [
+        cp.temporal.time_domain(tpsa), tpsa, sc,
+        cp.config.parse_sweep(cp.config.parse_config(CONFIGS / "fig2_sweep.cfg")),
+        cp.hom_params(tpsa), cp.schmidt(cp.normalize(tpsa)), cp.spectrum(tpsa, "s"),
+        cp.flux(tpsa, "s"), cp.pair_rate(tpsa),
+        cp.oracle.numeric_marginal(tpsa, "s", n_points=1537),
+        cp.separability_roots(cp.config.scenario_material(sc), sc.pump),
+    ]
+    return {type(value).__name__: value for value in values}
+
+
+@pytest.mark.parametrize("kind,paths", READS, ids=[kind for kind, _ in READS])
+def test_attributes_perfbench_reads(package_values, kind, paths):
+    for path in paths:
+        obj = package_values[kind]
+        for part in path.split("."):
+            obj = getattr(obj, part)
 
 
 def _public_module_function(name):

@@ -1,5 +1,7 @@
 """Command-line driver: scenario/sweep/inverse round trips and determinism."""
 
+import csv
+import io
 import json
 import shutil
 from pathlib import Path
@@ -23,6 +25,7 @@ from counterpairs.temporal import hom_params
 from counterpairs.tpsa import normalize
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+INVERSE_INPUTS = Path(__file__).resolve().parent / "data" / "golden" / "inverse"
 
 
 def run_cli(capsys, *args):
@@ -300,6 +303,28 @@ class TestOutputFormat:
             json.loads(out, parse_constant=self._no_constant)
         assert len(list(CONFIG_DIR.glob("*.cfg"))) == 8
 
+    @pytest.mark.parametrize("command", ["scenario", "hom", "schmidt", "phase-match",
+                                         "dispersion-info", "inverse"])
+    def test_csv_output_rows_have_two_fields(self, capsys, command):
+        # the material label holds commas, so its rows must be quoted
+        if command == "inverse":
+            runs = [["--widths", str(INVERSE_INPUTS / f"{stem}_widths.cfg"),
+                     "--hom-csv", str(INVERSE_INPUTS / f"{stem}_dip.csv")]
+                    for stem in ("fig2", "fig2_split")]
+        else:
+            extra = ["--at", "1.064e-6"] if command == "dispersion-info" else []
+            runs = [["--config", str(cfg), *extra] for cfg in sorted(CONFIG_DIR.glob("*.cfg"))]
+        assert len(runs) == (2 if command == "inverse" else 8)
+        for argv in runs:
+            code, out, err = run_cli(capsys, command, *argv, "--format", "csv")
+            assert (code, err) == (0, ""), argv
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == ["key", "value"]
+            assert all(len(row) == 2 for row in rows), argv
+            if command in ("scenario", "dispersion-info"):
+                model = "inputs.waveguide.model" if command == "scenario" else "model"
+                assert dict(rows)[model] == "congruent LiNbO3, extraordinary index, 25 C"
+
     def test_separable_p_is_null_and_an_empty_csv_value(self, capsys):
         argv = ["--config", str(CONFIG_DIR / "separable.cfg"), "--neglect-g"]
         code, out, _ = run_cli(capsys, "schmidt", *argv)
@@ -325,7 +350,7 @@ class TestHomAndSchmidt:
         code, out, _ = run_cli(capsys, "schmidt", "--config", str(fig2_cfg))
         assert code == 0
         doc = json.loads(out)
-        assert doc["n_min"] == doc["n_min_index"] + 1
+        assert doc["n_min"] == 1 and "n_min_index" not in doc
         lams = doc["lambda_sq_first_8"]
         assert sum(lams) == pytest.approx(1.0, abs=1e-6)
 

@@ -62,8 +62,10 @@ class TestSchmidtSpectrum:
         sch = schmidt(t)
         assert sch.vartheta == 0.0
         assert sch.entropy_bits == 0.0
-        assert sch.n_min == 1 and sch.n_min_index == 0
+        assert sch.n_min == 1
         assert sch.lambda_sq(0) == 1.0 and sch.lambda_sq(3) == 0.0
+        with pytest.raises(ValueError, match="p_min must lie in"):
+            schmidt(t, p_min=1.0)       # checked as for an entangled state
 
     def test_half_vartheta_book_values(self):
         # theta = 1/2: entropy exactly 2 bits; cumulative sums

@@ -20,12 +20,11 @@ from counterpairs.temporal import FluxParams, _solve_dip_width
 INVARIANTS = [
     (SpectrumParams, dict(amplitude=1e-20, sigma_omega=1e13, delta_omega0=0.0, field="s"),
      "sigma_omega", -1e13, "amplitude must be >= 0 and sigma_omega > 0"),
-    (RateResult, dict(pairs_per_s=3e4, per_pulse=3.75e-4, d_fr=1e-52, e_fr=1.0),
+    (RateResult, dict(pairs_per_s=3e4, per_pulse=3.75e-4, d_fr=1e-52),
      "d_fr", -1e-52, "rate must be >= 0 and d_fr > 0"),
     (FluxParams, dict(amplitude=1e-5, sigma_tau=1e-13, delta_tau0=0.0, field="s"),
      "sigma_tau", 0.0, "sigma_tau must be positive"),
-    (SchmidtSpectrum, dict(p=0.25, vartheta=0.5, entropy_bits=2.0, n_min=5,
-                           n_min_index=4, p_min=0.95),
+    (SchmidtSpectrum, dict(p=0.25, vartheta=0.5, entropy_bits=2.0, n_min=5, p_min=0.95),
      "vartheta", 1.0, "vartheta must lie in [0, 1)"),
 ]
 IDS = [case[0].__name__ for case in INVARIANTS]

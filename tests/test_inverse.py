@@ -19,8 +19,6 @@ def _measure(tpsa):
         sigma_omega_s=spectrum(tpsa, "s").sigma_omega,
         sigma_omega_i=spectrum(tpsa, "i").sigma_omega,
         b=hom_params(tpsa).b,
-        omega_s0=tpsa.omega_s0,
-        omega_i0=tpsa.omega_i0,
     )
 
 

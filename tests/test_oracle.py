@@ -47,12 +47,16 @@ class TestQuadrature:
         val, _ = quad1d(lambda x: np.exp(-x * x), (-12, 12), abs_tol=1e-13)
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-13, abs=0)
 
-    def test_budget_exhaustion(self):
-        def nasty(x, y):
+    @pytest.mark.parametrize("integrate", [
+        lambda f: quad2d(f, (-50, 50), (-50, 50), abs_tol=1e-16, max_cells=64),
+        lambda f: quad1d(f, (-50, 50), abs_tol=1e-16, max_cells=64),
+    ], ids=["quad2d", "quad1d"])
+    def test_budget_exhaustion(self, integrate):
+        def nasty(x, y=0.0):
             return np.cos(40.0 * x) * np.cos(40.0 * y) + 1e-4 / (1e-8 + x**2 + y**2)
 
         with pytest.raises(QuadratureNotConverged):
-            quad2d(nasty, (-50, 50), (-50, 50), abs_tol=1e-16, max_cells=64)
+            integrate(nasty)
 
     def test_refinement_stability(self, make_case):
         # tightening the tolerance by 100x moves the answer by < 10x of it
@@ -233,7 +237,7 @@ class TestBlockedMarginal:
         for form in forms:
             for field in ("s", "i"):
                 want = _whole_grid_marginal(form, field, n_points)
-                got = oracle._marginal(form, field, n_points, 8.0)
+                got = oracle._marginal(form, field, n_points)
                 assert np.array_equal(got.axis, want.axis)
                 assert got.norm == pytest.approx(want.norm, rel=1e-14, abs=0)
                 assert got.sigma_e1 == pytest.approx(want.sigma_e1, rel=1e-14, abs=0)
@@ -259,7 +263,7 @@ class TestBlockedMarginal:
                             lambda form, field: (x_first + span * sx, sx, 0.0, 0.0, math.sqrt(0.5)))
         with np.errstate(over="raise"):
             with pytest.raises(ExponentOverflow) as got:
-                oracle._marginal(form, "s", n, span)
+                oracle._marginal(form, "s", n)
             with pytest.raises(ExponentOverflow) as want:
                 _whole_grid_marginal(form, "s", n, span)
         assert str(got.value) == str(want.value)
