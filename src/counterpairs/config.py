@@ -34,7 +34,7 @@ from .dispersion import (
 from .entanglement import SchmidtSpectrum, principal_axes, schmidt, separability_roots
 from .errors import ConfigInvalid, CounterpairsError, OutOfRange
 from .spectral import pair_rate, spectrum, wavelength_width, width_ratio
-from .temporal import HomDip, flux, hom_params, time_bandwidth
+from .temporal import HomDip, flux, hom_params, width_products
 from .tpsa import (
     FilterSpec,
     GaussianTPSA,
@@ -319,7 +319,7 @@ def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
     dip = hom_params(tpsa)
     sch = schmidt(normalize(tpsa), p_min=sc.p_min)
     axes = principal_axes(tpsa)
-    tb = time_bandwidth(tpsa)
+    tb = width_products(spec_s, spec_i, flux_s, flux_i)
     ratio = width_ratio(tpsa)
     if sc.pump.a_p == 0.0:
         sep = separability_roots(mp, sc.pump, include_g=sc.include_g)

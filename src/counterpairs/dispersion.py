@@ -212,19 +212,12 @@ def gamma(spec: WaveguideSpec, omega: float) -> float:
     return math.sqrt(n * omega * spec.alpha / C_LIGHT)
 
 
-def phase_match_residual(spec: WaveguideSpec, theta_p0: float,
-                         omega_s0: float, omega_i0: float) -> float:
+def momentum_mismatch(k_p0: float, theta_p0: float,
+                      beta_s0: float, beta_i0: float) -> float:
     """Momentum mismatch k_p0 sin(theta_p0) - beta_s0 + beta_i0, rad/m.
 
     Counter-propagation makes the idler contribute with reversed sign.
     """
-    kp0 = pump_wavevector(spec.model, omega_s0 + omega_i0)
-    return momentum_mismatch(kp0, theta_p0, beta(spec, omega_s0), beta(spec, omega_i0))
-
-
-def momentum_mismatch(k_p0: float, theta_p0: float,
-                      beta_s0: float, beta_i0: float) -> float:
-    """k_p0 sin(theta_p0) - beta_s0 + beta_i0 from precomputed wavevectors, rad/m."""
     return k_p0 * math.sin(theta_p0) - beta_s0 + beta_i0
 
 

@@ -12,7 +12,6 @@ silently.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -129,12 +128,16 @@ class HomFit:
 
 
 def fit_hom_B(samples, beat: float = 0.0) -> HomFit:
-    """Fit the dip model to (tau_l, R_n) samples.
+    """Fit the dip model to (tau_l, R_n) samples by variable projection.
 
-    The amplitude enters linearly, so the fit is separable: a dense
-    logarithmic scan over the envelope rate b followed by golden-section
-    refinement, with the optimal a solved in closed form at each b.
-    Requires at least 7 samples spanning the dip.
+    With depths d = 1 - R_n and model g = exp(-b tau^2) cos(beat tau), the
+    best amplitude at fixed b is a = D / G (D = sum d g, G = sum g^2), which
+    leaves a one-dimensional problem in x = log10 b: minimise
+    S(x) = sum d^2 - D^2 / G (Golub & Pereyra 1973). A 25-point scan of S
+    over 12 decades of b brackets the minimum; bisection on the sign of the
+    closed-form dS/dx, which is that of D (sum tau^2 d g * G - D sum tau^2 g^2),
+    then shrinks the bracket until its ends are adjacent floats. Each trial
+    b is evaluated once. Requires at least 7 samples spanning the dip.
     """
     pts = [(float(t), float(r)) for t, r in samples]
     if len(pts) < 7:
@@ -151,47 +154,45 @@ def fit_hom_B(samples, beat: float = 0.0) -> HomFit:
         raise ValueError("samples must span a range of delays")
 
     coss = [math.cos(beat * t) for t in taus]
+    tau2s = [t * t for t in taus]
 
-    @functools.cache        # keyed by log10 b: the golden section revisits trial points
-    def amp_and_sse(x):
+    def project(x):
+        """Model samples g, amplitude a = D/G and a multiple of dS/dx at b = 10**x."""
         b = 10.0**x
-        gs = [math.exp(-b * t * t) * cos_k for t, cos_k in zip(taus, coss)]
-        gg = dd = 0.0
-        for g, d in zip(gs, depths):
+        gs = [math.exp(-b * t2) * c for t2, c in zip(tau2s, coss)]
+        dg = gg = t2dg = t2gg = 0.0
+        for g, d, t2 in zip(gs, depths, tau2s):
+            dg += d * g
             gg += g * g
-            dd += g * d
-        a = dd / gg if gg > 0.0 else 0.0
-        sse = 0.0
+            t2dg += t2 * d * g
+            t2gg += t2 * g * g
+        return gs, (dg / gg if gg > 0.0 else 0.0), dg * (t2dg * gg - dg * t2gg)
+
+    def sse(gs, a):
+        total = 0.0     # summed directly: sum d^2 - D^2/G cancels on a close fit
         for g, d in zip(gs, depths):
-            sse += (d - a * g) ** 2
-        return a, sse
+            total += (d - a * g) ** 2
+        return total
 
     lo_exp = math.log10(1e-6 / tau_scale**2)
     hi_exp = math.log10(1e6 / tau_scale**2)
-    grid = [lo_exp + (hi_exp - lo_exp) * k / 240 for k in range(241)]
-    sses = [amp_and_sse(e)[1] for e in grid]
+    grid = [lo_exp + (hi_exp - lo_exp) * k / 24 for k in range(25)]
+    sses = [sse(*project(x)[:2]) for x in grid]
     k_best = min(range(len(grid)), key=lambda k: (sses[k], k))
     left = grid[max(k_best - 1, 0)]
     right = grid[min(k_best + 1, len(grid) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = right - invphi * (right - left)
-    x2 = left + invphi * (right - left)
-    f1, f2 = amp_and_sse(x1)[1], amp_and_sse(x2)[1]
-    for _ in range(120):
-        if f1 < f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - invphi * (right - left)
-            f1 = amp_and_sse(x1)[1]
+    x = 0.5 * (left + right)
+    while left < x < right:
+        if project(x)[2] > 0.0:
+            right = x
         else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + invphi * (right - left)
-            f2 = amp_and_sse(x2)[1]
-    b = 10.0 ** (0.5 * (left + right))
-    a, sse = amp_and_sse(0.5 * (left + right))
+            left = x
+        x = 0.5 * (left + right)
+    b = 10.0**x
+    gs, a, _ = project(x)
     if a <= 1e-10:
         raise FitDiverged(f"fitted dip contrast a = {a:.3g} is not identifiable")
-    if not (grid[0] + 1e-3 < math.log10(b) < grid[-1] - 1e-3):
+    if not (grid[0] + 1e-3 < x < grid[-1] - 1e-3):
         raise FitDiverged(f"envelope rate b = {b:.3g} pinned to the search boundary")
     return HomFit(a=a, b=b, beat=beat,
-                  residual_rms=math.sqrt(sse / len(pts)))
+                  residual_rms=math.sqrt(sse(gs, a) / len(pts)))

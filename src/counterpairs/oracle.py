@@ -7,9 +7,8 @@ the discretized amplitude, normalized by the sampled Frobenius mass, for
 Schmidt spectra, a direct Riemann-sum Fourier transform for the
 time-domain amplitude, and a no-Taylor evaluation of the
 single-pulse amplitude (exact propagation constants and exact
-transverse-overlap factor). Special functions are evaluated by in-house
-routines (rational-approximation erf, three-term Hermite recurrence) so
-the oracle shares no numerics with the paths it checks.
+transverse-overlap factor). The error function is an in-house rational
+approximation, so the oracle shares no numerics with the paths it checks.
 
 Rates and marginals integrate |Phi|^2 = scale exp(-2q), q the real
 quadratic form, one real exp per point, on a grid sheared along the
@@ -484,14 +483,3 @@ def erf_rational(x: float) -> float:
     else:
         erfc = 0.0
     return 1.0 - erfc if x > 0 else erfc - 1.0
-
-
-def hermite_poly(n: int, x):
-    """Physicists' Hermite polynomial H_n by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev, h = np.zeros_like(x), np.ones_like(x)      # H_-1 = 0, H_0 = 1
-    for k in range(n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)

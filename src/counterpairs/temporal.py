@@ -22,7 +22,7 @@ import numpy as np
 from . import _elementwise as ew
 from .constants import HBAR
 from .errors import NonNormalizable, OutOfRange, SingularTransform
-from .spectral import spectrum
+from .spectral import SpectrumParams, spectrum
 from .tpsa import GaussianTPSA, _marginal_form, e_factor
 
 _DF_REL_FLOOR = 1e-12
@@ -177,8 +177,15 @@ class TimeBandwidth:
 
 def time_bandwidth(tpsa: GaussianTPSA) -> TimeBandwidth:
     """sigma_w * sigma_tau per field; the s/i ratio is exactly 1 when chirp-free."""
-    prod_s = spectrum(tpsa, "s").sigma_omega * flux(tpsa, "s").sigma_tau
-    prod_i = spectrum(tpsa, "i").sigma_omega * flux(tpsa, "i").sigma_tau
+    return width_products(spectrum(tpsa, "s"), spectrum(tpsa, "i"),
+                          flux(tpsa, "s"), flux(tpsa, "i"))
+
+
+def width_products(spec_s: SpectrumParams, spec_i: SpectrumParams,
+                   flux_s: FluxParams, flux_i: FluxParams) -> TimeBandwidth:
+    """time_bandwidth from the spectra and fluxes of both fields, already formed."""
+    prod_s = spec_s.sigma_omega * flux_s.sigma_tau
+    prod_i = spec_i.sigma_omega * flux_i.sigma_tau
     return TimeBandwidth(product_s=prod_s, product_i=prod_i,
                          ratio=prod_s / prod_i)
 

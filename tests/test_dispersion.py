@@ -21,7 +21,7 @@ from counterpairs.dispersion import (
     gamma,
     group_velocity,
     index_derivative,
-    phase_match_residual,
+    momentum_mismatch,
     pump_wavevector,
     refractive_index,
     solve_phase_matching,
@@ -232,14 +232,20 @@ class TestGamma:
             7135539.325589644, rel=1e-12, abs=0)
 
 
+def _residual(wg, theta_p0, omega_s0, omega_i0):
+    """Momentum mismatch at theta_p0, formed as the phase-match subcommand forms it."""
+    k_p0 = pump_wavevector(wg.model, omega_s0 + omega_i0)
+    return momentum_mismatch(k_p0, theta_p0, beta(wg, omega_s0), beta(wg, omega_i0))
+
+
 def _bisect_angle(wg, omega_s0, omega_i0):
     lo, hi = -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9
-    f_lo = phase_match_residual(wg, lo, omega_s0, omega_i0)
+    f_lo = _residual(wg, lo, omega_s0, omega_i0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if phase_match_residual(wg, mid, omega_s0, omega_i0) * f_lo > 0:
+        if _residual(wg, mid, omega_s0, omega_i0) * f_lo > 0:
             lo = mid
-            f_lo = phase_match_residual(wg, lo, omega_s0, omega_i0)
+            f_lo = _residual(wg, lo, omega_s0, omega_i0)
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -281,7 +287,7 @@ class TestPhaseMatching:
             w_s = omega_of(lam_s)
             w_i = omega_of(LAMBDA_PUMP) - w_s
             theta = solve_phase_matching(waveguide, w_s, w_i)
-            res = phase_match_residual(waveguide, theta, w_s, w_i)
+            res = _residual(waveguide, theta, w_s, w_i)
             assert abs(res) < 1e-12 * pump_wavevector(waveguide.model, w_s + w_i)
 
 

@@ -1,6 +1,7 @@
 """Recovering the amplitude and entropy from measurable quantities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,48 +71,64 @@ class TestEstimate:
 
 
 def reference_fit(samples, beat=0.0):
-    """fit_hom_B as a plain loop that evaluates the model twice per trial b.
+    """fit_hom_B as plain loops: a 241-point scan, then gradient bisection.
 
-    The reference the fit must equal bit for bit: the same scan, the same
-    golden-section steps and the same summation order.
+    The scan of the squared error is ten times finer than the fit's, so
+    agreement also shows that the coarse scan brackets the same minimum.
+    The model is evaluated afresh for every sum, and the bisection runs on
+    the sign of the variable-projection gradient dS/dx, that of
+    D (sum tau^2 d g * G - D sum tau^2 g^2) with D = sum d g, G = sum g^2.
+    Where fit_hom_B must raise FitDiverged, this returns the message instead.
     """
     taus = [float(t) for t, _ in samples]
     depths = [1.0 - float(r) for _, r in samples]
 
-    def amp_and_sse(b):
-        gg = dd = 0.0
+    def fit_at(x):
+        b = 10.0**x
+        dg = gg = t2dg = t2gg = 0.0
         for t, d in zip(taus, depths):
             g = math.exp(-b * t * t) * math.cos(beat * t)
+            dg += d * g
             gg += g * g
-            dd += g * d
-        a = dd / gg if gg > 0.0 else 0.0
+            t2dg += t * t * d * g
+            t2gg += t * t * g * g
+        a = dg / gg if gg > 0.0 else 0.0
         sse = 0.0
         for t, d in zip(taus, depths):
-            g = math.exp(-b * t * t) * math.cos(beat * t)
-            sse += (d - a * g) ** 2
-        return a, sse
+            sse += (d - a * math.exp(-b * t * t) * math.cos(beat * t)) ** 2
+        return a, sse, dg * (t2dg * gg - dg * t2gg)
 
     scale = max(abs(t) for t in taus)
     lo, hi = math.log10(1e-6 / scale**2), math.log10(1e6 / scale**2)
     grid = [lo + (hi - lo) * k / 240 for k in range(241)]
-    sses = [amp_and_sse(10.0**e)[1] for e in grid]
+    sses = [fit_at(x)[1] for x in grid]
     k_best = min(range(len(grid)), key=lambda k: (sses[k], k))
     left, right = grid[max(k_best - 1, 0)], grid[min(k_best + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = right - invphi * (right - left), left + invphi * (right - left)
-    f1, f2 = amp_and_sse(10.0**x1)[1], amp_and_sse(10.0**x2)[1]
-    for _ in range(120):
-        if f1 < f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - invphi * (right - left)
-            f1 = amp_and_sse(10.0**x1)[1]
+    x = 0.5 * (left + right)
+    while left < x < right:
+        if fit_at(x)[2] > 0.0:
+            right = x
         else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + invphi * (right - left)
-            f2 = amp_and_sse(10.0**x2)[1]
-    b = 10.0 ** (0.5 * (left + right))
-    a, sse = amp_and_sse(b)
-    return HomFit(a=a, b=b, beat=beat, residual_rms=math.sqrt(sse / len(taus)))
+            left = x
+        x = 0.5 * (left + right)
+    a, sse, _ = fit_at(x)
+    if a <= 1e-10:
+        return f"fitted dip contrast a = {a:.3g} is not identifiable"
+    if not (lo + 1e-3 < x < hi - 1e-3):
+        return f"envelope rate b = {10.0**x:.3g} pinned to the search boundary"
+    return HomFit(a=a, b=10.0**x, beat=beat, residual_rms=math.sqrt(sse / len(taus)))
+
+
+def assert_fit_agrees_with_reference(samples, beat):
+    ref = reference_fit(samples, beat=beat)
+    if isinstance(ref, str):
+        with pytest.raises(FitDiverged, match=f"^{re.escape(ref)}$"):
+            fit_hom_B(samples, beat=beat)
+        return
+    fit = fit_hom_B(samples, beat=beat)
+    assert fit.a == pytest.approx(ref.a, rel=1e-11, abs=0)
+    assert fit.b == pytest.approx(ref.b, rel=1e-11, abs=0)
+    assert fit.beat == ref.beat
 
 
 class TestFitHom:
@@ -147,7 +164,8 @@ class TestFitHom:
 
     def test_flat_samples_diverge(self):
         taus = np.linspace(-1e-13, 1e-13, 21)
-        with pytest.raises(FitDiverged):
+        with pytest.raises(FitDiverged, match="^samples are flat at R_n = 1; a = 0 and b "
+                                              "is unidentifiable$"):
             fit_hom_B([(float(t), 1.0) for t in taus])
 
     def test_sample_count_precondition(self):
@@ -167,11 +185,22 @@ class TestFitHom:
 
     @pytest.mark.parametrize("n,lambda_s,noise", [(41, 1.064e-6, 0.0), (81, 1.058e-6, 0.0),
                                                   (41, 1.064e-6, 0.01), (201, 1.06e-6, 0.0)])
-    def test_fit_equals_the_loop_reference_bit_for_bit(self, make_case, n, lambda_s, noise):
+    def test_fit_agrees_with_the_loop_reference(self, make_case, n, lambda_s, noise):
         t = make_case(lambda_s=lambda_s).tpsa
         samples = self._samples(t, n, rng=np.random.default_rng(7), noise=noise)
-        beat = hom_params(t).beat
-        assert fit_hom_B(samples, beat=beat) == reference_fit(samples, beat=beat)
+        assert_fit_agrees_with_reference(samples, hom_params(t).beat)
+
+    def test_fit_agrees_with_the_loop_reference_on_random_dips(self, random_cases):
+        rng = np.random.default_rng(23)
+        kinds = set()
+        cases = random_cases(52, seed=311, chirp=False, include_g=False)
+        for k, case in enumerate(cases):
+            noise = 0.01 if k % 2 else 0.0
+            samples = self._samples(case.tpsa, 41 if k % 4 < 2 else 81, rng=rng, noise=noise)
+            beat = hom_params(case.tpsa).beat
+            assert_fit_agrees_with_reference(samples, beat)
+            kinds.add((beat != 0.0, noise))
+        assert len(kinds) == 4      # degenerate and split, noise-free and noisy
 
     def test_each_trial_evaluates_the_model_once(self, make_case, monkeypatch):
         t = make_case(lambda_s=1.058e-6).tpsa
@@ -185,6 +214,31 @@ class TestFitHom:
             monkeypatch.setattr(math, name, counted)
         fit_hom_B(samples, beat=beat)
         assert counts["cos"] == 201
-        # one exp per sample for each distinct trial b: at most the 241 scan
-        # points, the 122 golden-section points and the final b
-        assert counts["exp"] % 201 == 0 and counts["exp"] <= 364 * 201
+        # one exp per sample for each distinct trial b: the 25 scan points,
+        # about 48 bisection steps and the final b
+        assert counts["exp"] % 201 == 0 and counts["exp"] <= 80 * 201
+
+    @pytest.mark.parametrize("rate", [-0.2, 2.2])
+    def test_rate_outside_the_normalized_range_rejected(self, rate):
+        samples = [(k * 1e-15, 0.5) for k in range(-3, 4)] + [(4e-15, rate)]
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample R_n = {rate} is not a normalized coincidence rate")):
+            fit_hom_B(samples)
+
+    def test_samples_at_one_delay_rejected(self):
+        with pytest.raises(ValueError, match="^samples must span a range of delays$"):
+            fit_hom_B([(0.0, 0.5)] * 7)
+
+    def test_inverted_dip_is_not_identifiable(self):
+        samples = [(k * 1e-15, 1.0 + 0.5 * math.exp(-(k / 3) ** 2)) for k in range(-10, 11)]
+        with pytest.raises(FitDiverged,
+                           match=r"^fitted dip contrast a = -0\.5 is not identifiable$"):
+            fit_hom_B(samples)
+
+    def test_dip_narrower_than_the_sample_spacing_is_pinned(self):
+        # only the zero-delay sample dips: the error falls all the way to the
+        # top of the 12-decade window
+        samples = [(k * 1e-15, 0.0 if k == 0 else 1.0) for k in range(-100, 101)]
+        with pytest.raises(FitDiverged, match=r"^envelope rate b = 1e\+32 pinned to "
+                                              r"the search boundary$"):
+            fit_hom_B(samples)

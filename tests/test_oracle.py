@@ -16,7 +16,6 @@ from counterpairs.oracle import (
     dft_time_amplitude,
     erf_rational,
     exact_phi1p,
-    hermite_poly,
     numeric_marginal,
     numeric_schmidt,
     quad1d,
@@ -445,15 +444,6 @@ class TestSpecialFunctions:
                 series += (-1) ** k * x ** (2 * k + 1) / (math.factorial(k) * (2 * k + 1))
             series *= 2.0 / math.sqrt(math.pi)
             assert erf_rational(x) == pytest.approx(series, abs=1e-15)
-
-    def test_hermite_low_orders(self):
-        x = np.linspace(-2.0, 2.0, 9)
-        assert np.allclose(hermite_poly(0, x), np.ones_like(x))
-        assert np.allclose(hermite_poly(1, x), 2 * x)
-        assert np.allclose(hermite_poly(2, x), 4 * x**2 - 2)
-        assert np.allclose(hermite_poly(3, x), 8 * x**3 - 12 * x)
-        assert np.allclose(hermite_poly(4, x), 16 * x**4 - 48 * x**2 + 12)
-        assert np.allclose(hermite_poly(5, x), 32 * x**5 - 160 * x**3 + 120 * x)
 
 
 class TestDft:

@@ -1,11 +1,13 @@
 """Time-domain amplitude, fluxes, time-bandwidth relations, and the HOM dip."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from counterpairs import oracle
+from counterpairs import config, oracle, spectral, temporal
 from counterpairs.dispersion import group_velocity
 from counterpairs.errors import OutOfRange, SingularTransform
 from counterpairs.temporal import (
@@ -144,6 +146,22 @@ class TestTimeBandwidth:
             assert tb.product_s >= 1.0
             products.append(tb.product_s)
         assert products[0] < products[1] < products[2]
+
+    def test_scenario_forms_each_field_marginal_once(self, monkeypatch):
+        counts = {}
+        for home, name in ((spectral, "spectrum"), (temporal, "flux"), (temporal, "time_domain")):
+            original, counts[name] = getattr(home, name), 0
+
+            def counted(*args, name=name, original=original, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("counterpairs")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "fig2.cfg"
+        config.compute_scenario(config.resolve_scenario(config.parse_config(cfg)))
+        assert counts == {"spectrum": 2, "flux": 2, "time_domain": 2}
 
 
 class TestHom:
