@@ -30,7 +30,6 @@ from .config import (
     _hom_section,
     _parse_quantity,
     _read_assignments,
-    _schmidt,
     _schmidt_section,
     build_scenario_tpsa,
     compute_scenario,
@@ -48,6 +47,7 @@ from .dispersion import (
     pump_wavevector,
     refractive_index,
 )
+from .entanglement import schmidt
 from .errors import ConfigInvalid, CounterpairsError
 from .inverse import MeasurementSet, estimate, fit_hom_B
 from .temporal import hom_curve, hom_params
@@ -89,7 +89,8 @@ def _emit(doc: dict, fmt: str, out: str | None) -> None:
 
 def _load_scenario(args) -> Scenario:
     raw = parse_config(args.config)
-    return resolve_scenario(raw, include_g=args.include_g, p_min=args.p_min)
+    return resolve_scenario(raw, include_g=args.include_g,
+                            **({"p_min": args.p_min} if "p_min" in args else {}))
 
 
 def _cmd_scenario(args) -> dict:
@@ -181,7 +182,7 @@ def _cmd_hom(args) -> dict:
 
 def _cmd_schmidt(args) -> dict:
     sc = _load_scenario(args)
-    sch = _schmidt(sc, build_scenario_tpsa(sc))
+    sch = schmidt(build_scenario_tpsa(sc), p_min=sc.p_min)
     return {**_schmidt_section(sch), "p_min": sch.p_min}
 
 
@@ -277,24 +278,24 @@ def _cmd_dispersion_info(args) -> dict:
 _CONFIG = {"--config": dict(required=True, help="scenario config file")}
 _OUTPUT = {"--format": dict(choices=("json", "csv"), default="json"),
            "--out": dict(default=None, help="write output here instead of stdout")}
-_MODEL = {
-    ("--include-g", "--neglect-g"): (       # a tuple of flags: mutually exclusive
-        dict(dest="include_g", action="store_true", default=True,
-             help="keep transverse-overlap corrections (default)"),
-        dict(dest="include_g", action="store_false",
-             help="drop transverse-overlap corrections")),
-    "--p-min": dict(type=float, default=0.95,
-                    help="mode-count probability target (default 0.95)"),
-}
-_SCENARIO = {**_CONFIG, **_OUTPUT, **_MODEL}
+# phase-match and dispersion-info keep the G switch for callers that pass it to every command
+_G = {("--include-g", "--neglect-g"): (       # a tuple of flags: mutually exclusive
+    dict(dest="include_g", action="store_true", default=True,
+         help="keep transverse-overlap corrections (default)"),
+    dict(dest="include_g", action="store_false",
+         help="drop transverse-overlap corrections"))}
+_P_MIN = {"--p-min": dict(type=float, default=0.95,
+                          help="mode-count probability target (default 0.95)")}
+_DOCUMENT = {**_CONFIG, **_OUTPUT, **_G}
+_SCENARIO = {**_DOCUMENT, **_P_MIN}
 
 # subcommand -> (help, handler, the options it reads), in `--help` order
 _COMMANDS = {
     "scenario": ("all observables of one configuration", _cmd_scenario, _SCENARIO),
     "sweep": ("parameter sweep to CSV grids", _cmd_sweep,
-              {**_CONFIG, **_MODEL, "--out-dir": dict(required=True)}),
+              {**_CONFIG, **_G, **_P_MIN, "--out-dir": dict(required=True)}),
     "hom": ("coincidence-dip parameters and curve", _cmd_hom, {
-        **_SCENARIO,
+        **_DOCUMENT,
         "--curve-out": dict(default=None, help="write R_n(tau_l) CSV here"),
         "--points": dict(type=int, default=201),
         "--span": dict(type=float, default=3.0,
@@ -305,9 +306,9 @@ _COMMANDS = {
         "--widths": dict(required=True, help="measured-widths file"),
         "--hom-csv": dict(required=True, help="CSV of (tau_l, R_n) samples")}),
     "phase-match": ("central pump angle from momentum conservation", _cmd_phase_match,
-                    _SCENARIO),
+                    _DOCUMENT),
     "dispersion-info": ("index/propagation numbers at wavelengths", _cmd_dispersion_info, {
-        **_SCENARIO,
+        **_DOCUMENT,
         "--at": dict(type=float, action="append", required=True, metavar="LAMBDA_M",
                      help="vacuum wavelength in meters (repeatable)")}),
 }

@@ -40,7 +40,6 @@ from .tpsa import (
     GaussianTPSA,
     PumpSpec,
     assemble_tpsa,
-    normalize,
     refract_in,
     refract_out,
 )
@@ -317,7 +316,7 @@ def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
     flux_s = flux(tpsa, "s")
     flux_i = flux(tpsa, "i")
     dip = hom_params(tpsa)
-    sch = schmidt(normalize(tpsa), p_min=sc.p_min)
+    sch = schmidt(tpsa, p_min=sc.p_min)
     axes = principal_axes(tpsa)
     tb = width_products(spec_s, spec_i, flux_s, flux_i)
     ratio = width_ratio(tpsa)
@@ -416,10 +415,6 @@ def _sigma_lambda_nm(tpsa: GaussianTPSA, field: str):
     return wavelength_width(omega0, spectrum(tpsa, field).sigma_omega) * 1e9
 
 
-def _schmidt(sc: Scenario, tpsa: GaussianTPSA):
-    return schmidt(normalize(tpsa), p_min=sc.p_min)
-
-
 # Sweep output quantities: name -> (unit label, value from the swept scenario
 # and its amplitude). Each computes only what it reports, on one cell or on
 # a whole broadcast grid, with the formulas of scenario_bundle.
@@ -438,9 +433,9 @@ QUANTITIES = {
     "hom_B": ("1/s^2", lambda sc, t: hom_params(t).b),
     "visibility": ("1", lambda sc, t: hom_params(t).visibility),
     "delta_tau_l": ("fs", lambda sc, t: hom_params(t).delta_tau_l * 1e15),
-    "entropy": ("bits", lambda sc, t: _schmidt(sc, t).entropy_bits),
-    "vartheta": ("1", lambda sc, t: _schmidt(sc, t).vartheta),
-    "n_min": ("modes", lambda sc, t: _schmidt(sc, t).n_min),
+    "entropy": ("bits", lambda sc, t: schmidt(t, p_min=sc.p_min).entropy_bits),
+    "vartheta": ("1", lambda sc, t: schmidt(t, p_min=sc.p_min).vartheta),
+    "n_min": ("modes", lambda sc, t: schmidt(t, p_min=sc.p_min).n_min),
     "psi_si": ("deg", lambda sc, t: principal_axes(t).psi_si / _DEG),
     "theta_p0": ("deg", lambda sc, t: sc.pump.theta_p0 / _DEG),
 }

@@ -336,11 +336,10 @@ def material_point(spec: WaveguideSpec, omega_s0: float, omega_i0: float) -> Mat
     )
 
 
-def constant_model(n0: float, omega_window: tuple = (1e13, 2e16),
-                   material: str = "constant-index test material") -> DispersionModel:
+def constant_model(n0: float) -> DispersionModel:
     """Dispersionless model with fixed index n0 (test and limit cases)."""
-    return DispersionModel(material=material, kind="constant",
-                           coefficients=(float(n0),), omega_window=omega_window)
+    return DispersionModel(material="constant-index test material", kind="constant",
+                           coefficients=(float(n0),), omega_window=(1e13, 2e16))
 
 
 def _coefficients(material: str, kind: str, raw) -> tuple:

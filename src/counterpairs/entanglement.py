@@ -1,15 +1,19 @@
 """Analytic Schmidt decomposition, entanglement entropy, and separability.
 
-Tracing the idler out of a normalized Gaussian amplitude leaves a
-Gaussian reduced kernel whose eigenvalues form a geometric progression
-lambda_n^2 = (1 - theta) theta^n. A single asymmetry number
+Tracing the idler out of a normalized Gaussian amplitude leaves a reduced
+kernel exp(-e2 w'^2 - conj(e2) w^2 + 2 e2c w w') in centered signal
+detunings (times linear terms and a trace normalization that leave its
+spectrum alone), with e2 = f2s - f2si^2/(8 f2i^r), e2c = |f2si|^2/(8 f2i^r).
+Its eigenvalues form a geometric progression lambda_n^2 = (1 - theta) theta^n.
+A single asymmetry number
 
-    P = Re(e2)/e2c - 1
+    P = Re(e2)/e2c - 1 = 2 D_fr/|f2si|^2      (Re(e2) - e2c = D_fr/(4 f2i^r))
 
 fixes theta = 1/(1 + P + sqrt(P^2 + 2P)) and with it the base-2 entropy
 of entanglement and the number of modes needed to reach a target
-probability. P -> infinity (e2c -> 0, i.e. f2si -> 0) is the separable
-limit; P -> 0 is maximal entanglement.
+probability. The second form reads P off the quadratic form without
+cancellation and whatever the amplitude's scale. P -> infinity (f2si -> 0)
+is the separable limit; P -> 0 is maximal entanglement.
 
 Only the real part of e2 can influence the spectrum: the imaginary
 diagonal parts of the kernel are a pure gauge exp(i Im(e2) w^2) that a
@@ -26,33 +30,10 @@ import numpy as np
 
 from . import _elementwise as ew
 from .dispersion import MaterialPoint
-from .errors import NonNormalizable, OutOfRange
-from .tpsa import GaussianTPSA, PumpSpec, l2_norm
+from .errors import OutOfRange
+from .tpsa import GaussianTPSA, PumpSpec
 
 _SEPARABLE_SNAP = 1e-14    # e2c below this fraction of |e2| is exact separability
-_NORMALIZED_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ReducedKernel:
-    """Gaussian kernel of the reduced one-photon state.
-
-    kernel(w', w) = c_psi_sq * exp(-e2 w'^2 - conj(e2) w^2 + 2 e2c w w')
-                    * exp(-e1 w' - conj(e1) w)
-    in centered signal detunings; c_psi_sq makes the trace equal 1.
-    """
-
-    e2: complex
-    e2c: float
-    e1: complex
-    c_psi_sq: float
-
-    def __post_init__(self):
-        if ew.violated((self.e2c >= 0) & (self.e2.real > self.e2c), self):
-            raise NonNormalizable(
-                f"reduced kernel not normalizable: Re e2 = {self.e2.real:.3g}, "
-                f"e2c = {self.e2c:.3g}"
-            )
 
 
 @dataclass(frozen=True)
@@ -76,25 +57,6 @@ class SchmidtSpectrum:
         if n < 0:
             raise OutOfRange("n must be >= 0")
         return (1.0 - self.vartheta) * self.vartheta**n
-
-
-def reduced_kernel(tpsa: GaussianTPSA) -> ReducedKernel:
-    """Trace out the idler of a normalized amplitude."""
-    norm = l2_norm(tpsa)
-    normalized = abs(norm - 1.0) <= _NORMALIZED_TOL
-    if ew.violated(normalized):
-        raise NonNormalizable(
-            f"amplitude L2 norm is {norm:.6g}; normalize() it before reducing"
-        )
-    f2i_r = tpsa.f2i.real
-    e2 = ew.where(normalized, tpsa.f2s - tpsa.f2si**2 / (8.0 * f2i_r), math.nan)
-    e2c = abs(tpsa.f2si) ** 2 / (8.0 * f2i_r)
-    e1 = tpsa.f1s - tpsa.f2si * tpsa.f1i.real / (2.0 * f2i_r)
-    gap = e2.real - e2c
-    if ew.violated(gap > 0):
-        raise NonNormalizable(f"Re e2 - e2c = {gap:.3g} <= 0")
-    c_psi_sq = ew.sqrt(2.0 * gap / math.pi) * ew.exp(-e1.real**2 / (2.0 * gap))
-    return ReducedKernel(e2=e2, e2c=e2c, e1=e1, c_psi_sq=c_psi_sq)
 
 
 def entropy(vartheta):
@@ -123,23 +85,25 @@ def _mode_count(vartheta, p_min: float):
     return ew.where(vartheta == 0.0, 1, m)
 
 
-def _p_vartheta(e2, e2c):
-    """(P, vartheta) of a reduced kernel's e2 (complex or real) and e2c; exactly
-    separable kernels (e2c below 1e-14 of |e2|) snap to P = inf, vartheta = 0."""
-    separable = e2c <= _SEPARABLE_SNAP * abs(e2)
+def _p_vartheta(f2s, f2i_r, f2si, d_fr):
+    """(P, vartheta) of a quadratic form: f2s and f2si complex or real, f2i_r =
+    Re f2i, d_fr = 4 f2s^r f2i_r - (f2si^r)^2. Exactly separable forms (e2c
+    below 1e-14 of |e2|) snap to P = inf, vartheta = 0."""
+    c_sq = abs(f2si) ** 2
+    e2c = c_sq / (8.0 * f2i_r)
+    separable = e2c <= _SEPARABLE_SNAP * abs(f2s - f2si**2 / (8.0 * f2i_r))
     if ew.holds(separable):
         return math.inf, 0.0
-    p = ew.where(separable, math.inf, e2.real / e2c - 1.0)
+    p = ew.where(separable, math.inf, 2.0 * d_fr / c_sq)
     return p, 1.0 / (1.0 + p + ew.sqrt(p * p + 2.0 * p))
 
 
 def schmidt(tpsa: GaussianTPSA, p_min: float = 0.95) -> SchmidtSpectrum:
-    """Schmidt spectrum of a normalized Gaussian amplitude.
+    """Schmidt spectrum of a Gaussian amplitude, normalized or not.
 
     Separable kernels have vartheta = 0 and a single unit eigenvalue.
     """
-    kernel = reduced_kernel(tpsa)
-    p, vartheta = _p_vartheta(kernel.e2, kernel.e2c)
+    p, vartheta = _p_vartheta(tpsa.f2s, tpsa.f2i.real, tpsa.f2si, tpsa.d_fr)
     return SchmidtSpectrum(p=p, vartheta=vartheta, entropy_bits=entropy(vartheta),
                            n_min=_mode_count(vartheta, p_min), p_min=p_min)
 

@@ -56,15 +56,15 @@ class EstimateResult:
     method: str
 
 
-def _candidate(f2s: float, f: float, b: float) -> tuple[float, float, float] | None:
-    """Complete a candidate triple and filter it for physicality."""
+def _candidate(f2s: float, f: float, b: float) -> tuple[float, float, float, float] | None:
+    """Complete a candidate triple with its determinant; filter it for physicality."""
     if not (f2s > 0.0 and math.isfinite(f2s)):
         return None
     f2i = f2s / f
     f2si = (f + 1.0) / f * f2s - 1.0 / (2.0 * b)
-    if 4.0 * f2s * f2i - f2si**2 <= 0.0:
+    if (d_fr := 4.0 * f2s * f2i - f2si**2) <= 0.0:
         return None
-    return f2s, f2i, f2si
+    return f2s, f2i, f2si, d_fr
 
 
 def estimate(ms: MeasurementSet) -> EstimateResult:
@@ -101,8 +101,8 @@ def estimate(ms: MeasurementSet) -> EstimateResult:
     for cand in candidates:
         if cand is None:
             continue
-        f2s, f2i, f2si = cand
-        vartheta = _p_vartheta(f2s - f2si**2 / (8.0 * f2i), f2si**2 / (8.0 * f2i))[1]
+        f2s, f2i, f2si, d_fr = cand
+        vartheta = _p_vartheta(f2s, f2i, f2si, d_fr)[1]
         roots.append(RootEstimate(f2s_r=f2s, f2i_r=f2i, f2si_r=f2si,
                                   vartheta=vartheta, entropy_bits=entropy(vartheta)))
     if not roots:
@@ -137,7 +137,8 @@ def fit_hom_B(samples, beat: float = 0.0) -> HomFit:
     over 12 decades of b brackets the minimum; bisection on the sign of the
     closed-form dS/dx, which is that of D (sum tau^2 d g * G - D sum tau^2 g^2),
     then shrinks the bracket until its ends are adjacent floats. Each trial
-    b is evaluated once. Requires at least 7 samples spanning the dip.
+    b is evaluated once. A fit no better than the top of the window leaves b
+    unbounded: pinned. Requires at least 7 samples spanning the dip.
     """
     pts = [(float(t), float(r)) for t, r in samples]
     if len(pts) < 7:
@@ -188,11 +189,13 @@ def fit_hom_B(samples, beat: float = 0.0) -> HomFit:
         else:
             left = x
         x = 0.5 * (left + right)
-    b = 10.0**x
     gs, a, _ = project(x)
+    residual = sse(gs, a)
+    if residual == sses[-1]:
+        x = grid[-1]    # the top of the window fits as well: the data do not bound b
+    b = 10.0**x
     if a <= 1e-10:
         raise FitDiverged(f"fitted dip contrast a = {a:.3g} is not identifiable")
     if not (grid[0] + 1e-3 < x < grid[-1] - 1e-3):
         raise FitDiverged(f"envelope rate b = {b:.3g} pinned to the search boundary")
-    return HomFit(a=a, b=b, beat=beat,
-                  residual_rms=math.sqrt(sse(gs, a) / len(pts)))
+    return HomFit(a=a, b=b, beat=beat, residual_rms=math.sqrt(residual / len(pts)))

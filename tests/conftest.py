@@ -11,7 +11,6 @@ import pytest
 import counterpairs as cp
 from counterpairs.constants import C_LIGHT
 from counterpairs.dispersion import GTaylor, MaterialPoint
-from counterpairs.entanglement import ReducedKernel
 from counterpairs.tpsa import GaussianTPSA
 
 LAMBDA_PUMP = 0.532e-6     # transverse pump
@@ -104,13 +103,20 @@ def random_cases(make_case):
     return gen
 
 
-# --- magnitude-based Schmidt asymmetry (cross-checks of entanglement) ------
+# --- reduced kernel and magnitude-based Schmidt asymmetry (cross-checks) -----
 
-def p_from_kernel(kernel: ReducedKernel) -> float:
+def kernel_coefficients(tpsa: GaussianTPSA) -> tuple:
+    """(e2, e2c) of the reduced one-photon kernel
+    exp(-e2 w'^2 - conj(e2) w^2 + 2 e2c w w'), from the f coefficients."""
+    f2i_r = tpsa.f2i.real
+    return tpsa.f2s - tpsa.f2si**2 / (8.0 * f2i_r), abs(tpsa.f2si) ** 2 / (8.0 * f2i_r)
+
+
+def p_from_kernel(e2: complex, e2c: float) -> float:
     """Magnitude-based asymmetry |e2|/e2c - 1 (diagnostic; inf when separable)."""
-    if kernel.e2c == 0.0:
+    if e2c == 0.0:
         return math.inf
-    return abs(kernel.e2) / kernel.e2c - 1.0
+    return abs(e2) / e2c - 1.0
 
 
 def p_from_f(tpsa: GaussianTPSA) -> float:

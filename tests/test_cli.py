@@ -60,6 +60,20 @@ class TestScenario:
         assert doc["schmidt"]["entropy_bits"] == 0.0
         assert doc["schmidt"]["n_min"] == 1
 
+    def test_zero_pump_power_keeps_the_schmidt_section(self, capsys, tmp_path):
+        # no pairs at 0 W, but the amplitude's shape and so its entanglement
+        # are those at any power: the Schmidt spectrum never normalizes it
+        text = (CONFIG_DIR / "fig2.cfg").read_text()
+        dark = tmp_path / "dark.cfg"
+        dark.write_text(text.replace("pump.P_p = 1 W", "pump.P_p = 0 W"))
+        assert "pump.P_p = 0 W" in dark.read_text()
+        code, out, _ = run_cli(capsys, "scenario", "--config", str(dark))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rate"]["N_pairs_per_s"] == 0.0
+        _, lit, _ = run_cli(capsys, "scenario", "--config", str(CONFIG_DIR / "fig2.cfg"))
+        assert doc["schmidt"] == json.loads(lit)["schmidt"]
+
     def test_malformed_unit_names_field(self, capsys, tmp_path):
         text = (CONFIG_DIR / "fig2.cfg").read_text().replace(
             "pump.tau_p = 1e-13 s", "pump.tau_p = 1e-13 sec")
@@ -495,9 +509,13 @@ class TestParser:
         ["inverse", "--widths", "w", "--hom-csv", "h", "--include-g"],
         ["inverse", "--widths", "w", "--hom-csv", "h", "--neglect-g"],
         ["inverse", "--widths", "w", "--hom-csv", "h", "--p-min", "0.9"],
+        ["hom", "--config", "c", "--points", "11", "--p-min", "0.5"],
+        ["phase-match", "--config", "c", "--format", "csv", "--p-min", "0.5"],
+        ["dispersion-info", "--config", "c", "--at", "1e-6", "--p-min", "0.5"],
     ], ids=lambda argv: f"{argv[0]} {argv[5]}")
     def test_options_a_subcommand_does_not_read_are_usage_errors(self, capsys, argv):
-        # sweep writes no document, and inverse builds no scenario
+        # sweep writes no document, inverse builds no scenario, and hom,
+        # phase-match and dispersion-info count no Schmidt modes
         code, _, err = _exit(capsys, main, argv)
         assert code == 2
         assert f"unrecognized arguments: {' '.join(argv[5:])}" in err

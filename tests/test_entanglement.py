@@ -11,47 +11,25 @@ from counterpairs.dispersion import group_velocity, pump_wavevector
 from counterpairs.entanglement import (
     entropy,
     principal_axes,
-    reduced_kernel,
     schmidt,
     schmidt_mode,
     separability_roots,
 )
-from counterpairs.errors import NonNormalizable, OutOfRange
+from counterpairs.errors import OutOfRange
 from counterpairs.oracle import quad1d
 from counterpairs.tpsa import build_tpsa, normalize
-from conftest import p_from_f, p_from_kernel
+from conftest import kernel_coefficients, p_from_f, p_from_kernel
 
 
 class TestReducedKernel:
-    def test_requires_normalized_input(self, make_case):
-        with pytest.raises(NonNormalizable):
-            reduced_kernel(make_case().tpsa)
-
     def test_separable_input_has_no_coupling(self, make_case):
         # on the design curve Z_p = v_s tau_p the cross coefficient vanishes
         v_s = group_velocity(make_case().wg, make_case().omega_s0, "guided")
-        t = normalize(make_case(tau_p=1e-13, z_p=v_s * 1e-13,
-                                include_g=False).tpsa)
+        t = make_case(tau_p=1e-13, z_p=v_s * 1e-13, include_g=False).tpsa
         assert abs(t.f2si) < 1e-6 * abs(t.f2s)
-        k = reduced_kernel(t)
-        assert k.e2c <= 1e-12 * abs(k.e2)
-        assert k.e2 == pytest.approx(t.f2s, rel=1e-9, abs=0)
-
-    def test_real_coefficients_propagate(self, make_case):
-        k = reduced_kernel(normalize(make_case().tpsa))
-        assert k.e2.imag == 0.0
-
-    def test_trace_normalization_by_quadrature(self, make_case):
-        t = normalize(make_case(sigma_s=3e13, sigma_i=5e13).tpsa)
-        k = reduced_kernel(t)
-        gap = k.e2.real - k.e2c
-        width = 1.0 / math.sqrt(gap)
-
-        def diagonal(w):
-            return k.c_psi_sq * np.exp(-2.0 * gap * w**2
-                                       - 2.0 * k.e1.real * w)
-        val, _ = quad1d(diagonal, (-12 * width, 12 * width), abs_tol=1e-12)
-        assert val == pytest.approx(1.0, abs=1e-8)
+        e2, e2c = kernel_coefficients(t)
+        assert e2c <= 1e-12 * abs(e2)
+        assert e2 == pytest.approx(t.f2s, rel=1e-9, abs=0)
 
 
 class TestSchmidtSpectrum:
@@ -119,6 +97,16 @@ class TestSchmidtSpectrum:
             compared += 1
         assert compared >= 7
 
+    def test_amplitude_scale_does_not_enter(self, random_cases):
+        # P is read off the quadratic form alone: a normalized copy, which
+        # differs only in c_phi_sq, gives the same bits
+        for case in random_cases(20, seed=59, chirp=True):
+            t = case.tpsa
+            assert normalize(t).c_phi_sq != t.c_phi_sq
+            assert schmidt(t) == schmidt(normalize(t))
+        zero = replace(t, c_phi_sq=0.0)     # a pump of 0 W: no norm at all
+        assert schmidt(zero) == schmidt(t)
+
     def test_chirp_increases_entanglement(self, make_case):
         plain = schmidt(normalize(make_case().tpsa))
         chirped = schmidt(normalize(make_case(a_p=1.2).tpsa))
@@ -126,8 +114,8 @@ class TestSchmidtSpectrum:
 
     def test_asymmetry_diagnostics_agree(self, random_cases):
         for case in random_cases(10, seed=37):
-            t = normalize(case.tpsa)
-            p_kernel = p_from_kernel(reduced_kernel(t))
+            t = case.tpsa
+            p_kernel = p_from_kernel(*kernel_coefficients(t))
             p_direct = p_from_f(t)
             if math.isinf(p_kernel):
                 assert math.isinf(p_direct)

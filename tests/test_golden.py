@@ -16,6 +16,10 @@ exact output of the CLI, not only its numbers. The inverse inputs are
 the fig2 widths and 201-point dip written by `scenario` and `hom`, with
 degenerate centrals and with 1.060/1.068 um centrals (fig2_split); they
 are stored, so the inverse goldens do not move with the forward model.
+The fig2 schmidt and the inverse files were written again when the Schmidt
+parameter became P = 2 D_fr/|f2si|^2 (last digits of P, vartheta and what
+follows from them), and the hom, phase-match and dispersion-info help
+texts when those subcommands stopped taking --p-min.
 """
 
 import json

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from counterpairs import oracle
+from counterpairs.constants import HBAR
 from counterpairs.errors import NonNormalizable
 from counterpairs.spectral import (
     fwhm,
@@ -104,6 +105,15 @@ class TestSpectrum:
             params_i = spectrum(case.tpsa, "i")
             marg_i = oracle.numeric_marginal(case.tpsa, "i")
             assert marg_i.sigma_e1 == pytest.approx(params_i.sigma_omega, rel=1e-4, abs=0)
+
+    def test_peak_amplitude_against_oracle(self, random_cases):
+        # a Gaussian of norm N and 1/e half-width sigma peaks at N/(sqrt(pi) sigma)
+        for case in random_cases(6, seed=13, chirp=True):
+            for field, omega0 in (("s", case.omega_s0), ("i", case.omega_i0)):
+                marg = oracle.numeric_marginal(case.tpsa, field)
+                peak = HBAR * omega0 * marg.norm / (math.sqrt(math.pi) * marg.sigma_e1)
+                assert spectrum(case.tpsa, field).amplitude == pytest.approx(
+                    peak, rel=1e-6, abs=0)
 
     def test_center_shift_matches_oracle(self, make_case):
         t = make_case().tpsa  # corrections on -> nonzero linear coefficients

@@ -164,3 +164,23 @@ def test_a_failure_every_cell_shares_fails_each_cell(capsys, tmp_path):
     assert read_cells(out / "errors.csv") == [["SingularTransform"]] * 3
     for name in ("N", "sigma_tau_s"):
         assert read_cells(out / f"{name}.csv") == [["nan"]] * 3
+
+
+@pytest.mark.parametrize("name", ["fig6_sweep", "fig7_sweep"])
+def test_schmidt_cells_equal_their_scalar_evaluation(name):
+    # P = 2 D_fr/|f2si|^2 has no cancelling difference, so the broadcast and
+    # the scalar arithmetic agree to rounding: vartheta and n_min exactly
+    raw = config.parse_config(CONFIG_DIR / f"{name}.cfg")
+    sc, spec = config.resolve_scenario(raw), config.parse_sweep(raw)
+    assert sorted(spec.quantities) == ["entropy", "n_min", "vartheta"]
+    axis2 = None if spec.axis2 is None else spec.axis2.values
+    grid = config.sweep_point(sc, spec, spec.axis1.values, axis2)
+    mp = config.scenario_material(sc)
+    for i, v1 in enumerate(spec.axis1.values):
+        for j, v2 in enumerate([None] if axis2 is None else axis2):
+            cell = config._evaluate_sweep(sc, spec, mp, v1, v2)[1]
+            assert grid.errors[i][j] is None
+            assert grid.values["vartheta"][i][j] == cell["vartheta"]
+            assert grid.values["n_min"][i][j] == cell["n_min"]
+            assert grid.values["entropy"][i][j] == pytest.approx(
+                cell["entropy"], rel=1e-15, abs=0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from counterpairs import config, oracle, spectral, temporal
+from counterpairs.constants import HBAR
 from counterpairs.dispersion import group_velocity
 from counterpairs.errors import OutOfRange, SingularTransform
 from counterpairs.temporal import (
@@ -120,6 +121,16 @@ class TestFlux:
                 closed = flux(case.tpsa, field).sigma_tau
                 numeric = oracle.numeric_time_marginal(td, field).sigma_e1
                 assert numeric == pytest.approx(closed, rel=1e-4, abs=0)
+
+    def test_peak_amplitude_against_time_marginal_oracle(self, random_cases):
+        # a Gaussian of norm N and 1/e half-width sigma peaks at N/(sqrt(pi) sigma)
+        for case in random_cases(6, seed=19, chirp=True):
+            td = time_domain(case.tpsa)
+            for field, omega0 in (("s", case.omega_s0), ("i", case.omega_i0)):
+                marg = oracle.numeric_time_marginal(td, field)
+                peak = HBAR * omega0 * marg.norm / (math.sqrt(math.pi) * marg.sigma_e1)
+                assert flux(case.tpsa, field).amplitude == pytest.approx(
+                    peak, rel=1e-6, abs=0)
 
 
 class TestTimeBandwidth:
