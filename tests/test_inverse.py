@@ -235,11 +235,18 @@ class TestFitHom:
                            match=r"^fitted dip contrast a = -0\.5 is not identifiable$"):
             fit_hom_B(samples)
 
-    @pytest.mark.parametrize("n,b_top", [(7, "1.11e+35"), (41, "2.5e+33"), (201, "1e+32")])
-    def test_dip_narrower_than_the_sample_spacing_is_pinned(self, n, b_top):
+    def test_dip_narrower_than_the_sample_spacing_is_pinned(self):
         # only the zero-delay sample dips: the error falls all the way to the
-        # top of the 12-decade window (1e6 / max tau^2), and with 7 samples
-        # every b above about 1e33 fits exactly, so nothing bounds b either
+        # top of the 12-decade window (1e6 / max tau^2)
+        samples = [(k * 1e-15, 0.0 if k == 0 else 1.0) for k in range(-100, 101)]
+        with pytest.raises(FitDiverged, match=r"^envelope rate b = 1e\+32 pinned to "
+                                              r"the search boundary$"):
+            fit_hom_B(samples)
+
+    @pytest.mark.parametrize("n,b_top", [(7, "1.11e+35"), (41, "2.5e+33")])
+    def test_dip_narrower_than_the_spacing_of_few_samples_is_pinned(self, n, b_top):
+        # as above on a shorter delay range; with 7 samples every b above
+        # about 1e33 fits exactly, so nothing bounds b either
         samples = [(k * 1e-15, 0.0 if k == 0 else 1.0) for k in range(-(n // 2), n // 2 + 1)]
         with pytest.raises(FitDiverged, match=rf"^envelope rate b = {re.escape(b_top)} "
                                               r"pinned to the search boundary$"):
