@@ -152,6 +152,7 @@ def _cmd_sweep(args) -> None:
         "version": __version__,
         "config_sha256": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
         "include_g": args.include_g,
+        "p_min": args.p_min,
         "axis1": {"param": spec.axis1.param, "points": len(spec.axis1.values),
                   "scale": spec.axis1.scale},
         "axis2": None if spec.axis2 is None else {
@@ -261,6 +262,8 @@ def _cmd_dispersion_info(args) -> dict:
     sc = _load_scenario(args)
     doc = {"model": sc.wg.model.material, "points": []}
     for lam in args.at:
+        if not lam > 0:
+            raise ConfigInvalid(f"--at {lam!r} is not a positive wavelength", field="--at")
         omega = 2.0 * math.pi * C_LIGHT / lam
         doc["points"].append({
             "lambda_m": lam,

@@ -90,6 +90,10 @@ SWEEP_PARAMS = {
     "filters.sigma_both": "rad/s",
     "filters.sigma_both_nm": "nm",
 }
+# the settings a sweepable parameter writes where they are not its own
+_WRITES = {"pump.D_theta_out": {"pump.Dtilde_theta"},
+           "filters.sigma_both": {"filters.sigma_s", "filters.sigma_i"},
+           "filters.sigma_both_nm": {"filters.sigma_s", "filters.sigma_i"}}
 
 
 def _read_assignments(path: str | Path, keys) -> dict:
@@ -185,6 +189,10 @@ def resolve_scenario(raw: dict, *, include_g: bool = True,
     except ValueError as exc:
         raise ConfigInvalid(str(exc), field="waveguide") from exc
 
+    for key in ("centrals.lambda_s0", "centrals.lambda_i0", "pump.lambda_p0"):
+        if not get(key) > 0:
+            raise ConfigInvalid(f"{key} must be a positive wavelength; got {raw[key]!r}",
+                                field=key)
     omega_s0 = 2.0 * math.pi * C_LIGHT / get("centrals.lambda_s0")
     omega_i0 = 2.0 * math.pi * C_LIGHT / get("centrals.lambda_i0")
     omega_p0 = omega_s0 + omega_i0
@@ -503,6 +511,10 @@ def parse_sweep(raw: dict) -> SweepSpec:
     if axis1 is None:
         raise ConfigInvalid("sweep.axis1 is required for sweeps", field="sweep.axis1")
     axis2 = _parse_axis(raw, "axis2")
+    if axis2 is not None and (_WRITES.get(axis1.param, {axis1.param})
+                              & _WRITES.get(axis2.param, {axis2.param})):
+        raise ConfigInvalid(f"sweep.axis2: {axis2.param!r} and sweep.axis1 "
+                            f"{axis1.param!r} set the same setting", field="sweep.axis2")
     if "sweep.quantities" not in raw:
         raise ConfigInvalid("sweep.quantities is required", field="sweep.quantities")
     names = tuple(raw["sweep.quantities"].replace(",", " ").split())

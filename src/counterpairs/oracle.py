@@ -126,7 +126,7 @@ def _time_form(td: TimeDomainTPSA):
     """The same for |Phi(tau_s, tau_i)|^2: q is the real part of evaluate_time's
     exponent expanded in the times (the carrier is a pure phase), built from
     the complex exponent, not from the t block the flux closed forms read."""
-    us, ui = -1j * td.f1s, -1j * td.f1i      # constant parts of tau - i f1
+    us, ui = -1j * td.src.f1s, -1j * td.src.f1i      # constant parts of tau - i f1
     e_ss, e_ii, e_si = td.exp_ss, td.exp_ii, td.exp_si
     return (abs(td.amp) ** 2, (0.0, 0.0),
             (e_ss.real, e_ii.real, e_si.real,

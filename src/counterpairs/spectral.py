@@ -73,17 +73,17 @@ def spectrum(tpsa: GaussianTPSA, field: str = "s") -> SpectrumParams:
         raise ValueError("field must be 's' or 'i'")
     if ew.violated(tpsa.d_fr > 0):
         raise NonNormalizable(f"D_fr = {tpsa.d_fr:.3g} <= 0")
-    own_omega0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
-    sigma, shift, e, other_f2 = _marginal_form(
+    sigma, shift = _marginal_form(
         tpsa.f2s.real, tpsa.f2i.real, tpsa.f2si.real, tpsa.f1s.real, tpsa.f1i.real,
         tpsa.d_fr, field)
-    amp = (tpsa.c_phi_sq * ew.exp(-2.0 * tpsa.f0)
-           * math.sqrt(math.pi) * HBAR * own_omega0
-           * tpsa.tau_p * tpsa.z_p
-           / (math.sqrt(2.0) * (1.0 + tpsa.a_p**2))
-           * e / ew.sqrt(other_f2))
-    return SpectrumParams(amplitude=amp, sigma_omega=sigma,
+    return SpectrumParams(amplitude=_peak(tpsa, field, sigma), sigma_omega=sigma,
                           delta_omega0=shift, field=field)
+
+
+def _peak(tpsa: GaussianTPSA, field: str, sigma):
+    """Peak of a spectrum or flux of 1/e half-width sigma; each integrates to hbar w0 N."""
+    own_omega0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
+    return HBAR * own_omega0 * l2_norm(tpsa) / (math.sqrt(math.pi) * sigma)
 
 
 def width_ratio(tpsa: GaussianTPSA) -> WidthRatio:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _elementwise as ew
-from .constants import HBAR
 from .errors import NonNormalizable, OutOfRange, SingularTransform
-from .spectral import SpectrumParams, spectrum
+from .spectral import SpectrumParams, _peak, spectrum
 from .tpsa import GaussianTPSA, _marginal_form, e_factor
 
 _DF_REL_FLOOR = 1e-12
@@ -34,9 +33,9 @@ class TimeDomainTPSA:
 
     q = exp_ss (tau_s - i f1s)^2 + exp_ii (tau_i - i f1i)^2
         + exp_si (tau_s - i f1s)(tau_i - i f1i),
-    with exp_ss = f2i/D_f, exp_ii = f2s/D_f, exp_si = -f2si/D_f. The t
-    block holds the real coefficients of -ln|Phi(t)|^2 / 2 used for the
-    flux closed forms; d_t = 4 t2s t2i - t2si^2.
+    with exp_ss = f2i/D_f, exp_ii = f2s/D_f, exp_si = -f2si/D_f and f1s, f1i
+    those of src. The t block holds the real coefficients of -ln|Phi(t)|^2 / 2
+    that give the flux widths and centres; d_t = 4 t2s t2i - t2si^2.
     """
 
     d_f: complex
@@ -44,14 +43,11 @@ class TimeDomainTPSA:
     exp_ss: complex
     exp_ii: complex
     exp_si: complex
-    f1s: complex
-    f1i: complex
     t2s: float
     t2i: float
     t2si: float
     t1s: float
     t1i: float
-    t0: float
     src: GaussianTPSA
 
     def __post_init__(self):
@@ -121,15 +117,12 @@ def time_domain(tpsa: GaussianTPSA) -> TimeDomainTPSA:
     exp_si = -tpsa.f2si / d_f
     t1s = ((2.0 * tpsa.f2i * tpsa.f1s - tpsa.f2si * tpsa.f1i) / d_f).imag
     t1i = ((2.0 * tpsa.f2s * tpsa.f1i - tpsa.f2si * tpsa.f1s) / d_f).imag
-    t0 = tpsa.f0 - ((tpsa.f2i * tpsa.f1s**2 + tpsa.f2s * tpsa.f1i**2
-                     - tpsa.f2si * tpsa.f1s * tpsa.f1i) / d_f).real
     amp = (ew.sqrt(tpsa.c_phi_sq) * ew.exp(-tpsa.f0)
            * tpsa.prefactor / ew.csqrt(d_f))
     return TimeDomainTPSA(
         d_f=d_f, amp=amp, exp_ss=exp_ss, exp_ii=exp_ii, exp_si=exp_si,
-        f1s=tpsa.f1s, f1i=tpsa.f1i,
         t2s=exp_ss.real, t2i=exp_ii.real, t2si=exp_si.real,
-        t1s=t1s, t1i=t1i, t0=t0, src=tpsa,
+        t1s=t1s, t1i=t1i, src=tpsa,
     )
 
 
@@ -142,8 +135,8 @@ def evaluate_time(td: TimeDomainTPSA, tau_s, tau_i):
     """
     ts = np.asarray(tau_s, dtype=float)
     ti = np.asarray(tau_i, dtype=float)
-    us = ts - 1j * td.f1s
-    ui = ti - 1j * td.f1i
+    us = ts - 1j * td.src.f1s
+    ui = ti - 1j * td.src.f1i
     q = np.asarray(td.exp_ss * us**2 + td.exp_ii * ui**2 + td.exp_si * us * ui
                    + 1j * td.src.omega_s0 * ts + 1j * td.src.omega_i0 * ti)
     out = td.amp * np.exp(-q)
@@ -155,15 +148,9 @@ def flux(tpsa: GaussianTPSA, field: str = "s") -> FluxParams:
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
     td = time_domain(tpsa)
-    own_omega0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
-    sigma, shift, e, other_t2 = _marginal_form(td.t2s, td.t2i, td.t2si, td.t1s, td.t1i,
-                                                td.d_t, field)
-    amp = (tpsa.c_phi_sq * ew.exp(-2.0 * td.t0)
-           * math.sqrt(math.pi) * HBAR * own_omega0
-           * tpsa.tau_p * tpsa.z_p
-           / (math.sqrt(2.0) * (1.0 + tpsa.a_p**2))
-           / abs(td.d_f) / ew.sqrt(other_t2) * e)
-    return FluxParams(amplitude=amp, sigma_tau=sigma, delta_tau0=shift, field=field)
+    sigma, shift = _marginal_form(td.t2s, td.t2i, td.t2si, td.t1s, td.t1i, td.d_t, field)
+    return FluxParams(amplitude=_peak(tpsa, field, sigma), sigma_tau=sigma,
+                      delta_tau0=shift, field=field)
 
 
 @dataclass(frozen=True)
@@ -208,11 +195,9 @@ def hom_params(tpsa: GaussianTPSA) -> HomDip:
         raise NonNormalizable(f"D_fr = {tpsa.d_fr:.3g} <= 0")
     fsum = tpsa.f2s.real + tpsa.f2i.real
     cross = tpsa.f2si.real
-    a = ew.sqrt(tpsa.d_fr / (fsum**2 - cross**2))
     f1_sum = tpsa.f1s.real + tpsa.f1i.real
-    if ew.any_(f1_sum != 0.0):
-        a = ew.where(f1_sum != 0.0,
-                     a * ew.exp(f1_sum**2 / (2.0 * (fsum + cross))) / e_factor(tpsa), a)
+    a = (ew.sqrt(tpsa.d_fr / (fsum**2 - cross**2))
+         * ew.exp(f1_sum**2 / (2.0 * (fsum + cross))) / e_factor(tpsa))
     b = 1.0 / (2.0 * (fsum - cross))
     a = ew.where(a <= 1.0 + 1e-9, ew.minimum(a, 1.0), a)
     beat = tpsa.omega_s0 - tpsa.omega_i0

@@ -124,13 +124,12 @@ class GaussianTPSA:
     Fields that depend on swept settings are arrays for a sweep grid.
 
     c_phi_sq is |C|^2 (the unobservable global phase of C is dropped);
-    prefactor = sqrt(z_p tau_p / (1 + a_p^2)). The pump scalars and
-    V coefficients are carried along for the closed forms that read them.
+    prefactor = sqrt(z_p tau_p / (1 + a_p^2)); the pump settings enter only
+    through it and the coefficients. f_rep is carried for the per-pulse rate.
     """
 
     omega_s0: float
     omega_i0: float
-    omega_p0: float
     f2s: complex
     f2i: complex
     f2si: complex
@@ -145,14 +144,9 @@ class GaussianTPSA:
     g_s: float
     g_i: float
     g_si: float
-    tau_p: float
-    a_p: float
-    z_p: float
     f_rep: float
 
     def __post_init__(self):
-        if abs(self.omega_p0 - self.omega_s0 - self.omega_i0) > 1e-6 * self.omega_p0:
-            raise ValueError("omega_p0 must equal omega_s0 + omega_i0")
         if ew.violated((self.f2s.real > 0) & (self.f2i.real > 0) & (self.d_fr > 0), self):
             raise NonNormalizable(
                 f"quadratic form not positive definite: Re f2s = {self.f2s.real:.3g}, "
@@ -291,13 +285,13 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
     f2si = tau2 * chirp / 2.0 + vc.v_ps * vc.v_pi * z2 / 2.0 + g_si
 
     return GaussianTPSA(
-        omega_s0=omega_s0, omega_i0=omega_i0, omega_p0=omega_p0,
+        omega_s0=omega_s0, omega_i0=omega_i0,
         f2s=f2s, f2i=f2i, f2si=f2si, f1s=f1s, f1i=f1i, f0=f0,
         c_phi_sq=pair_norm_constant(mp, pump),
         prefactor=ew.sqrt(pump.z_p * pump.tau_p / (1.0 + pump.a_p**2)),
         v_ps=vc.v_ps, v_pi=vc.v_pi, v_si=vc.v_si,
         g_s=g_s, g_i=g_i, g_si=g_si,
-        tau_p=pump.tau_p, a_p=pump.a_p, z_p=pump.z_p, f_rep=pump.f_rep,
+        f_rep=pump.f_rep,
     )
 
 
@@ -318,12 +312,10 @@ def evaluate(tpsa: GaussianTPSA, omega_s, omega_i):
 
 
 def _marginal_form(a_s, a_i, a_si, b_s, b_i, d, field: str):
-    """(1/e width, centre, linear-term factor, partner curvature) of one field's
-    marginal of exp(-2q), q = a_s x_s^2 + a_i x_i^2 + a_si x_s x_i + b_s x_s + b_i x_i,
-    d = 4 a_s a_i - a_si^2."""
+    """(1/e width, centre) of one field's marginal of exp(-2q), q = a_s x_s^2
+    + a_i x_i^2 + a_si x_s x_i + b_s x_s + b_i x_i, d = 4 a_s a_i - a_si^2."""
     a_p, b_o, b_p = (a_i, b_s, b_i) if field == "s" else (a_s, b_i, b_s)
-    factor = ew.exp(2.0 * (a_s * b_i**2 + a_i * b_s**2 - a_si * b_s * b_i) / d)
-    return ew.sqrt(2.0 * a_p / d), -(2.0 * a_p * b_o - a_si * b_p) / d, factor, a_p
+    return ew.sqrt(2.0 * a_p / d), -(2.0 * a_p * b_o - a_si * b_p) / d
 
 
 def e_factor(tpsa: GaussianTPSA) -> float:
@@ -332,8 +324,9 @@ def e_factor(tpsa: GaussianTPSA) -> float:
     exp(2 (f2s^r f1i^2 + f2i^r f1s^2 - f2si^r f1s f1i) / D_fr), using the
     real parts of the linear coefficients.
     """
-    return _marginal_form(tpsa.f2s.real, tpsa.f2i.real, tpsa.f2si.real,
-                          tpsa.f1s.real, tpsa.f1i.real, tpsa.d_fr, "s")[2]
+    f1s, f1i = tpsa.f1s.real, tpsa.f1i.real
+    return ew.exp(2.0 * (tpsa.f2s.real * f1i**2 + tpsa.f2i.real * f1s**2
+                         - tpsa.f2si.real * f1s * f1i) / tpsa.d_fr)
 
 
 def l2_norm(tpsa: GaussianTPSA) -> float:

@@ -109,6 +109,18 @@ class TestScenario:
         assert err == ("error: lambda_p0, tau_p, z_p, y_p must be positive"
                        " [field: pump]\n")
 
+    @pytest.mark.parametrize("key", ["centrals.lambda_s0", "centrals.lambda_i0",
+                                     "pump.lambda_p0"])
+    def test_zero_wavelength_names_field(self, capsys, tmp_path, key):
+        lines = (CONFIG_DIR / "fig2.cfg").read_text().splitlines()
+        assert sum(line.startswith(f"{key} = ") for line in lines) == 1
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(f"{key} = 0 m" if line.startswith(f"{key} = ") else line
+                                 for line in lines) + "\n")
+        code, out, err = run_cli(capsys, "scenario", "--config", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {key} must be a positive wavelength; got '0 m' [field: {key}]\n"
+
     def test_csv_format(self, capsys, fig2_cfg):
         code, out, _ = run_cli(capsys, "scenario", "--config", str(fig2_cfg),
                                "--format", "csv")
@@ -150,6 +162,20 @@ class TestSweep:
         assert manifest["quantities"]["sigma_lambda_s"] == "nm"
         assert manifest["errors"] == []
         assert len(manifest["config_sha256"]) == 64
+
+    def test_manifest_records_p_min(self, capsys, tmp_path):
+        # n_min depends on the mode-count target, so the manifest names it
+        cfg = CONFIG_DIR / "fig7_sweep.cfg"
+        runs = {}
+        for p_min in ("0.95", "0.5"):
+            out_dir = tmp_path / p_min
+            code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                                 "--out-dir", str(out_dir), "--p-min", p_min)
+            assert code == 0
+            manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+            assert manifest["p_min"] == float(p_min)
+            runs[p_min] = (out_dir / "n_min.csv").read_text()
+        assert runs["0.95"] != runs["0.5"]
 
     def test_single_point_sweep_matches_scenario(self, capsys, tmp_path, fig2_cfg):
         text = (CONFIG_DIR / "fig2.cfg").read_text() + (
@@ -435,6 +461,12 @@ class TestDiagnostics:
         doc = json.loads(out)
         assert doc["points"][0]["n0"] == pytest.approx(2.1555, abs=1e-3)
         assert doc["points"][1]["v_bulk_m_per_s"] < doc["points"][0]["v_bulk_m_per_s"]
+
+    def test_dispersion_info_rejects_zero_wavelength(self, capsys, fig2_cfg):
+        code, out, err = run_cli(capsys, "dispersion-info", "--config", str(fig2_cfg),
+                                 "--at", "1.064e-6", "--at", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: --at 0.0 is not a positive wavelength [field: --at]\n"
 
     def test_missing_config_is_user_error(self, capsys):
         code, _, err = run_cli(capsys, "scenario", "--config", "/nowhere.cfg")

@@ -19,7 +19,9 @@ are stored, so the inverse goldens do not move with the forward model.
 The fig2 schmidt and the inverse files were written again when the Schmidt
 parameter became P = 2 D_fr/|f2si|^2 (last digits of P, vartheta and what
 follows from them), and the hom, phase-match and dispersion-info help
-texts when those subcommands stopped taking --p-min.
+texts when those subcommands stopped taking --p-min. The six sweep
+manifests were written again when they started recording p_min, the
+mode-count target that n_min.csv depends on; no other key moved.
 """
 
 import json

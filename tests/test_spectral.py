@@ -21,11 +21,11 @@ from conftest import mp_material_point
 
 def _d_sign_definite(case):
     """D_fr of a G-free amplitude as its sign-definite term expansion, s^4."""
-    t = case.tpsa
+    t, p = case.tpsa, case.pump
     inv_s = 0.0 if case.filt.sigma_s is None else 1.0 / case.filt.sigma_s**2
     inv_i = 0.0 if case.filt.sigma_i is None else 1.0 / case.filt.sigma_i**2
-    tau2 = t.tau_p**2 / (1.0 + t.a_p**2)
-    z2 = t.z_p**2
+    tau2 = p.tau_p**2 / (1.0 + p.a_p**2)
+    z2 = p.z_p**2
     return (4.0 * inv_s * inv_i + tau2 * (inv_s + inv_i) + tau2 * z2 * t.v_si**2 / 4.0
             + z2 * t.v_pi**2 * inv_s + z2 * t.v_ps**2 * inv_i)
 
@@ -37,7 +37,7 @@ class TestPairRate:
         base = make_case(include_g=False)
         t = base.tpsa
         expected = (t.c_phi_sq * math.exp(-2.0 * t.f0) * 2.0 * math.pi
-                    / (math.sqrt(1.0 + t.a_p**2) * t.v_si))
+                    / (math.sqrt(1.0 + base.pump.a_p**2) * t.v_si))
         assert pair_rate(t).pairs_per_s == pytest.approx(expected, rel=1e-12, abs=0)
         for kwargs in (dict(tau_p=3e-13), dict(z_p=4e-5),
                        dict(tau_p=7e-13, z_p=2e-5)):
@@ -49,9 +49,9 @@ class TestPairRate:
         # sign-definite expansion, so N = |C|^2 e^(-2 f0) pi Z_p tau_p
         # / ((1 + ap^2) sqrt(D))
         for case in random_cases(12, seed=7, chirp=True, include_g=False):
-            t = case.tpsa
-            simplified = (t.c_phi_sq * math.exp(-2.0 * t.f0) * math.pi * t.z_p * t.tau_p
-                          / ((1.0 + t.a_p**2) * math.sqrt(_d_sign_definite(case))))
+            t, p = case.tpsa, case.pump
+            simplified = (t.c_phi_sq * math.exp(-2.0 * t.f0) * math.pi * p.z_p * p.tau_p
+                          / ((1.0 + p.a_p**2) * math.sqrt(_d_sign_definite(case))))
             assert pair_rate(t).pairs_per_s == pytest.approx(simplified, rel=1e-10, abs=0)
 
     def test_reference_rate_and_per_pulse(self, make_case):
@@ -84,15 +84,16 @@ class TestSpectrum:
     def test_unfiltered_simplified_width(self, make_case):
         # sigma_ws = sqrt(2)/v_si * sqrt(1/Zp^2 + (1+ap^2) V_pi^2/tau^2)
         case = make_case(a_p=0.9, include_g=False)
-        t = case.tpsa
+        t, p = case.tpsa, case.pump
         expected = (math.sqrt(2.0) / t.v_si
-                    * math.sqrt(1.0 / t.z_p**2
-                                + (1.0 + t.a_p**2) * t.v_pi**2 / t.tau_p**2))
+                    * math.sqrt(1.0 / p.z_p**2
+                                + (1.0 + p.a_p**2) * t.v_pi**2 / p.tau_p**2))
         assert spectrum(t, "s").sigma_omega == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_cw_limit(self, make_case):
-        t = make_case(tau_p=5e-10, include_g=False).tpsa
-        cw = math.sqrt(2.0) / (t.v_si * t.z_p)
+        case = make_case(tau_p=5e-10, include_g=False)
+        t = case.tpsa
+        cw = math.sqrt(2.0) / (t.v_si * case.pump.z_p)
         assert spectrum(t, "s").sigma_omega == pytest.approx(cw, rel=1e-6, abs=0)
         assert spectrum(t, "i").sigma_omega == pytest.approx(cw, rel=1e-6, abs=0)
 
@@ -106,14 +107,20 @@ class TestSpectrum:
             marg_i = oracle.numeric_marginal(case.tpsa, "i")
             assert marg_i.sigma_e1 == pytest.approx(params_i.sigma_omega, rel=1e-4, abs=0)
 
-    def test_peak_amplitude_against_oracle(self, random_cases):
-        # a Gaussian of norm N and 1/e half-width sigma peaks at N/(sqrt(pi) sigma)
-        for case in random_cases(6, seed=13, chirp=True):
+    def test_peak_amplitude_against_oracle(self, random_cases, make_case):
+        # a Gaussian of norm N and 1/e half-width sigma peaks at N/(sqrt(pi) sigma);
+        # the last case is a short-pulse, wide-beam corner
+        cases = random_cases(6, seed=13, chirp=True)
+        for case in cases + [make_case(tau_p=3.7e-15, z_p=2.7e-4, a_p=-2.7)]:
+            rate = pair_rate(case.tpsa).pairs_per_s
             for field, omega0 in (("s", case.omega_s0), ("i", case.omega_i0)):
                 marg = oracle.numeric_marginal(case.tpsa, field)
                 peak = HBAR * omega0 * marg.norm / (math.sqrt(math.pi) * marg.sigma_e1)
-                assert spectrum(case.tpsa, field).amplitude == pytest.approx(
-                    peak, rel=1e-6, abs=0)
+                params = spectrum(case.tpsa, field)
+                assert params.amplitude == pytest.approx(peak, rel=1e-6, abs=0)
+                # the spectrum integrates to the hbar*omega-weighted pair rate
+                assert params.amplitude * math.sqrt(math.pi) * params.sigma_omega \
+                    == pytest.approx(HBAR * omega0 * rate, rel=1e-14, abs=0)
 
     def test_center_shift_matches_oracle(self, make_case):
         t = make_case().tpsa  # corrections on -> nonzero linear coefficients
@@ -171,16 +178,18 @@ class TestAsymptotics:
     # unfiltered limits: sigma_cw = sqrt(2)/(v_si Z_p) for cw pumping and
     # sigma_inf = sqrt(2) |V_pi| sqrt(1+ap^2)/(v_si tau_p) for wide beams
     def test_wide_beam_limit(self, make_case):
-        t = make_case(z_p=1e-13 * 1.4e8 * 1e3, include_g=False).tpsa  # ~1000 v_s tau_p
-        scale = math.sqrt(2.0) * math.sqrt(1.0 + t.a_p**2) / (t.v_si * t.tau_p)
+        case = make_case(z_p=1e-13 * 1.4e8 * 1e3, include_g=False)  # ~1000 v_s tau_p
+        t, p = case.tpsa, case.pump
+        scale = math.sqrt(2.0) * math.sqrt(1.0 + p.a_p**2) / (t.v_si * p.tau_p)
         sigma_s_inf = scale * abs(t.v_pi)
         sigma_i_inf = scale * abs(t.v_ps)
         assert spectrum(t, "s").sigma_omega == pytest.approx(sigma_s_inf, rel=1e-3, abs=0)
         assert spectrum(t, "i").sigma_omega == pytest.approx(sigma_i_inf, rel=1e-3, abs=0)
 
     def test_cw_limit_consistency(self, make_case):
-        t = make_case(tau_p=1e-9, include_g=False).tpsa
-        sigma_cw = math.sqrt(2.0) / (t.v_si * t.z_p)
+        case = make_case(tau_p=1e-9, include_g=False)
+        t = case.tpsa
+        sigma_cw = math.sqrt(2.0) / (t.v_si * case.pump.z_p)
         assert spectrum(t, "s").sigma_omega == pytest.approx(sigma_cw, rel=1e-6, abs=0)
 
 

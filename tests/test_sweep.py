@@ -62,6 +62,46 @@ def test_every_sweepable_parameter_is_covered():
     assert sorted(AXIS1) == sorted(config.SWEEP_PARAMS)
 
 
+# axis pairs that write the same pump or filter setting, so the second
+# would overwrite what the first labels
+_CROSS = ([("pump.Dtilde_theta", "pump.D_theta_out")]
+          + [(one, both) for one in ("filters.sigma_s", "filters.sigma_i")
+             for both in ("filters.sigma_both", "filters.sigma_both_nm")]
+          + [("filters.sigma_both", "filters.sigma_both_nm")])
+OVERLAPPING = [(p, p) for p in sorted(AXIS1)] + _CROSS + [(b, a) for a, b in _CROSS]
+
+
+def _two_axis_config(param1, param2) -> str:
+    return base_config() + (
+        f"sweep.axis1 = {param1}\n"
+        f"sweep.axis1_range = {AXIS1[param1]}\n"
+        "sweep.axis1_points = 3\n"
+        f"sweep.axis2 = {param2}\n"
+        f"sweep.axis2_range = {AXIS1[param2]}\n"
+        "sweep.axis2_points = 3\n"
+        "sweep.quantities = N\n"
+    )
+
+
+@pytest.mark.parametrize("param1,param2", OVERLAPPING)
+def test_axes_that_set_the_same_setting_are_rejected(capsys, tmp_path, param1, param2):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_two_axis_config(param1, param2))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(" set the same setting [field: sweep.axis2]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param1,param2", [("filters.sigma_s", "filters.sigma_i"),
+                                           ("pump.Dtilde_theta", "filters.sigma_both")])
+def test_axes_on_different_settings_are_accepted(tmp_path, param1, param2):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_two_axis_config(param1, param2))
+    spec = config.parse_sweep(config.parse_config(cfg))
+    assert (spec.axis1.param, spec.axis2.param) == (param1, param2)
+
+
 ALL = " ".join(config.QUANTITIES)
 
 

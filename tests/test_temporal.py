@@ -88,19 +88,20 @@ class TestFlux:
             assert sigma >= case.pump.tau_p / math.sqrt(2.0) * (1.0 - 1e-12)
 
     def test_narrow_beam_limit(self, make_case):
-        t = make_case(z_p=1e-8, include_g=False).tpsa
-        assert flux(t, "s").sigma_tau == pytest.approx(
-            t.tau_p / math.sqrt(2.0), rel=1e-4, abs=0)
+        case = make_case(z_p=1e-8, include_g=False)
+        assert flux(case.tpsa, "s").sigma_tau == pytest.approx(
+            case.pump.tau_p / math.sqrt(2.0), rel=1e-4, abs=0)
 
     def test_simplified_width_formula(self, make_case):
         # sigma_tau_s = sqrt(tau^2/2 + 2/sigma_s^2 + Zp^2 V_ps^2/2), ap = 0
         sigma_s, sigma_i = 2e13, 6e13
-        t = make_case(sigma_s=sigma_s, sigma_i=sigma_i, include_g=False).tpsa
-        expected = math.sqrt(t.tau_p**2 / 2.0 + 2.0 / sigma_s**2
-                             + t.z_p**2 * t.v_ps**2 / 2.0)
+        case = make_case(sigma_s=sigma_s, sigma_i=sigma_i, include_g=False)
+        t, p = case.tpsa, case.pump
+        expected = math.sqrt(p.tau_p**2 / 2.0 + 2.0 / sigma_s**2
+                             + p.z_p**2 * t.v_ps**2 / 2.0)
         assert flux(t, "s").sigma_tau == pytest.approx(expected, rel=1e-12, abs=0.0)
-        expected_i = math.sqrt(t.tau_p**2 / 2.0 + 2.0 / sigma_i**2
-                               + t.z_p**2 * t.v_pi**2 / 2.0)
+        expected_i = math.sqrt(p.tau_p**2 / 2.0 + 2.0 / sigma_i**2
+                               + p.z_p**2 * t.v_pi**2 / 2.0)
         assert flux(t, "i").sigma_tau == pytest.approx(expected_i, rel=1e-12, abs=0.0)
 
     def test_monotone_grid_and_femtosecond_scale(self, make_case):
@@ -122,15 +123,21 @@ class TestFlux:
                 numeric = oracle.numeric_time_marginal(td, field).sigma_e1
                 assert numeric == pytest.approx(closed, rel=1e-4, abs=0)
 
-    def test_peak_amplitude_against_time_marginal_oracle(self, random_cases):
-        # a Gaussian of norm N and 1/e half-width sigma peaks at N/(sqrt(pi) sigma)
-        for case in random_cases(6, seed=19, chirp=True):
+    def test_peak_amplitude_against_time_marginal_oracle(self, random_cases, make_case):
+        # a Gaussian of norm N and 1/e half-width sigma peaks at N/(sqrt(pi) sigma);
+        # the last case is a short-pulse, wide-beam corner
+        cases = random_cases(6, seed=19, chirp=True)
+        for case in cases + [make_case(tau_p=3.7e-15, z_p=2.7e-4, a_p=-2.7)]:
             td = time_domain(case.tpsa)
+            rate = spectral.pair_rate(case.tpsa).pairs_per_s
             for field, omega0 in (("s", case.omega_s0), ("i", case.omega_i0)):
                 marg = oracle.numeric_time_marginal(td, field)
                 peak = HBAR * omega0 * marg.norm / (math.sqrt(math.pi) * marg.sigma_e1)
-                assert flux(case.tpsa, field).amplitude == pytest.approx(
-                    peak, rel=1e-6, abs=0)
+                params = flux(case.tpsa, field)
+                assert params.amplitude == pytest.approx(peak, rel=1e-6, abs=0)
+                # the flux integrates to the same hbar*omega-weighted pair rate
+                assert params.amplitude * math.sqrt(math.pi) * params.sigma_tau \
+                    == pytest.approx(HBAR * omega0 * rate, rel=1e-14, abs=0)
 
 
 class TestTimeBandwidth:
@@ -150,9 +157,10 @@ class TestTimeBandwidth:
         v_s = group_velocity(make_case().wg, omega_of(1.064e-6), "guided")
         products = []
         for tau_p in (1e-13, 4e-13, 1.6e-12):
-            t = make_case(tau_p=tau_p, include_g=False).tpsa
-            expected = 0.5 * (v_s * tau_p / t.z_p + t.z_p / (v_s * tau_p))
-            tb = time_bandwidth(t)
+            case = make_case(tau_p=tau_p, include_g=False)
+            z_p = case.pump.z_p
+            expected = 0.5 * (v_s * tau_p / z_p + z_p / (v_s * tau_p))
+            tb = time_bandwidth(case.tpsa)
             assert tb.product_s == pytest.approx(expected, rel=1e-6, abs=0)
             assert tb.product_s >= 1.0
             products.append(tb.product_s)
@@ -190,10 +198,11 @@ class TestHom:
         assert contrasts[2] > 0.999
 
     def test_unfiltered_contrast_formula(self, make_case):
-        t = make_case(dtilde_theta=1.2e-16, include_g=False).tpsa
+        case = make_case(dtilde_theta=1.2e-16, include_g=False)
+        t, p = case.tpsa, case.pump
         vsum = t.v_ps + t.v_pi
-        expected = (1.0 + t.z_p**2 * (1.0 + t.a_p**2) * vsum**2
-                    / (4.0 * t.tau_p**2)) ** -0.5
+        expected = (1.0 + p.z_p**2 * (1.0 + p.a_p**2) * vsum**2
+                    / (4.0 * p.tau_p**2)) ** -0.5
         assert hom_params(t).a == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_b_depends_only_on_beam_width_and_filters(self, make_case):
@@ -202,14 +211,14 @@ class TestHom:
                        dict(a_p=0.9)):
             b = hom_params(make_case(include_g=False, **kwargs).tpsa).b
             assert b == pytest.approx(ref, rel=1e-12, abs=0)
-        expected = 1.0 / (make_case().tpsa.z_p**2 * make_case().tpsa.v_si**2 / 2.0)
+        expected = 1.0 / (make_case().pump.z_p**2 * make_case().tpsa.v_si**2 / 2.0)
         assert ref == pytest.approx(expected, rel=1e-12, abs=0)
         sigma_s, sigma_i = 2e13, 3e13
         filtered = hom_params(make_case(sigma_s=sigma_s, sigma_i=sigma_i,
                                         include_g=False).tpsa)
-        t = make_case(sigma_s=sigma_s, sigma_i=sigma_i).tpsa
+        case = make_case(sigma_s=sigma_s, sigma_i=sigma_i)
         expected_f = 1.0 / (2.0 / sigma_s**2 + 2.0 / sigma_i**2
-                            + t.z_p**2 * t.v_si**2 / 2.0)
+                            + case.pump.z_p**2 * case.tpsa.v_si**2 / 2.0)
         assert filtered.b == pytest.approx(expected_f, rel=1e-12, abs=0)
 
     def test_b_from_coefficient_combination(self, random_cases):

@@ -39,8 +39,9 @@ class TestCoefficientAssembly:
 
     def test_chirp_imaginary_parts(self, make_case):
         a_p = 0.8
-        t = make_case(a_p=a_p).tpsa
-        expected = -t.tau_p**2 * a_p / (4.0 * (1.0 + a_p**2))
+        case = make_case(a_p=a_p)
+        t = case.tpsa
+        expected = -case.pump.tau_p**2 * a_p / (4.0 * (1.0 + a_p**2))
         assert t.f2s.imag == pytest.approx(expected, rel=1e-12, abs=0)
         assert t.f2i.imag == pytest.approx(expected, rel=1e-12, abs=0)
         assert t.f2si.imag == pytest.approx(2.0 * expected, rel=1e-12, abs=0)
@@ -225,18 +226,18 @@ class TestRotate:
     # a_sum carries the pulse duration, a_diff only the beam width and filters
     def test_symmetric_unfiltered_diagonal(self, make_case):
         case = make_case(a_p=0.7, include_g=False)
-        t = case.tpsa
+        t, p = case.tpsa, case.pump
         a_sum, cross, a_diff = _rotated(case)
         assert cross == 0.0
-        chirp = 1.0 / (1.0 + 1j * t.a_p)
-        assert a_sum == _close(t.tau_p**2 * chirp + t.z_p**2 * (t.v_ps + t.v_pi) ** 2 / 4.0)
-        assert a_diff == _close(t.z_p**2 * t.v_si**2 / 4.0)
+        chirp = 1.0 / (1.0 + 1j * p.a_p)
+        assert a_sum == _close(p.tau_p**2 * chirp + p.z_p**2 * (t.v_ps + t.v_pi) ** 2 / 4.0)
+        assert a_diff == _close(p.z_p**2 * t.v_si**2 / 4.0)
 
     def test_equal_filters_cancel_asymmetry(self, make_case):
         case = make_case(sigma_s=2e13, sigma_i=2e13, dtilde_theta=6e-17, include_g=False)
         t = case.tpsa
         # remaining cross term is purely the mismatch piece
-        assert _rotated(case)[1] == _close(t.z_p**2 * (t.v_ps + t.v_pi) * t.v_si / 2.0)
+        assert _rotated(case)[1] == _close(case.pump.z_p**2 * (t.v_ps + t.v_pi) * t.v_si / 2.0)
 
     def test_symmetric_mismatch_leaves_filter_asymmetry(self, make_case):
         # v_ps + v_pi = 0 in the symmetric geometry, so only the filter
@@ -249,15 +250,15 @@ class TestRotate:
         kwargs = dict(lambda_s=1.05e-6, a_p=0.4, dtilde_theta=7e-17,
                       sigma_s=2.5e13, sigma_i=6e13)
         bare = make_case(include_g=False, **kwargs)
-        t = bare.tpsa
-        chirp = 1.0 / (1.0 + 1j * t.a_p)
+        t, p = bare.tpsa, bare.pump
+        chirp = 1.0 / (1.0 + 1j * p.a_p)
         inv_plus = _inv_sq(bare.filt.sigma_s) + _inv_sq(bare.filt.sigma_i)
         inv_minus = _inv_sq(bare.filt.sigma_s) - _inv_sq(bare.filt.sigma_i)
         vsum = t.v_ps + t.v_pi
         a_sum, cross, a_diff = _rotated(bare)
-        assert a_sum == _close(t.tau_p**2 * chirp + t.z_p**2 * vsum**2 / 4.0 + inv_plus)
-        assert cross == _close(t.z_p**2 * vsum * t.v_si / 2.0 - 2.0 * inv_minus)
-        assert a_diff == _close(t.z_p**2 * t.v_si**2 / 4.0 + inv_plus)
+        assert a_sum == _close(p.tau_p**2 * chirp + p.z_p**2 * vsum**2 / 4.0 + inv_plus)
+        assert cross == _close(p.z_p**2 * vsum * t.v_si / 2.0 - 2.0 * inv_minus)
+        assert a_diff == _close(p.z_p**2 * t.v_si**2 / 4.0 + inv_plus)
         # the corrections are additive: dropping them leaves the bare form
         full = make_case(**kwargs).tpsa
         assert full.f2s - full.g_s == _close(t.f2s)
