@@ -22,6 +22,9 @@ follows from them), and the hom, phase-match and dispersion-info help
 texts when those subcommands stopped taking --p-min. The six sweep
 manifests were written again when they started recording p_min, the
 mode-count target that n_min.csv depends on; no other key moved.
+The two angular-dispersion scenarios (fig2 with pump.D_theta_out, and
+1.060/1.068 um centrals with pump.Dtilde_theta) are compared byte for
+byte; their configs are stored next to them.
 """
 
 import json
@@ -118,6 +121,15 @@ def test_help_text_is_byte_identical(capsys, monkeypatch, name):
         main(["--help"] if name == "counterpairs" else [name, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == (GOLDEN / "help" / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["fig2_dtheta_out", "fig2_split_dtilde"])
+def test_angular_dispersion_scenario_is_byte_identical(capsys, name):
+    # the angular dispersion set in the config file: D_theta_out on fig2, and
+    # Dtilde_theta at split centrals; each config is stored with its output
+    scenario = GOLDEN / "scenario"
+    assert main(["scenario", "--config", str(scenario / f"{name}.cfg")]) == 0
+    assert capsys.readouterr().out == (scenario / f"{name}.json").read_text()
 
 
 @pytest.mark.parametrize("stem", ["fig2", "separable"])
