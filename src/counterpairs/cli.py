@@ -27,6 +27,7 @@ from .config import (
     QUANTITIES,
     SWEEP_PARAMS,
     Scenario,
+    _DEG,
     _hom_section,
     _parse_quantity,
     _read_assignments,
@@ -48,12 +49,9 @@ from .dispersion import (
     refractive_index,
 )
 from .entanglement import schmidt
-from .errors import ConfigInvalid, CounterpairsError
+from .errors import ConfigInvalid, CounterpairsError, in_double_range
 from .inverse import MeasurementSet, estimate, fit_hom_B
 from .temporal import hom_curve, hom_params
-
-_DEG = math.pi / 180.0
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -168,7 +166,8 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_hom(args) -> dict:
     tpsa = build_scenario_tpsa(_load_scenario(args))
-    dip = hom_params(tpsa)
+    with in_double_range("the scenario's settings"):
+        dip = hom_params(tpsa)
     doc = _hom_section(dip)
     if args.curve_out:
         span = args.span * dip.delta_tau_l
@@ -200,8 +199,13 @@ def _parse_widths_file(path: str) -> dict:
     for key in ("measure.sigma_omega_s", "measure.sigma_omega_i"):
         if key not in raw:
             raise ConfigInvalid(f"missing required key {key!r}", field=key)
-    return {key: _parse_quantity(key, value, _WIDTHS_KEYS[key])
-            for key, value in raw.items()}
+    widths = {key: _parse_quantity(key, value, _WIDTHS_KEYS[key])
+              for key, value in raw.items()}
+    if len(missing := {"measure.omega_s0", "measure.omega_i0"} - widths.keys()) == 1:
+        key = missing.pop()
+        raise ConfigInvalid(f"missing key {key!r}: give both measured centrals or neither",
+                            field=key)
+    return widths
 
 
 def _parse_hom_csv(path: str) -> list:
@@ -212,20 +216,22 @@ def _parse_hom_csv(path: str) -> list:
             continue
         parts = stripped.split(",")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            sample = float(parts[0]), float(parts[1])
         except (ValueError, IndexError):
             if not rows:  # tolerate a single header row
                 continue
             raise ConfigInvalid(f"bad coincidence sample line {line!r}") from None
+        if not all(map(math.isfinite, sample)):
+            raise ConfigInvalid(f"non-finite coincidence sample line {line!r}")
+        rows.append(sample)
     return rows
 
 
 def _cmd_inverse(args) -> dict:
     widths = _parse_widths_file(args.widths)
     samples = _parse_hom_csv(args.hom_csv)
-    beat = 0.0
-    if "measure.omega_s0" in widths and "measure.omega_i0" in widths:
-        beat = widths["measure.omega_s0"] - widths["measure.omega_i0"]
+    # both measured centrals or neither: a degenerate pair has no beat
+    beat = widths.get("measure.omega_s0", 0.0) - widths.get("measure.omega_i0", 0.0)
     fit = fit_hom_B(samples, beat=beat)
     ms = MeasurementSet(sigma_omega_s=widths["measure.sigma_omega_s"],
                         sigma_omega_i=widths["measure.sigma_omega_i"], b=fit.b)

@@ -32,7 +32,7 @@ from .dispersion import (
     solve_phase_matching,
 )
 from .entanglement import SchmidtSpectrum, principal_axes, schmidt, separability_roots
-from .errors import ConfigInvalid, CounterpairsError, OutOfRange
+from .errors import ConfigInvalid, CounterpairsError, OutOfRange, in_double_range
 from .spectral import pair_rate, spectrum, wavelength_width, width_ratio
 from .temporal import HomDip, flux, hom_params, width_products
 from .tpsa import (
@@ -76,20 +76,12 @@ _SCHEMA = {
     "sweep.quantities": (None, False, None),
 }
 
-# sweepable parameter -> expected unit token of its range line
-SWEEP_PARAMS = {
-    "pump.tau_p": "s",
-    "pump.Z_p": "m",
-    "pump.Y_p": "m",
-    "pump.a_p": None,
-    "pump.P_p": "W",
-    "pump.Dtilde_theta": "rad*s",
-    "pump.D_theta_out": "deg/m",
-    "filters.sigma_s": "rad/s",
-    "filters.sigma_i": "rad/s",
-    "filters.sigma_both": "rad/s",
-    "filters.sigma_both_nm": "nm",
-}
+# sweepable parameter -> unit token of its range line: a config key's own
+# unit, and for the two widths that set both filters at once their own
+SWEEP_PARAMS = {**{key: _SCHEMA[key][0] for key in (
+    "pump.tau_p", "pump.Z_p", "pump.Y_p", "pump.a_p", "pump.P_p", "pump.Dtilde_theta",
+    "pump.D_theta_out", "filters.sigma_s", "filters.sigma_i")},
+    "filters.sigma_both": "rad/s", "filters.sigma_both_nm": "nm"}
 # the settings a sweepable parameter writes where they are not its own
 _WRITES = {"pump.D_theta_out": {"pump.Dtilde_theta"},
            "filters.sigma_both": {"filters.sigma_s", "filters.sigma_i"},
@@ -129,20 +121,18 @@ def parse_config(path: str | Path) -> dict:
 
 def _parse_quantity(key: str, value: str, unit: str | None) -> float:
     parts = value.split()
-    if unit is None:
-        if len(parts) != 1:
-            raise ConfigInvalid(
-                f"{key} is dimensionless; got {value!r}", field=key)
-        token = parts[0]
-    else:
-        if len(parts) != 2 or parts[1] != unit:
-            raise ConfigInvalid(
-                f"{key} must be '<number> {unit}'; got {value!r}", field=key)
-        token = parts[0]
+    if unit is None and len(parts) != 1:
+        raise ConfigInvalid(f"{key} is dimensionless; got {value!r}", field=key)
+    if unit is not None and (len(parts) != 2 or parts[1] != unit):
+        raise ConfigInvalid(f"{key} must be '<number> {unit}'; got {value!r}", field=key)
+    token = parts[0]
     try:
-        return float(token)
+        number = float(token)
     except ValueError:
         raise ConfigInvalid(f"{key}: {token!r} is not a number", field=key) from None
+    if not math.isfinite(number):
+        raise ConfigInvalid(f"{key}: {token!r} is not a finite number", field=key)
+    return number
 
 
 def _parse_filter(key: str, value: str) -> float | None:
@@ -170,6 +160,8 @@ class Scenario:
 def resolve_scenario(raw: dict, *, include_g: bool = True,
                      p_min: float = 0.95) -> Scenario:
     """Validate raw key/value strings into a ready-to-run Scenario."""
+    if not 0.0 < p_min < 1.0:
+        raise ConfigInvalid(f"p_min must lie in (0, 1); got {p_min!r}", field="p_min")
 
     def get(key):
         unit, _, default = _SCHEMA[key]
@@ -219,36 +211,17 @@ def resolve_scenario(raw: dict, *, include_g: bool = True,
     except OutOfRange as exc:
         raise ConfigInvalid(str(exc), field="pump") from exc
 
-    theta_p0 = solve_phase_matching(wg, omega_s0, omega_i0)
-    pump = replace(pump, theta_p0=theta_p0)
+    pump = replace(pump, theta_p0=solve_phase_matching(wg, omega_s0, omega_i0))
 
-    dtilde = get("pump.Dtilde_theta")
-    d_out = get("pump.D_theta_out")
-    if d_out is not None:
-        dtilde = _dtilde_from_out(refractive_index(model, omega_p0),
-                                  index_derivative(model, omega_p0),
-                                  omega_p0, theta_p0, d_out)
-    if dtilde is not None:
-        pump = replace(pump, dtilde_theta=dtilde)
-
-    try:
-        filt = FilterSpec(sigma_s=_parse_filter("filters.sigma_s",
-                                                raw.get("filters.sigma_s", "unfiltered")),
-                          sigma_i=_parse_filter("filters.sigma_i",
-                                                raw.get("filters.sigma_i", "unfiltered")))
-    except OutOfRange as exc:
-        raise ConfigInvalid(str(exc), field="filters") from exc
-
-    return Scenario(wg=wg, pump=pump, filt=filt, omega_s0=omega_s0,
-                    omega_i0=omega_i0, include_g=include_g, p_min=p_min)
-
-
-def _dtilde_from_out(n_p: float, dn_dw_p: float, omega_p0: float,
-                     theta_p0: float, d_out: float) -> float:
-    """Internal angular dispersion (rad s) for an external D_theta_out in deg/m."""
-    theta_out = math.asin(n_p * math.sin(theta_p0))
-    dtilde_out = d_out * _DEG * 2.0 * math.pi * C_LIGHT / omega_p0**2
-    return refract_in(n_p, dn_dw_p, theta_out, dtilde_out)[1]
+    # _parse_filter admits only the finite positive widths FilterSpec accepts
+    filt = FilterSpec(*(_parse_filter(key, raw.get(key, "unfiltered"))
+                        for key in ("filters.sigma_s", "filters.sigma_i")))
+    sc = Scenario(wg=wg, pump=pump, filt=filt, omega_s0=omega_s0,
+                  omega_i0=omega_i0, include_g=include_g, p_min=p_min)
+    for key in ("pump.Dtilde_theta", "pump.D_theta_out"):
+        if key in raw:
+            sc = apply_sweep_value(sc, key, get(key))
+    return sc
 
 
 def scenario_material(sc: Scenario) -> MaterialPoint:
@@ -257,45 +230,32 @@ def scenario_material(sc: Scenario) -> MaterialPoint:
 
 
 def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
-    """Return a scenario with one sweepable parameter replaced."""
-    return with_sweep_value(sc, scenario_material(sc), param, value)
+    """Return a scenario with one sweepable setting replaced: the one setter.
 
-
-def with_sweep_value(sc: Scenario, mp: MaterialPoint, param: str,
-                     value: float) -> Scenario:
-    """apply_sweep_value with the scenario's material already evaluated.
-
-    value may be an array of swept values, broadcast over a sweep grid.
+    A config key and a sweep axis both set a setting here. pump.X sets the
+    pump field x (lower case), filters.sigma_s and sigma_i their filter.
+    Two are converted first: D_theta_out (deg/m, outside the material) is
+    refracted in to Dtilde_theta at omega_p0, and sigma_both_nm (nm at
+    omega_s0) becomes sigma_both, which sets both filters. value may be an
+    array of swept values, broadcast over a sweep grid.
     """
     if param not in SWEEP_PARAMS:
         raise ConfigInvalid(f"{param!r} is not sweepable; choose from "
                             f"{sorted(SWEEP_PARAMS)}", field=param)
-    pump, filt = sc.pump, sc.filt
-    if param == "pump.tau_p":
-        pump = replace(pump, tau_p=value)
-    elif param == "pump.Z_p":
-        pump = replace(pump, z_p=value)
-    elif param == "pump.Y_p":
-        pump = replace(pump, y_p=value)
-    elif param == "pump.a_p":
-        pump = replace(pump, a_p=value)
-    elif param == "pump.P_p":
-        pump = replace(pump, p_p=value)
-    elif param == "pump.Dtilde_theta":
-        pump = replace(pump, dtilde_theta=value)
-    elif param == "pump.D_theta_out":
-        dtilde = _dtilde_from_out(mp.n_p, mp.dn_dw_p, mp.omega_p0, pump.theta_p0, value)
-        pump = replace(pump, dtilde_theta=dtilde)
-    elif param == "filters.sigma_s":
-        filt = FilterSpec(sigma_s=value, sigma_i=filt.sigma_i)
-    elif param == "filters.sigma_i":
-        filt = FilterSpec(sigma_s=filt.sigma_s, sigma_i=value)
-    elif param == "filters.sigma_both":
-        filt = FilterSpec(sigma_s=value, sigma_i=value)
-    elif param == "filters.sigma_both_nm":
-        sigma = value * 1e-9 * sc.omega_s0**2 / (2.0 * math.pi * C_LIGHT)
-        filt = FilterSpec(sigma_s=sigma, sigma_i=sigma)
-    return replace(sc, pump=pump, filt=filt)
+    group, name = param.split(".")
+    if name == "D_theta_out":
+        omega_p0 = sc.omega_s0 + sc.omega_i0
+        n_p = refractive_index(sc.wg.model, omega_p0)
+        theta_out = math.asin(n_p * math.sin(sc.pump.theta_p0))
+        dtilde_out = value * _DEG * 2.0 * math.pi * C_LIGHT / omega_p0**2
+        name, value = "Dtilde_theta", refract_in(
+            n_p, index_derivative(sc.wg.model, omega_p0), theta_out, dtilde_out)[1]
+    elif name == "sigma_both_nm":
+        name, value = "sigma_both", value * 1e-9 * sc.omega_s0**2 / (2.0 * math.pi * C_LIGHT)
+    if group == "pump":
+        return replace(sc, pump=replace(sc.pump, **{name.lower(): value}))
+    names = ("sigma_s", "sigma_i") if name == "sigma_both" else (name,)
+    return replace(sc, filt=replace(sc.filt, **dict.fromkeys(names, value)))
 
 
 def build_scenario_tpsa(sc: Scenario) -> GaussianTPSA:
@@ -308,7 +268,8 @@ def _complex_pair(z: complex):
 
 def compute_scenario(sc: Scenario) -> dict:
     """Every scalar observable of one scenario as a JSON-ready dict."""
-    return scenario_bundle(sc, scenario_material(sc))
+    with in_double_range("the scenario's settings"):
+        return scenario_bundle(sc, scenario_material(sc))
 
 
 def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
@@ -503,6 +464,8 @@ def _parse_axis(raw: dict, which: str) -> SweepAxis | None:
     else:
         step = (hi - lo) / (n - 1)
         values = tuple(lo + step * k for k in range(n))
+    if not all(map(math.isfinite, (lo, hi) + values)):
+        raise ConfigInvalid(f"{range_key}: bounds and grid must be finite", field=range_key)
     return SweepAxis(param=param, values=values, scale=scale)
 
 
@@ -530,11 +493,12 @@ def parse_sweep(raw: dict) -> SweepSpec:
 
 def _evaluate_sweep(sc: Scenario, spec: SweepSpec, mp: MaterialPoint, v1, v2):
     """The requested quantities at axis values v1, v2 (scalars or broadcast arrays)."""
-    point = with_sweep_value(sc, mp, spec.axis1.param, v1)
-    if spec.axis2 is not None:
-        point = with_sweep_value(point, mp, spec.axis2.param, v2)
-    tpsa = assemble_tpsa(mp, point.pump, point.filt, include_g=sc.include_g)
-    return tpsa, {name: QUANTITIES[name][1](point, tpsa) for name in spec.quantities}
+    with in_double_range("the swept settings"):
+        point = apply_sweep_value(sc, spec.axis1.param, v1)
+        if spec.axis2 is not None:
+            point = apply_sweep_value(point, spec.axis2.param, v2)
+        tpsa = assemble_tpsa(mp, point.pump, point.filt, include_g=sc.include_g)
+        return tpsa, {name: QUANTITIES[name][1](point, tpsa) for name in spec.quantities}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+from contextlib import contextmanager
+
 
 class CounterpairsError(Exception):
     """Base class for every error raised by this package."""
@@ -74,3 +76,13 @@ class ConfigInvalid(CounterpairsError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+@contextmanager
+def in_double_range(what: str):
+    """Raise OutOfRange, naming `what`, where float arithmetic in the block leaves
+    double range: Python floats raise there (x**2, exp, 1/x**2) instead of turning inf."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise OutOfRange(f"{what} leave double range ({exc})") from None

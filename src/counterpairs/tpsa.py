@@ -40,6 +40,7 @@ from .errors import (
     OutOfRange,
     PhaseMatchViolated,
     TotalInternalReflection,
+    in_double_range,
 )
 
 _EXP_GUARD = 700.0       # |exponent| ceiling within double range
@@ -233,6 +234,7 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
     paper's simplified closed forms; the constant f0 is always kept.
     Filters enter the diagonal coefficients only. Pump and filter
     settings may be broadcast arrays (one amplitude per sweep cell).
+    Settings whose coefficients leave double range raise OutOfRange.
     """
     omega_s0, omega_i0 = mp.omega_s0, mp.omega_i0
     omega_p0 = omega_s0 + omega_i0
@@ -249,50 +251,51 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
             f"{_PM_REL_TOL:.0e} k_p0; solve the pump angle first"
         )
 
-    vc = v_coefficients(mp, pump)
-    v_p = mp.v_p
-    gt = mp.gt
+    with in_double_range("pump and filter settings"):
+        vc = v_coefficients(mp, pump)
+        v_p = mp.v_p
+        gt = mp.gt
 
-    cos_t = math.cos(pump.theta_p0)
-    sin_t = math.sin(pump.theta_p0)
-    kc = kp0 * cos_t
-    # Coefficients shared by the G corrections and the linear terms.
-    b1 = cos_t / v_p - kp0 * sin_t * pump.dtilde_theta
-    b2 = (cos_t / (kp0 * v_p**2)
-          - 4.0 * sin_t * pump.dtilde_theta / v_p
-          - kp0 * math.cos(2.0 * pump.theta_p0) / cos_t * pump.dtilde_theta**2)
+        cos_t = math.cos(pump.theta_p0)
+        sin_t = math.sin(pump.theta_p0)
+        kc = kp0 * cos_t
+        # Coefficients shared by the G corrections and the linear terms.
+        b1 = cos_t / v_p - kp0 * sin_t * pump.dtilde_theta
+        b2 = (cos_t / (kp0 * v_p**2)
+              - 4.0 * sin_t * pump.dtilde_theta / v_p
+              - kp0 * math.cos(2.0 * pump.theta_p0) / cos_t * pump.dtilde_theta**2)
 
-    if include_g:
-        g_s = (kc / 2.0) * (kc * gt.g2s + 2.0 * b1 * gt.g1s + b2 * gt.g0)
-        g_i = (kc / 2.0) * (kc * gt.g2i + 2.0 * b1 * gt.g1i + b2 * gt.g0)
-        g_si = (kc / 2.0) * (kc * gt.g2si + 2.0 * b1 * (gt.g1s + gt.g1i)
-                             + 2.0 * b2 * gt.g0)
-        f1s = kc * (kc / 2.0 * gt.g1s + b1 * gt.g0) + 0j
-        f1i = kc * (kc / 2.0 * gt.g1i + b1 * gt.g0) + 0j
-    else:
-        g_s = g_i = g_si = 0.0
-        f1s = f1i = 0.0 + 0.0j
-    f0 = kc**2 * gt.g0 / 2.0
+        if include_g:
+            g_s = (kc / 2.0) * (kc * gt.g2s + 2.0 * b1 * gt.g1s + b2 * gt.g0)
+            g_i = (kc / 2.0) * (kc * gt.g2i + 2.0 * b1 * gt.g1i + b2 * gt.g0)
+            g_si = (kc / 2.0) * (kc * gt.g2si + 2.0 * b1 * (gt.g1s + gt.g1i)
+                                 + 2.0 * b2 * gt.g0)
+            f1s = kc * (kc / 2.0 * gt.g1s + b1 * gt.g0) + 0j
+            f1i = kc * (kc / 2.0 * gt.g1i + b1 * gt.g0) + 0j
+        else:
+            g_s = g_i = g_si = 0.0
+            f1s = f1i = 0.0 + 0.0j
+        f0 = kc**2 * gt.g0 / 2.0
 
-    chirp = 1.0 / (1.0 + 1j * pump.a_p)
-    tau2 = pump.tau_p**2
-    z2 = pump.z_p**2
-    inv_s = _inv_sq(filt.sigma_s)
-    inv_i = _inv_sq(filt.sigma_i)
+        chirp = 1.0 / (1.0 + 1j * pump.a_p)
+        tau2 = pump.tau_p**2
+        z2 = pump.z_p**2
+        inv_s = _inv_sq(filt.sigma_s)
+        inv_i = _inv_sq(filt.sigma_i)
 
-    f2s = tau2 * chirp / 4.0 + vc.v_ps**2 * z2 / 4.0 + inv_s + g_s
-    f2i = tau2 * chirp / 4.0 + vc.v_pi**2 * z2 / 4.0 + inv_i + g_i
-    f2si = tau2 * chirp / 2.0 + vc.v_ps * vc.v_pi * z2 / 2.0 + g_si
+        f2s = tau2 * chirp / 4.0 + vc.v_ps**2 * z2 / 4.0 + inv_s + g_s
+        f2i = tau2 * chirp / 4.0 + vc.v_pi**2 * z2 / 4.0 + inv_i + g_i
+        f2si = tau2 * chirp / 2.0 + vc.v_ps * vc.v_pi * z2 / 2.0 + g_si
 
-    return GaussianTPSA(
-        omega_s0=omega_s0, omega_i0=omega_i0,
-        f2s=f2s, f2i=f2i, f2si=f2si, f1s=f1s, f1i=f1i, f0=f0,
-        c_phi_sq=pair_norm_constant(mp, pump),
-        prefactor=ew.sqrt(pump.z_p * pump.tau_p / (1.0 + pump.a_p**2)),
-        v_ps=vc.v_ps, v_pi=vc.v_pi, v_si=vc.v_si,
-        g_s=g_s, g_i=g_i, g_si=g_si,
-        f_rep=pump.f_rep,
-    )
+        return GaussianTPSA(
+            omega_s0=omega_s0, omega_i0=omega_i0,
+            f2s=f2s, f2i=f2i, f2si=f2si, f1s=f1s, f1i=f1i, f0=f0,
+            c_phi_sq=pair_norm_constant(mp, pump),
+            prefactor=ew.sqrt(pump.z_p * pump.tau_p / (1.0 + pump.a_p**2)),
+            v_ps=vc.v_ps, v_pi=vc.v_pi, v_si=vc.v_si,
+            g_s=g_s, g_i=g_i, g_si=g_si,
+            f_rep=pump.f_rep,
+        )
 
 
 def evaluate(tpsa: GaussianTPSA, omega_s, omega_i):

@@ -41,6 +41,14 @@ def fig2_cfg(tmp_path):
     return dst
 
 
+def config_with(path: Path, settings: dict, base: str) -> Path:
+    """Write a shipped config to path with some 'key = value' lines replaced or added."""
+    lines = [line for line in (CONFIG_DIR / base).read_text().splitlines()
+             if line.split(" = ")[0] not in settings]
+    path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in settings.items()]) + "\n")
+    return path
+
+
 class TestScenario:
     def test_reference_rate_in_band(self, capsys, fig2_cfg):
         code, out, _ = run_cli(capsys, "scenario", "--config", str(fig2_cfg))
@@ -120,6 +128,44 @@ class TestScenario:
         code, out, err = run_cli(capsys, "scenario", "--config", str(bad))
         assert (code, out) == (1, "")
         assert err == f"error: {key} must be a positive wavelength; got '0 m' [field: {key}]\n"
+
+    @pytest.mark.parametrize("key,value", [
+        ("pump.P_p", "inf W"), ("pump.f_rep", "inf 1/s"), ("waveguide.d", "inf m/V"),
+        ("filters.sigma_s", "inf rad/s"), ("pump.a_p", "nan"),
+        ("pump.D_theta_out", "-inf deg/m")])
+    def test_non_finite_value_names_field(self, capsys, tmp_path, key, value):
+        bad = config_with(tmp_path / "bad.cfg", {key: value}, "fig2.cfg")
+        code, out, err = run_cli(capsys, "scenario", "--config", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {key}: {value.split()[0]!r} is not a finite number [field: {key}]\n"
+
+    @pytest.mark.parametrize("key,value,what", [
+        ("pump.tau_p", "1e300 s", "pump and filter"),
+        ("pump.Z_p", "1e300 m", "pump and filter"),
+        ("pump.a_p", "1e300", "pump and filter"),
+        ("filters.sigma_s", "1e-300 rad/s", "pump and filter"),
+        # assembles, then overflows in the time-domain and dip closed forms
+        ("filters.sigma_s", "1e-100 rad/s", "the scenario's")])
+    @pytest.mark.parametrize("command", ["scenario", "hom"])
+    def test_settings_that_overflow_are_user_errors(self, capsys, tmp_path, key, value, what,
+                                                    command):
+        bad = config_with(tmp_path / "bad.cfg", {key: value}, "fig2.cfg")
+        code, out, err = run_cli(capsys, command, "--config", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {what} settings leave double range (")
+
+    @pytest.mark.parametrize("command,p_min", [("scenario", "nan"), ("scenario", "1"),
+                                               ("schmidt", "0"), ("sweep", "7")])
+    def test_p_min_outside_the_unit_interval_names_field(self, capsys, tmp_path, command,
+                                                         p_min):
+        out_dir = tmp_path / "out"
+        extra = ["--out-dir", str(out_dir)] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, "--config", str(CONFIG_DIR / "fig2_sweep.cfg"),
+                                 "--p-min", p_min, *extra)
+        assert (code, out) == (1, "")
+        assert err == (f"error: p_min must lie in (0, 1); got {float(p_min)!r}"
+                       " [field: p_min]\n")
+        assert not out_dir.exists()
 
     def test_csv_format(self, capsys, fig2_cfg):
         code, out, _ = run_cli(capsys, "scenario", "--config", str(fig2_cfg),
@@ -276,6 +322,41 @@ class TestSweep:
         assert errors[-1] == "SingularTransform"
         assert any(m.startswith("|D_f| = ") for m in manifest["errors"])
 
+    @pytest.mark.parametrize("axis", [
+        {"sweep.axis1_range": "1e-14 inf s"},
+        {"sweep.axis1_range": "nan 1e-12 s"},
+        # finite bounds 313 decades apart: the log-grid ratio is inf
+        {"sweep.axis1": "filters.sigma_both", "sweep.axis1_range": "1e-300 1e13 rad/s"}])
+    def test_non_finite_axis_names_field(self, capsys, tmp_path, axis):
+        cfg = config_with(tmp_path / "bad.cfg", {"sweep.axis1_scale": "log", **axis},
+                          "fig6_sweep.cfg")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err == ("error: sweep.axis1_range: bounds and grid must be finite"
+                       " [field: sweep.axis1_range]\n")
+        assert not out_dir.exists()
+
+    def test_a_cell_that_overflows_fails_only_itself(self, capsys, tmp_path):
+        # 1/sigma^2 divides by zero at 1e-300 rad/s, in the first row only
+        cfg = config_with(tmp_path / "tiny.cfg", {
+            "sweep.axis1": "filters.sigma_both", "sweep.axis1_range": "1e-300 1e13 rad/s",
+            "sweep.axis1_scale": "linear", "sweep.axis1_points": "3",
+            "sweep.axis2_points": "4"}, "fig6_sweep.cfg")
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+        assert manifest["errors"] == [
+            "pump and filter settings leave double range (float division by zero)"]
+        rows = [row.split(",")[1:] for row in
+                (out_dir / "errors.csv").read_text().splitlines()[1:]]
+        assert rows == [["OutOfRange"] * 4, [""] * 4, [""] * 4]
+        for fname in manifest["files"].values():
+            cells = [row.split(",")[1:] for row in
+                     (out_dir / fname).read_text().splitlines()[1:]]
+            assert cells[0] == ["nan"] * 4 and "nan" not in cells[1] + cells[2]
+
     def test_invalid_swept_value_fails_only_its_cells(self, capsys, tmp_path):
         # a linear Z_p axis from 0: PumpSpec rejects Z_p = 0 for that row only
         cfg = tmp_path / "zero.cfg"
@@ -431,6 +512,36 @@ class TestInverse:
         assert code == 1
         assert "at least 7" in err
 
+
+    @pytest.mark.parametrize("key", ["measure.omega_s0", "measure.omega_i0"])
+    def test_one_measured_central_names_the_other(self, capsys, tmp_path, fig2_cfg, key):
+        widths, curve, _ = self._write_measurements(capsys, tmp_path, fig2_cfg)
+        widths.write_text(widths.read_text() + f"{key} = 1.77e15 rad/s\n")
+        code, out, err = run_cli(capsys, "inverse", "--widths", str(widths),
+                                 "--hom-csv", str(curve))
+        other = "measure.omega_i0" if key == "measure.omega_s0" else "measure.omega_s0"
+        assert (code, out) == (1, "")
+        assert err == (f"error: missing key {other!r}: give both measured centrals or"
+                       f" neither [field: {other}]\n")
+
+    def test_non_finite_width_names_field(self, capsys, tmp_path, fig2_cfg):
+        widths, curve, _ = self._write_measurements(capsys, tmp_path, fig2_cfg)
+        lines = widths.read_text().splitlines()
+        widths.write_text("\n".join(["measure.sigma_omega_s = inf rad/s"] + lines[1:]) + "\n")
+        code, out, err = run_cli(capsys, "inverse", "--widths", str(widths),
+                                 "--hom-csv", str(curve))
+        assert (code, out) == (1, "")
+        assert err == ("error: measure.sigma_omega_s: 'inf' is not a finite number"
+                       " [field: measure.sigma_omega_s]\n")
+
+    @pytest.mark.parametrize("sample", ["inf,1.0", "0.0,nan"])
+    def test_non_finite_dip_sample_names_line(self, capsys, tmp_path, fig2_cfg, sample):
+        widths, curve, _ = self._write_measurements(capsys, tmp_path, fig2_cfg)
+        curve.write_text(curve.read_text() + sample + "\n")
+        code, out, err = run_cli(capsys, "inverse", "--widths", str(widths),
+                                 "--hom-csv", str(curve))
+        assert (code, out) == (1, "")
+        assert err == f"error: non-finite coincidence sample line {sample!r}\n"
 
     @pytest.mark.parametrize("line,message", [
         ("measure.sigma_omega_s = 1e13 rad/s", "duplicate key"),

@@ -117,12 +117,31 @@ def test_wrappers_equal_the_point_paths(make_case):
 def test_apply_sweep_value_matches_the_point_path():
     sc = config.resolve_scenario(config.parse_config(CONFIG_DIR / "fig2.cfg"))
     mp = config.scenario_material(sc)
-    for param, value in (("pump.D_theta_out", 1.2e8), ("pump.Z_p", 2e-5),
-                         ("filters.sigma_both_nm", 7.0)):
-        assert (config.apply_sweep_value(sc, param, value)
-                == config.with_sweep_value(sc, mp, param, value))
     point = config.apply_sweep_value(sc, "pump.D_theta_out", -2e8)
     assert config.compute_scenario(point) == config.scenario_bundle(point, mp)
+
+
+@pytest.mark.parametrize("centrals", [(1.064e-6, 1.064e-6), (1.060e-6, 1.068e-6)])
+def test_a_config_key_sets_its_setting_as_a_sweep_axis_does(tmp_path, centrals):
+    # one setter: the angular dispersion in a config file equals the same
+    # value applied to the scenario resolved without it
+    lambda_p0 = 1.0 / (1.0 / centrals[0] + 1.0 / centrals[1])
+    text = "".join(
+        f"{line}\n" for line in (CONFIG_DIR / "fig2.cfg").read_text().splitlines()
+        if line.split(" = ")[0] not in ("pump.lambda_p0", "centrals.lambda_s0",
+                                        "centrals.lambda_i0")
+    ) + (f"pump.lambda_p0 = {lambda_p0!r} m\n"
+         f"centrals.lambda_s0 = {centrals[0]!r} m\ncentrals.lambda_i0 = {centrals[1]!r} m\n")
+    cfg = tmp_path / "angular.cfg"
+    cfg.write_text(text)
+    sc = config.resolve_scenario(config.parse_config(cfg))
+    for key, unit, values in (("pump.D_theta_out", "deg/m", (-2.7e8, 0.0, 1.5e8, 3e9)),
+                              ("pump.Dtilde_theta", "rad*s", (-1e-16, 3e-17))):
+        for value in values:
+            cfg.write_text(text + f"{key} = {value!r} {unit}\n")
+            resolved = config.resolve_scenario(config.parse_config(cfg))
+            assert resolved == config.apply_sweep_value(sc, key, value)
+            assert (resolved.pump.dtilde_theta != 0.0) == (value != 0.0 or sc.pump.theta_p0 != 0.0)
 
 
 def test_scenario_evaluates_the_material_once(count_calls):
