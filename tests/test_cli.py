@@ -337,18 +337,25 @@ class TestSweep:
                        " [field: sweep.axis1_range]\n")
         assert not out_dir.exists()
 
-    def test_a_cell_that_overflows_fails_only_itself(self, capsys, tmp_path):
-        # 1/sigma^2 divides by zero at 1e-300 rad/s, in the first row only
+    @pytest.mark.parametrize("lo,quantities,message", [
+        # 1/sigma^2 divides by zero in the assembly
+        ("1e-300", "entropy n_min vartheta",
+         "pump and filter settings leave double range (float division by zero)"),
+        # assembles, then a square overflows in the dip and time-domain forms
+        ("1e-100", "hom_A sigma_tau_s",
+         "the swept settings leave double range (")])
+    def test_a_cell_that_overflows_fails_only_itself(self, capsys, tmp_path, lo, quantities,
+                                                     message):
+        # the filter width lo is in the first row only
         cfg = config_with(tmp_path / "tiny.cfg", {
-            "sweep.axis1": "filters.sigma_both", "sweep.axis1_range": "1e-300 1e13 rad/s",
+            "sweep.axis1": "filters.sigma_both", "sweep.axis1_range": f"{lo} 1e13 rad/s",
             "sweep.axis1_scale": "linear", "sweep.axis1_points": "3",
-            "sweep.axis2_points": "4"}, "fig6_sweep.cfg")
+            "sweep.axis2_points": "4", "sweep.quantities": quantities}, "fig6_sweep.cfg")
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(out_dir))
         assert code == 0
         manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
-        assert manifest["errors"] == [
-            "pump and filter settings leave double range (float division by zero)"]
+        assert len(manifest["errors"]) == 1 and manifest["errors"][0].startswith(message)
         rows = [row.split(",")[1:] for row in
                 (out_dir / "errors.csv").read_text().splitlines()[1:]]
         assert rows == [["OutOfRange"] * 4, [""] * 4, [""] * 4]
