@@ -4,7 +4,8 @@ Every closed form in the package is written once and evaluated either on
 Python floats (one scenario) or on broadcast numpy arrays (a whole sweep
 grid; a scalar is simply the 0-d case). Scalars go through math/cmath,
 which is several times faster than numpy on single values and keeps
-results Python floats; arrays go through numpy.
+results Python floats; arrays go through numpy. is_array is the one test
+that tells the two apart.
 
 Invariant checks are written as the condition that must hold, so a NaN
 fails them. On scalars a violated check raises the caller's typed error.
@@ -21,71 +22,42 @@ from dataclasses import fields
 
 import numpy as np
 
+
+def is_array(x) -> bool:
+    """Whether x is a numpy array (a sweep grid) rather than a Python scalar."""
+    return isinstance(x, np.ndarray)
+
+
+def _dispatch(array_fn, scalar_fn, arity=1):
+    """One function that calls array_fn when an operand is an array, else scalar_fn."""
+    if arity == 1:
+        def fn(x):
+            return array_fn(x) if is_array(x) else scalar_fn(x)
+    else:
+        def fn(a, b):
+            return array_fn(a, b) if is_array(a) or is_array(b) else scalar_fn(a, b)
+    return fn
+
+
 _erf = np.frompyfunc(math.erf, 1, 1)
 
-
-def sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def csqrt(z):
-    """Principal complex square root."""
-    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
-
-
-def exp(x):
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
-
-
-def log(x):
-    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
-
-
-def log2(x):
-    return np.log2(x) if isinstance(x, np.ndarray) else math.log2(x)
-
-
-def cos(x):
-    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
-
-
-def ceil(x):
-    return np.ceil(x) if isinstance(x, np.ndarray) else math.ceil(x)
-
-
-def erf(x):
-    return _erf(x).astype(float) if isinstance(x, np.ndarray) else math.erf(x)
-
-
-def atan2(y, x):
-    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
-        return np.arctan2(y, x)
-    return math.atan2(y, x)
-
-
-def hypot(x, y):
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.hypot(x, y)
-    return math.hypot(x, y)
-
-
-def maximum(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.maximum(a, b)
-    return max(a, b)
-
-
-def minimum(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.minimum(a, b)
-    return min(a, b)
+sqrt = _dispatch(np.sqrt, math.sqrt)
+csqrt = _dispatch(np.sqrt, cmath.sqrt)      # principal complex square root
+exp = _dispatch(np.exp, math.exp)
+log = _dispatch(np.log, math.log)
+log2 = _dispatch(np.log2, math.log2)
+cos = _dispatch(np.cos, math.cos)
+ceil = _dispatch(np.ceil, math.ceil)
+erf = _dispatch(lambda x: _erf(x).astype(float), math.erf)
+atan2 = _dispatch(np.arctan2, math.atan2, arity=2)
+hypot = _dispatch(np.hypot, math.hypot, arity=2)
+maximum = _dispatch(np.maximum, max, arity=2)
+minimum = _dispatch(np.minimum, min, arity=2)
 
 
 def where(cond, a, b):
     """a where cond holds, else b; a scalar cond picks one operand whole."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
+    return np.where(cond, a, b) if is_array(cond) else (a if cond else b)
 
 
 def holds(cond) -> bool:
@@ -94,12 +66,17 @@ def holds(cond) -> bool:
     Guards scalar shortcuts (an early return, a branch that would divide
     by zero); arrays take the general path and resolve cells with where().
     """
-    return not isinstance(cond, np.ndarray) and bool(cond)
+    return not is_array(cond) and bool(cond)
 
 
 def any_(cond) -> bool:
     """Whether a scalar condition holds, or any cell of an array one does."""
-    return bool(np.any(cond)) if isinstance(cond, np.ndarray) else bool(cond)
+    return bool(np.any(cond) if is_array(cond) else cond)
+
+
+def _array_fields(value):
+    """(name, array) for each array field of a dataclass."""
+    return [(f.name, x) for f in fields(value) if is_array(x := getattr(value, f.name))]
 
 
 def violated(ok, value=None) -> bool:
@@ -108,21 +85,17 @@ def violated(ok, value=None) -> bool:
     For an array invariant this returns False; when `value` is a frozen
     dataclass its array fields are set to NaN in the failing cells first.
     """
-    if not isinstance(ok, np.ndarray):
+    if not is_array(ok):
         return not ok
     if value is not None and not ok.all():
-        for field in fields(value):
-            x = getattr(value, field.name)
-            if isinstance(x, np.ndarray):
-                object.__setattr__(value, field.name, np.where(ok, x, np.nan))
+        for name, x in _array_fields(value):
+            object.__setattr__(value, name, np.where(ok, x, np.nan))
     return False
 
 
 def finite_cells(value):
     """Mask of the cells where every array field of a dataclass is finite."""
     ok = True
-    for field in fields(value):
-        x = getattr(value, field.name)
-        if isinstance(x, np.ndarray):
-            ok = ok & np.isfinite(x)
+    for _, x in _array_fields(value):
+        ok = ok & np.isfinite(x)
     return ok

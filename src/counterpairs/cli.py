@@ -49,7 +49,7 @@ from .dispersion import (
     refractive_index,
 )
 from .entanglement import schmidt
-from .errors import ConfigInvalid, CounterpairsError, in_double_range
+from .errors import ConfigInvalid, CounterpairsError, OutOfRange, in_double_range
 from .inverse import MeasurementSet, estimate, fit_hom_B
 from .temporal import hom_curve, hom_params
 
@@ -59,25 +59,38 @@ def _fmt(x) -> str:
     return "" if x is None else str(x)
 
 
+def _leaves(doc: dict) -> list:
+    """(dotted key, value) for each leaf of a document, keys sorted; the first
+    non-finite float raises OutOfRange naming its key: no output holds one."""
+    leaves = []
+
+    def walk(prefix, node):
+        if isinstance(node, dict):
+            for key in sorted(node):
+                walk(f"{prefix}{key}.", node[key])
+        elif isinstance(node, (list, tuple)):
+            for k, item in enumerate(node):
+                walk(f"{prefix}{k}.", item)
+        elif isinstance(node, float) and not math.isfinite(node):
+            raise OutOfRange(f"{prefix[:-1]} = {node!r} is not finite")
+        else:
+            leaves.append((prefix[:-1], node))
+
+    walk("", doc)
+    return leaves
+
+
 def _emit(doc: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        try:
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:      # the walk names a non-finite float's key
+            _leaves(doc)
+            raise
     else:
-        rows = [["key", "value"]]
-
-        def walk(prefix, node):
-            if isinstance(node, dict):
-                for key in sorted(node):
-                    walk(f"{prefix}{key}.", node[key])
-            elif isinstance(node, (list, tuple)):
-                for k, item in enumerate(node):
-                    walk(f"{prefix}{k}.", item)
-            else:
-                rows.append([prefix[:-1], _fmt(node)])
-
-        walk("", doc)
         buf = io.StringIO()
-        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(rows)
+        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(
+            [["key", "value"]] + [[key, _fmt(value)] for key, value in _leaves(doc)])
         text = buf.getvalue()
     if out:
         Path(out).write_text(text)
@@ -124,8 +137,7 @@ def _cmd_sweep(args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    grid = sweep_point(sc, spec, spec.axis1.values,
-                       None if spec.axis2 is None else spec.axis2.values)
+    grid = sweep_point(sc, spec)
 
     ax1 = (spec.axis1.param, spec.axis1.values, SWEEP_PARAMS[spec.axis1.param])
     ax2 = None if spec.axis2 is None else (
@@ -165,6 +177,11 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_hom(args) -> dict:
+    if not 0.0 < args.span < math.inf:
+        raise ConfigInvalid(f"--span must be finite and > 0; got {args.span!r}", field="--span")
+    if args.points < 1:
+        raise ConfigInvalid(f"--points must be a positive integer; got {args.points}",
+                            field="--points")
     tpsa = build_scenario_tpsa(_load_scenario(args))
     with in_double_range("the scenario's settings"):
         dip = hom_params(tpsa)

@@ -40,6 +40,7 @@ from .tpsa import (
     GaussianTPSA,
     PumpSpec,
     assemble_tpsa,
+    external_angle,
     refract_in,
     refract_out,
 )
@@ -246,7 +247,7 @@ def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
     if name == "D_theta_out":
         omega_p0 = sc.omega_s0 + sc.omega_i0
         n_p = refractive_index(sc.wg.model, omega_p0)
-        theta_out = math.asin(n_p * math.sin(sc.pump.theta_p0))
+        theta_out = external_angle(n_p, sc.pump.theta_p0)
         dtilde_out = value * _DEG * 2.0 * math.pi * C_LIGHT / omega_p0**2
         name, value = "Dtilde_theta", refract_in(
             n_p, index_derivative(sc.wg.model, omega_p0), theta_out, dtilde_out)[1]
@@ -514,19 +515,20 @@ class SweepGrid:
     errors: list
 
 
-def sweep_point(sc: Scenario, spec: SweepSpec, v1, v2) -> SweepGrid:
+def sweep_point(sc: Scenario, spec: SweepSpec) -> SweepGrid:
     """Evaluate the requested quantities over the whole sweep grid at once.
 
-    v1 and v2 are the axis values (v2 None without a second axis). One
+    The grid is spec's axis values, made into broadcast arrays here. One
     material point (every sweepable parameter is a pump or filter setting)
     and one broadcast amplitude serve every cell. A cell fails when its
     amplitude or any requested quantity fails there: the broadcast
     evaluation leaves such cells non-finite, and each is evaluated again on
     its own, with scalars, to get its exception (a cell that then succeeds
-    keeps those values). When the material fails, every cell fails with it.
+    keeps those values, and one still non-finite fails with OutOfRange).
+    When the material fails, every cell fails with it.
     """
-    axis1 = np.asarray(v1, dtype=float).reshape(-1, 1)
-    axis2 = None if v2 is None else np.asarray(v2, dtype=float).reshape(1, -1)
+    axis1 = np.reshape(spec.axis1.values, (-1, 1))
+    axis2 = None if spec.axis2 is None else np.reshape(spec.axis2.values, (1, -1))
     shape = (axis1.shape[0], 1 if axis2 is None else axis2.shape[1])
     try:
         mp = scenario_material(sc)
@@ -551,6 +553,9 @@ def sweep_point(sc: Scenario, spec: SweepSpec, v1, v2) -> SweepGrid:
         try:
             cell = _evaluate_sweep(sc, spec, mp, float(axis1[i, 0]),
                                    None if axis2 is None else float(axis2[0, j]))[1]
+            for name in spec.quantities:
+                if not math.isfinite(cell[name]):
+                    raise OutOfRange(f"sweep quantity {name} = {cell[name]!r} is not finite")
         except CounterpairsError as exc:
             cell = dict.fromkeys(spec.quantities, math.nan)
             errors[i][j] = exc

@@ -350,18 +350,21 @@ def normalize(tpsa: GaussianTPSA) -> GaussianTPSA:
     return replace(tpsa, c_phi_sq=ew.where(ok, tpsa.c_phi_sq / norm, math.nan))
 
 
+def external_angle(n: float, theta_p0: float) -> float:
+    """The pump angle outside the material (Snell's law) for theta_p0 inside it."""
+    s_out = n * math.sin(theta_p0)
+    if abs(s_out) > 1.0:
+        raise TotalInternalReflection(f"n0 sin(theta_p0) = {s_out:.4g} has no external angle")
+    return math.asin(s_out)
+
+
 def refract_out(n: float, dn_dw: float, omega_p0: float, theta_p0: float,
                 dtilde_internal: float) -> ExternalAngularDispersion:
     """Refract the internal pump angle and angular dispersion out of the material.
 
     n and dn_dw are the index and dn/domega at omega_p0.
     """
-    s_out = n * math.sin(theta_p0)
-    if abs(s_out) > 1.0:
-        raise TotalInternalReflection(
-            f"n0 sin(theta_p0) = {s_out:.4g} has no external angle"
-        )
-    theta_out = math.asin(s_out)
+    theta_out = external_angle(n, theta_p0)
     dtilde_out = (n * math.cos(theta_p0) / math.cos(theta_out) * dtilde_internal
                   + math.sin(theta_p0) / math.cos(theta_out) * dn_dw)
     d_out = dtilde_out * omega_p0**2 / (2.0 * math.pi * C_LIGHT)
@@ -382,5 +385,6 @@ __all__ = [
     "PumpSpec", "FilterSpec", "UNFILTERED", "VCoefficients", "GaussianTPSA",
     "ExternalAngularDispersion", "with_matched_angle",
     "v_coefficients", "pair_norm_constant", "build_tpsa", "assemble_tpsa",
-    "evaluate", "e_factor", "l2_norm", "normalize", "refract_out", "refract_in",
+    "evaluate", "e_factor", "l2_norm", "normalize", "external_angle", "refract_out",
+    "refract_in",
 ]

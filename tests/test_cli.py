@@ -19,7 +19,7 @@ from counterpairs.config import (
     resolve_scenario,
 )
 from counterpairs.entanglement import schmidt
-from counterpairs.errors import CounterpairsError
+from counterpairs.errors import CounterpairsError, TotalInternalReflection
 from counterpairs.spectral import pair_rate
 from counterpairs.temporal import hom_params
 from counterpairs.tpsa import normalize
@@ -39,6 +39,16 @@ def fig2_cfg(tmp_path):
     dst = tmp_path / "fig2.cfg"
     shutil.copy(CONFIG_DIR / "fig2.cfg", dst)
     return dst
+
+
+# centrals whose pump angle n0 sin(theta_p0) exceeds 1: no angle outside the material
+NO_EXTERNAL_ANGLE = {"centrals.lambda_s0": "0.8e-6 m", "centrals.lambda_i0": "2.2e-6 m",
+                     "pump.lambda_p0": f"{1e-6 / (1 / 0.8 + 1 / 2.2)!r} m"}
+
+
+def grid_cells(path: Path) -> list:
+    """The cells of a sweep grid CSV, without its header row and axis column."""
+    return [row.split(",")[1:] for row in path.read_text().splitlines()[1:]]
 
 
 def config_with(path: Path, settings: dict, base: str) -> Path:
@@ -166,6 +176,16 @@ class TestScenario:
         assert err == (f"error: p_min must lie in (0, 1); got {float(p_min)!r}"
                        " [field: p_min]\n")
         assert not out_dir.exists()
+
+    def test_external_angular_dispersion_without_an_external_angle(self, capsys, tmp_path):
+        cfg = config_with(tmp_path / "tir.cfg",
+                          {**NO_EXTERNAL_ANGLE, "pump.D_theta_out": "1e8 deg/m"}, "fig2.cfg")
+        with pytest.raises(TotalInternalReflection):
+            resolve_scenario(parse_config(cfg))
+        code, out, err = run_cli(capsys, "scenario", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: n0 sin(theta_p0) = ")
+        assert err.endswith(" has no external angle\n")
 
     def test_csv_format(self, capsys, fig2_cfg):
         code, out, _ = run_cli(capsys, "scenario", "--config", str(fig2_cfg),
@@ -385,6 +405,33 @@ class TestSweep:
             assert float(rows[0].split(",")[0]) == 0.0 and np.isnan(cells[0])
             assert all(np.isfinite(cells[1:])) and len(cells) == 3
 
+    def test_angle_axis_without_an_external_angle_fails_every_cell(self, capsys, tmp_path):
+        cfg = config_with(tmp_path / "tir.cfg", {**NO_EXTERNAL_ANGLE, "sweep.axis1_points": "3",
+                                                 "sweep.axis2_points": "2"}, "fig3_sweep.cfg")
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+        assert len(manifest["errors"]) == 1
+        assert manifest["errors"][0].endswith(" has no external angle")
+        assert grid_cells(out_dir / "errors.csv") == [["TotalInternalReflection"] * 2] * 3
+        for fname in manifest["files"].values():
+            assert grid_cells(out_dir / fname) == [["nan"] * 2] * 3
+
+    def test_a_cell_left_non_finite_fails(self, capsys, tmp_path):
+        # per_pulse = N / f_rep overflows to inf in every cell, and raises nowhere
+        cfg = config_with(tmp_path / "tiny.cfg", {
+            "pump.f_rep": "5e-324 1/s", "sweep.axis1_points": "3", "sweep.axis2_points": "2",
+            "sweep.quantities": "per_pulse N"}, "fig2_sweep.cfg")
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+        assert manifest["errors"] == ["sweep quantity per_pulse = inf is not finite"]
+        assert grid_cells(out_dir / "errors.csv") == [["OutOfRange"] * 2] * 3
+        for fname in ("per_pulse.csv", "N.csv"):
+            assert grid_cells(out_dir / fname) == [["nan"] * 2] * 3
+
 
 class TestOutputFormat:
     """Outputs carry plain numbers: no numpy reprs, and every sweep cell parses."""
@@ -453,6 +500,17 @@ class TestOutputFormat:
                 model = "inputs.waveguide.model" if command == "scenario" else "model"
                 assert dict(rows)[model] == "congruent LiNbO3, extraordinary index, 25 C"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_non_finite_value_names_its_key(self, capsys, tmp_path, fmt):
+        # per_pulse = N / f_rep overflows to inf, and raises nowhere
+        cfg = config_with(tmp_path / "tiny.cfg", {"pump.f_rep": "5e-324 1/s"}, "fig2.cfg")
+        out_file = tmp_path / f"out.{fmt}"
+        code, out, err = run_cli(capsys, "scenario", "--config", str(cfg), "--format", fmt,
+                                 "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err == "error: rate.per_pulse_probability = inf is not finite\n"
+        assert not out_file.exists()
+
     def test_separable_p_is_null_and_an_empty_csv_value(self, capsys):
         argv = ["--config", str(CONFIG_DIR / "separable.cfg"), "--neglect-g"]
         code, out, _ = run_cli(capsys, "schmidt", *argv)
@@ -473,6 +531,19 @@ class TestHomAndSchmidt:
         assert rows[0] == "tau_l [s],R_n [1]"
         mid = rows[1 + (len(rows) - 1) // 2]
         assert float(mid.split(",")[1]) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("option,value,rule", [
+        ("--span", "nan", "finite and > 0"), ("--span", "inf", "finite and > 0"),
+        ("--span", "0", "finite and > 0"), ("--points", "0", "a positive integer"),
+        ("--points", "-5", "a positive integer")])
+    def test_curve_options_are_validated(self, capsys, fig2_cfg, tmp_path, option, value, rule):
+        curve = tmp_path / "curve.csv"
+        code, out, err = run_cli(capsys, "hom", "--config", str(fig2_cfg),
+                                 "--curve-out", str(curve), option, value)
+        assert (code, out) == (1, "")
+        shown = repr(float(value)) if option == "--span" else value
+        assert err == f"error: {option} must be {rule}; got {shown} [field: {option}]\n"
+        assert not curve.exists()
 
     def test_schmidt_json(self, capsys, fig2_cfg):
         code, out, _ = run_cli(capsys, "schmidt", "--config", str(fig2_cfg))

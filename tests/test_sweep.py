@@ -214,7 +214,7 @@ def test_schmidt_cells_equal_their_scalar_evaluation(name):
     sc, spec = config.resolve_scenario(raw), config.parse_sweep(raw)
     assert sorted(spec.quantities) == ["entropy", "n_min", "vartheta"]
     axis2 = None if spec.axis2 is None else spec.axis2.values
-    grid = config.sweep_point(sc, spec, spec.axis1.values, axis2)
+    grid = config.sweep_point(sc, spec)
     mp = config.scenario_material(sc)
     for i, v1 in enumerate(spec.axis1.values):
         for j, v2 in enumerate([None] if axis2 is None else axis2):
