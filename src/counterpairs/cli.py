@@ -189,10 +189,13 @@ def _cmd_hom(args) -> dict:
     if args.curve_out:
         span = args.span * dip.delta_tau_l
         taus = np.linspace(-span, span, args.points)
-        rates = hom_curve(tpsa, taus)
-        lines = ["tau_l [s],R_n [1]"]
-        lines += [f"{_fmt(float(t))},{_fmt(float(r))}" for t, r in zip(taus, rates)]
-        Path(args.curve_out).write_text("\n".join(lines) + "\n")
+        with np.errstate(all="ignore"):     # a non-finite rate is reported below
+            taus, rates = taus.tolist(), hom_curve(tpsa, taus).tolist()
+        for tau, rate in zip(taus, rates):
+            if not math.isfinite(rate):
+                raise OutOfRange(f"R_n at tau_l = {tau!r} s is {rate!r}, not finite")
+        Path(args.curve_out).write_text(
+            _grid_csv(("tau_l", taus, "s"), None, [[rate] for rate in rates], "R_n [1]"))
         doc["curve_file"] = args.curve_out
     return doc
 
@@ -218,6 +221,9 @@ def _parse_widths_file(path: str) -> dict:
             raise ConfigInvalid(f"missing required key {key!r}", field=key)
     widths = {key: _parse_quantity(key, value, _WIDTHS_KEYS[key])
               for key, value in raw.items()}
+    for key, value in widths.items():
+        if not value > 0:
+            raise ConfigInvalid(f"{key} must be positive; got {value!r}", field=key)
     if len(missing := {"measure.omega_s0", "measure.omega_i0"} - widths.keys()) == 1:
         key = missing.pop()
         raise ConfigInvalid(f"missing key {key!r}: give both measured centrals or neither",

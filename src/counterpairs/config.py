@@ -454,12 +454,11 @@ def _parse_axis(raw: dict, which: str) -> SweepAxis | None:
     scale = raw.get(f"{key}_scale", "linear").strip()
     if scale not in ("linear", "log"):
         raise ConfigInvalid(f"{key}_scale must be linear or log", field=f"{key}_scale")
+    if scale == "log" and (lo <= 0 or hi <= 0):
+        raise ConfigInvalid(f"{range_key}: log scale needs positive bounds", field=range_key)
     if n == 1:
         values = (lo,)
     elif scale == "log":
-        if lo <= 0 or hi <= 0:
-            raise ConfigInvalid(f"{range_key}: log scale needs positive bounds",
-                                field=range_key)
         ratio = (hi / lo) ** (1.0 / (n - 1))
         values = tuple(lo * ratio**k for k in range(n))
     else:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .entanglement import _p_vartheta, entropy
-from .errors import FitDiverged, NegativeDiscriminant, NoPhysicalRoot
+from .errors import FitDiverged, NegativeDiscriminant, NoPhysicalRoot, in_double_range
 
 _F_SYMMETRIC_TOL = 1e-12
 _AMBIGUITY_BITS = 0.1
@@ -67,8 +67,12 @@ def _candidate(f2s: float, f: float, b: float) -> tuple[float, float, float, flo
     return f2s, f2i, f2si, d_fr
 
 
+@in_double_range("the measured widths and b")
 def estimate(ms: MeasurementSet) -> EstimateResult:
-    """Recover (f2s^r, f2i^r, f2si^r) and the entropy from measured widths."""
+    """Recover (f2s^r, f2i^r, f2si^r) and the entropy from measured widths.
+
+    Raises OutOfRange where the arithmetic leaves double range.
+    """
     f = ms.sigma_omega_i**2 / ms.sigma_omega_s**2
     sw2 = ms.sigma_omega_s**2
 
@@ -127,6 +131,7 @@ class HomFit:
     residual_rms: float
 
 
+@in_double_range("the coincidence samples")
 def fit_hom_B(samples, beat: float = 0.0) -> HomFit:
     """Fit the dip model to (tau_l, R_n) samples by variable projection.
 
@@ -138,7 +143,8 @@ def fit_hom_B(samples, beat: float = 0.0) -> HomFit:
     closed-form dS/dx, which is that of D (sum tau^2 d g * G - D sum tau^2 g^2),
     then shrinks the bracket until its ends are adjacent floats. Each trial
     b is evaluated once. A fit no better than the top of the window leaves b
-    unbounded: pinned. Requires at least 7 samples spanning the dip.
+    unbounded: pinned. Requires at least 7 samples spanning the dip. Raises
+    OutOfRange where the arithmetic leaves double range.
     """
     pts = [(float(t), float(r)) for t, r in samples]
     if len(pts) < 7:

@@ -5,8 +5,9 @@ forms valid for any coefficients (including the overlap corrections and
 linear terms).
 
 Width convention: spectra are s * exp(-(w - w0 - dw0)^2 / sigma^2), so
-sigma is the 1/e half-width of the intensity; converters to FWHM and to
-wavelength width are provided.
+sigma is the 1/e half-width of the intensity, and the full width at half
+maximum is 2 sqrt(ln 2) sigma; wavelength_width converts sigma to a
+wavelength width.
 """
 
 from __future__ import annotations
@@ -90,11 +91,6 @@ def width_ratio(tpsa: GaussianTPSA) -> WidthRatio:
     """F = f2s^r / f2i^r; equals sigma_wi^2/sigma_ws^2, and 1 when symmetric."""
     f = tpsa.f2s.real / tpsa.f2i.real
     return WidthRatio(f=f, sigma_ratio_si=1.0 / ew.sqrt(f))
-
-
-def fwhm(sigma: float) -> float:
-    """Full width at half maximum of exp(-x^2/sigma^2)."""
-    return 2.0 * math.sqrt(math.log(2.0)) * sigma
 
 
 def wavelength_width(omega0: float, sigma_omega: float) -> float:

@@ -380,11 +380,3 @@ def refract_in(n: float, dn_dw: float, theta_out: float,
               / (n * math.cos(theta_p0)))
     return theta_p0, dtilde
 
-
-__all__ = [
-    "PumpSpec", "FilterSpec", "UNFILTERED", "VCoefficients", "GaussianTPSA",
-    "ExternalAngularDispersion", "with_matched_angle",
-    "v_coefficients", "pair_norm_constant", "build_tpsa", "assemble_tpsa",
-    "evaluate", "e_factor", "l2_norm", "normalize", "external_angle", "refract_out",
-    "refract_in",
-]

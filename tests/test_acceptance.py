@@ -29,6 +29,7 @@ from counterpairs.temporal import (
 )
 from counterpairs.tpsa import evaluate, normalize
 from conftest import LAMBDA_PAIR, kernel_coefficients, omega_of, p_from_f, p_from_kernel
+from reference_oracles import exact_phi1p
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -260,7 +261,7 @@ def test_criterion_6_gaussian_approximation_audit(make_case, tmp_path):
     t = case.tpsa
     sig = spectrum(t, "s").sigma_omega
     g0 = abs(evaluate(t, case.omega_s0, case.omega_i0))
-    e0 = abs(oracle.exact_phi1p(case.wg, case.pump, case.omega_s0, case.omega_i0))
+    e0 = abs(exact_phi1p(case.wg, case.pump, case.omega_s0, case.omega_i0))
     scales = np.linspace(-2.0, 2.0, 41)
     dev_map = np.empty((scales.size, scales.size))
     for i, a in enumerate(scales):
@@ -268,7 +269,7 @@ def test_criterion_6_gaussian_approximation_audit(make_case, tmp_path):
             ws = case.omega_s0 + a * sig
             wi = case.omega_i0 + b * sig
             gauss = abs(evaluate(t, ws, wi)) / g0
-            exact = abs(oracle.exact_phi1p(case.wg, case.pump, ws, wi)) / e0
+            exact = abs(exact_phi1p(case.wg, case.pump, ws, wi)) / e0
             dev_map[i, j] = abs(gauss / exact - 1.0)
     out = tmp_path / "gaussian_deviation_map.json"
     out.write_text(json.dumps({

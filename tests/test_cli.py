@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from counterpairs.temporal import hom_params
 from counterpairs.tpsa import normalize
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-INVERSE_INPUTS = Path(__file__).resolve().parent / "data" / "golden" / "inverse"
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "data" / "golden"
+INVERSE_INPUTS = GOLDEN_INPUTS / "inverse"
 
 
 def run_cli(capsys, *args):
@@ -357,6 +359,19 @@ class TestSweep:
                        " [field: sweep.axis1_range]\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("points", ["1", "2"])
+    def test_log_axis_with_a_non_positive_bound_names_field(self, capsys, tmp_path, points):
+        # one point checks the bounds as two do
+        cfg = config_with(tmp_path / "bad.cfg", {
+            "sweep.axis1_range": "-1e-13 1e-12 s", "sweep.axis1_points": points},
+            "fig6_sweep.cfg")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err == ("error: sweep.axis1_range: log scale needs positive bounds"
+                       " [field: sweep.axis1_range]\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("lo,quantities,message", [
         # 1/sigma^2 divides by zero in the assembly
         ("1e-300", "entropy n_min vartheta",
@@ -545,6 +560,17 @@ class TestHomAndSchmidt:
         assert err == f"error: {option} must be {rule}; got {shown} [field: {option}]\n"
         assert not curve.exists()
 
+    def test_non_finite_curve_value_names_its_delay(self, capsys, tmp_path):
+        # cos(beat tau) overflows at the ends of a split-centrals curve this wide
+        curve = tmp_path / "curve.csv"
+        code, out, err = run_cli(capsys, "hom", "--config",
+                                 str(GOLDEN_INPUTS / "scenario" / "fig2_split_dtilde.cfg"),
+                                 "--curve-out", str(curve), "--span", "1.7e308",
+                                 "--points", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: R_n at tau_l = -2.059138588039198e+295 s is nan, not finite\n"
+        assert not curve.exists()
+
     def test_schmidt_json(self, capsys, fig2_cfg):
         code, out, _ = run_cli(capsys, "schmidt", "--config", str(fig2_cfg))
         assert code == 0
@@ -632,6 +658,45 @@ class TestInverse:
                                "--hom-csv", str(curve))
         assert code == 1
         assert message in err and f"[field: {line.split()[0]}]" in err
+
+    @pytest.mark.parametrize("widths,scale,what", [
+        ((1e300, 1e300), None, "the measured widths and b"),
+        ((1e-300, 2e-300), None, "the measured widths and b"),
+        (None, 1e150, "the measured widths and b"),
+        (None, 1e-170, "the coincidence samples"),
+    ], ids=["huge-widths", "tiny-widths", "long-dip", "short-dip"])
+    def test_values_leaving_double_range_are_user_errors(self, capsys, tmp_path, widths,
+                                                          scale, what):
+        widths_file = INVERSE_INPUTS / "fig2_widths.cfg"
+        if widths is not None:
+            widths_file = tmp_path / "widths.cfg"
+            widths_file.write_text(f"measure.sigma_omega_s = {widths[0]!r} rad/s\n"
+                                   f"measure.sigma_omega_i = {widths[1]!r} rad/s\n")
+        dip = INVERSE_INPUTS / "fig2_dip.csv"
+        if scale is not None:   # 21 samples of R = 1 - 0.9 exp(-9 u^2) at tau = scale u
+            dip = tmp_path / "dip.csv"
+            us = [k / 10 - 1 for k in range(21)]
+            dip.write_text("".join(f"{scale * u!r},{1 - 0.9 * math.exp(-9 * u * u)!r}\n"
+                                   for u in us))
+        code, out, err = run_cli(capsys, "inverse", "--widths", str(widths_file),
+                                 "--hom-csv", str(dip))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {what} leave double range (")
+
+    @pytest.mark.parametrize("line", [
+        "measure.sigma_omega_s = 0 rad/s", "measure.sigma_omega_i = -1.18e13 rad/s",
+        "measure.omega_s0 = -1.77e15 rad/s"])
+    def test_non_positive_width_or_central_names_field(self, capsys, tmp_path, line):
+        key, _, value = line.split(" ", 2)
+        rows = [row for row in (INVERSE_INPUTS / "fig2_split_widths.cfg").read_text().splitlines()
+                if not row.startswith(key + " ")]
+        widths = tmp_path / "widths.cfg"
+        widths.write_text("\n".join(rows + [line]) + "\n")
+        code, out, err = run_cli(capsys, "inverse", "--widths", str(widths),
+                                 "--hom-csv", str(INVERSE_INPUTS / "fig2_split_dip.csv"))
+        assert (code, out) == (1, "")
+        number = float(value.split()[0])
+        assert err == f"error: {key} must be positive; got {number!r} [field: {key}]\n"
 
 
 class TestDiagnostics:

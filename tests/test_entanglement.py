@@ -16,9 +16,9 @@ from counterpairs.entanglement import (
     separability_roots,
 )
 from counterpairs.errors import OutOfRange
-from counterpairs.oracle import quad1d
 from counterpairs.tpsa import build_tpsa, normalize
 from conftest import kernel_coefficients, p_from_f, p_from_kernel
+from reference_oracles import quad1d
 
 
 class TestReducedKernel:

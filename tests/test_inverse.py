@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from counterpairs.entanglement import schmidt
-from counterpairs.errors import FitDiverged, NegativeDiscriminant, NoPhysicalRoot
+from counterpairs.errors import FitDiverged, NegativeDiscriminant, NoPhysicalRoot, OutOfRange
 from counterpairs.inverse import HomFit, MeasurementSet, estimate, fit_hom_B
 from counterpairs.spectral import spectrum
 from counterpairs.temporal import hom_curve, hom_params
@@ -68,6 +68,15 @@ class TestEstimate:
     def test_invalid_measurements_rejected(self):
         with pytest.raises(ValueError):
             MeasurementSet(sigma_omega_s=-1.0, sigma_omega_i=1e13, b=1e25)
+
+    @pytest.mark.parametrize("ms", [
+        MeasurementSet(sigma_omega_s=1e300, sigma_omega_i=1e300, b=1e25),     # width^2 overflows
+        MeasurementSet(sigma_omega_s=1e-300, sigma_omega_i=2e-300, b=1e25),   # 0/0 width ratio
+        MeasurementSet(sigma_omega_s=1e13, sigma_omega_i=1e13, b=9e-300),     # f2si^2 overflows
+    ])
+    def test_leaving_double_range_raises_out_of_range(self, ms):
+        with pytest.raises(OutOfRange, match="the measured widths and b leave double range"):
+            estimate(ms)
 
 
 def reference_fit(samples, beat=0.0):
@@ -223,6 +232,14 @@ class TestFitHom:
         samples = [(k * 1e-15, 0.5) for k in range(-3, 4)] + [(4e-15, rate)]
         with pytest.raises(ValueError, match=re.escape(
                 f"sample R_n = {rate} is not a normalized coincidence rate")):
+            fit_hom_B(samples)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-170])
+    def test_delays_leaving_double_range_raise_out_of_range(self, scale):
+        # tau_scale^2 overflows, or underflows to zero and divides the search window
+        samples = [(scale * u, 1.0 - 0.9 * math.exp(-9.0 * u * u))
+                   for u in np.linspace(-1.0, 1.0, 21)]
+        with pytest.raises(OutOfRange, match="the coincidence samples leave double range"):
             fit_hom_B(samples)
 
     def test_samples_at_one_delay_rejected(self):

@@ -12,19 +12,11 @@ import pytest
 import counterpairs as cp
 from counterpairs import config, oracle
 from counterpairs.errors import ExponentOverflow, GridTooCoarse, QuadratureNotConverged
-from counterpairs.oracle import (
-    dft_time_amplitude,
-    erf_rational,
-    exact_phi1p,
-    numeric_marginal,
-    numeric_schmidt,
-    quad1d,
-    quad2d,
-    quad_norm,
-)
+from counterpairs.oracle import numeric_marginal, numeric_schmidt, quad2d, quad_norm
 from counterpairs.spectral import pair_rate, spectrum
 from counterpairs.temporal import evaluate_time, flux, time_domain
 from counterpairs.tpsa import evaluate, normalize
+from reference_oracles import dft_time_amplitude, erf_rational, exact_phi1p, quad1d
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

@@ -53,3 +53,72 @@ def test_one_predicate_tells_scalars_from_arrays():
     found = {(path.relative_to(SRC).as_posix(), name) for path in sorted(SRC.rglob("*.py"))
              for name in _array_tests(ast.parse(path.read_text()))}
     assert found == {("_elementwise.py", "is_array")}
+
+
+def _imported_names(tree):
+    """(line, bound name) for each name a module's import statements bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name) for a in node.names)
+
+
+def test_every_import_is_used():
+    # a name an import binds is read by the module's code; docstrings do not count
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":      # its imports are the package's re-exports
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for line, name in _imported_names(tree)
+                   if name not in used]
+    assert not unused
+
+
+# Public definitions that no other definition in src/ references, with the
+# caller outside src/ that keeps each one.
+UNREFERENCED = {
+    "dispersion.constant_model": "README library section: dispersion-free material",
+    "dispersion.g_taylor": "perfbench counts its calls (layers.CALLS)",
+    "entanglement.schmidt_mode": "README library section: Hermite-Gaussian Schmidt modes",
+    "oracle.numeric_marginal": "perfbench oracle-verify; README verification design",
+    "oracle.numeric_schmidt": "perfbench oracle-verify; README verification design",
+    "oracle.numeric_time_marginal": "perfbench oracle-verify; README verification design",
+    "oracle.quad_norm": "perfbench oracle-verify; README verification design",
+    "temporal.evaluate_time": "perfbench traces it (layers.BOTH)",
+    "temporal.time_bandwidth": "perfbench traces it (layers.BOTH)",
+    "tpsa.build_tpsa": "README quick start; perfbench oracle-verify",
+    "tpsa.normalize": "perfbench oracle-verify and layers.SELF",
+    "tpsa.with_matched_angle": "README quick start; perfbench oracle-verify",
+}
+
+
+def _referenced_names(tree):
+    """Names each top-level statement reads, as a name or as an attribute,
+    apart from imports and the statement's own name."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != own:
+                yield name
+
+
+def test_every_public_definition_has_a_caller():
+    # src/ ships what the CLI, the documented library and the benchmark call;
+    # __init__ re-exports and docstrings are not callers
+    defined, referenced = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        defined.update((f"{path.stem}.{node.name}", node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        referenced.update(_referenced_names(tree))
+    assert {qual for qual, name in defined.items() if name not in referenced} == set(UNREFERENCED)

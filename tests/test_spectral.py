@@ -8,7 +8,6 @@ from counterpairs import oracle
 from counterpairs.constants import HBAR
 from counterpairs.errors import NonNormalizable
 from counterpairs.spectral import (
-    fwhm,
     pair_rate,
     spectrum,
     wavelength_width,
@@ -194,9 +193,6 @@ class TestAsymptotics:
 
 
 class TestConverters:
-    def test_fwhm_of_unit_width(self):
-        assert fwhm(1.0) == pytest.approx(2.0 * math.sqrt(math.log(2.0)))
-
     def test_wavelength_width_round_trip(self):
         omega0 = 1.77e15
         sigma = 1.2e13

@@ -22,6 +22,7 @@ from counterpairs.temporal import (
     time_domain,
 )
 from conftest import omega_of
+from reference_oracles import dft_time_amplitude
 
 
 def _simpson(values, h, axis):
@@ -55,7 +56,7 @@ class TestTimeDomain:
                                 1e-13, 5e-14, -2e-13, 1.8e-13])
             probe_i = np.array([1e-13, 0.0, -5e-14, 1e-13, 1.2e-13,
                                 -9e-14, 3e-14, 2e-13, -1.1e-13])
-            numeric = oracle.dft_time_amplitude(t, probe_s, probe_i)
+            numeric = dft_time_amplitude(t, probe_s, probe_i)
             analytic = evaluate_time(td, probe_s, probe_i)
             assert np.max(np.abs((numeric - analytic) / analytic)) < 1e-6
 
@@ -64,8 +65,8 @@ class TestTimeDomain:
         probe_i = np.array([0.0, -9e-14, 7e-14])
         for case in random_cases(10, seed=13, chirp=True):
             td = time_domain(case.tpsa)
-            numeric = oracle.dft_time_amplitude(case.tpsa, probe_s, probe_i,
-                                                n_points=1024, span=9.0)
+            numeric = dft_time_amplitude(case.tpsa, probe_s, probe_i,
+                                         n_points=1024, span=9.0)
             analytic = evaluate_time(td, probe_s, probe_i)
             peak = abs(evaluate_time(td, 0.0, 0.0))
             assert np.max(np.abs(numeric - analytic)) < 1e-6 * peak
