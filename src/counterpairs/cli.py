@@ -183,19 +183,14 @@ def _cmd_hom(args) -> dict:
         raise ConfigInvalid(f"--points must be a positive integer; got {args.points}",
                             field="--points")
     tpsa = build_scenario_tpsa(_load_scenario(args))
-    with in_double_range("the scenario's settings"):
-        dip = hom_params(tpsa)
+    dip = hom_params(tpsa)
     doc = _hom_section(dip)
     if args.curve_out:
         span = args.span * dip.delta_tau_l
         taus = np.linspace(-span, span, args.points)
-        with np.errstate(all="ignore"):     # a non-finite rate is reported below
-            taus, rates = taus.tolist(), hom_curve(tpsa, taus).tolist()
-        for tau, rate in zip(taus, rates):
-            if not math.isfinite(rate):
-                raise OutOfRange(f"R_n at tau_l = {tau!r} s is {rate!r}, not finite")
-        Path(args.curve_out).write_text(
-            _grid_csv(("tau_l", taus, "s"), None, [[rate] for rate in rates], "R_n [1]"))
+        rates = hom_curve(tpsa, taus)
+        Path(args.curve_out).write_text(_grid_csv(
+            ("tau_l", taus.tolist(), "s"), None, [[rate] for rate in rates.tolist()], "R_n [1]"))
         doc["curve_file"] = args.curve_out
     return doc
 
@@ -206,24 +201,18 @@ def _cmd_schmidt(args) -> dict:
     return {**_schmidt_section(sch), "p_min": sch.p_min}
 
 
+# key -> (unit, required, default, domain), as config._SCHEMA
 _WIDTHS_KEYS = {
-    "measure.sigma_omega_s": "rad/s",
-    "measure.sigma_omega_i": "rad/s",
-    "measure.omega_s0": "rad/s",
-    "measure.omega_i0": "rad/s",
+    "measure.sigma_omega_s": ("rad/s", True, None, "> 0"),
+    "measure.sigma_omega_i": ("rad/s", True, None, "> 0"),
+    "measure.omega_s0": ("rad/s", False, None, "> 0"),
+    "measure.omega_i0": ("rad/s", False, None, "> 0"),
 }
 
 
 def _parse_widths_file(path: str) -> dict:
-    raw = _read_assignments(path, _WIDTHS_KEYS)
-    for key in ("measure.sigma_omega_s", "measure.sigma_omega_i"):
-        if key not in raw:
-            raise ConfigInvalid(f"missing required key {key!r}", field=key)
-    widths = {key: _parse_quantity(key, value, _WIDTHS_KEYS[key])
-              for key, value in raw.items()}
-    for key, value in widths.items():
-        if not value > 0:
-            raise ConfigInvalid(f"{key} must be positive; got {value!r}", field=key)
+    widths = {key: _parse_quantity(key, value, _WIDTHS_KEYS)
+              for key, value in _read_assignments(path, _WIDTHS_KEYS).items()}
     if len(missing := {"measure.omega_s0", "measure.omega_i0"} - widths.keys()) == 1:
         key = missing.pop()
         raise ConfigInvalid(f"missing key {key!r}: give both measured centrals or neither",
@@ -386,7 +375,8 @@ def main(argv=None) -> int:
     if not name or extra:
         args = build_parser().parse_args(argv)
     try:
-        doc = args.fn(args)
+        with in_double_range("the scenario's settings"):     # overflow in any handler is a user error
+            doc = args.fn(args)
         if doc is not None:     # sweep writes its own files
             _emit(doc, args.format, args.out)
         return 0

@@ -7,7 +7,8 @@ Format, one assignment per line (comments start with '#'):
     waveguide.model = linbo3_e
 
 Every dimensioned value must carry exactly the unit token the schema
-expects; unknown keys, missing required keys, and wrong units are
+expects, and every number must lie in its key's domain; unknown keys,
+missing required keys, wrong units and numbers outside their domain are
 rejected with the offending field named. The pump angle is never a
 config input: it is solved from momentum conservation at the centrals.
 """
@@ -29,7 +30,6 @@ from .dispersion import (
     load_model,
     material_point,
     refractive_index,
-    solve_phase_matching,
 )
 from .entanglement import SchmidtSpectrum, principal_axes, schmidt, separability_roots
 from .errors import ConfigInvalid, CounterpairsError, OutOfRange, in_double_range
@@ -43,39 +43,45 @@ from .tpsa import (
     external_angle,
     refract_in,
     refract_out,
+    with_matched_angle,
 )
 
 _DEG = math.pi / 180.0
 
-# key -> (unit token or None for dimensionless/string, required, default)
+# key -> (unit token or None for dimensionless/string, required, default,
+#         domain of a number or None for a string); a number outside its
+#         domain is rejected where it is parsed, naming its key
 _SCHEMA = {
-    "waveguide.alpha": ("1/m", True, None),
-    "waveguide.Ly": ("m", True, None),
-    "waveguide.d": ("m/V", True, None),
-    "waveguide.model": (None, True, None),
-    "pump.lambda_p0": ("m", True, None),
-    "pump.tau_p": ("s", True, None),
-    "pump.a_p": (None, False, 0.0),
-    "pump.Z_p": ("m", True, None),
-    "pump.Y_p": ("m", True, None),
-    "pump.P_p": ("W", False, 1.0),
-    "pump.f_rep": ("1/s", False, 8e7),
-    "pump.Dtilde_theta": ("rad*s", False, None),
-    "pump.D_theta_out": ("deg/m", False, None),
-    "filters.sigma_s": ("rad/s", False, None),
-    "filters.sigma_i": ("rad/s", False, None),
-    "centrals.lambda_s0": ("m", True, None),
-    "centrals.lambda_i0": ("m", True, None),
-    "sweep.axis1": (None, False, None),
-    "sweep.axis1_range": (None, False, None),
-    "sweep.axis1_scale": (None, False, "linear"),
-    "sweep.axis1_points": (None, False, None),
-    "sweep.axis2": (None, False, None),
-    "sweep.axis2_range": (None, False, None),
-    "sweep.axis2_scale": (None, False, "linear"),
-    "sweep.axis2_points": (None, False, None),
-    "sweep.quantities": (None, False, None),
+    "waveguide.alpha": ("1/m", True, None, ">= 0"),
+    "waveguide.Ly": ("m", True, None, "> 0"),
+    "waveguide.d": ("m/V", True, None, "> 0"),
+    "waveguide.model": (None, True, None, None),
+    "pump.lambda_p0": ("m", True, None, "> 0"),
+    "pump.tau_p": ("s", True, None, "> 0"),
+    "pump.a_p": (None, False, 0.0, "finite"),
+    "pump.Z_p": ("m", True, None, "> 0"),
+    "pump.Y_p": ("m", True, None, "> 0"),
+    "pump.P_p": ("W", False, 1.0, ">= 0"),
+    "pump.f_rep": ("1/s", False, 8e7, "> 0"),
+    "pump.Dtilde_theta": ("rad*s", False, None, "finite"),
+    "pump.D_theta_out": ("deg/m", False, None, "finite"),
+    "filters.sigma_s": ("rad/s", False, None, "> 0"),
+    "filters.sigma_i": ("rad/s", False, None, "> 0"),
+    "centrals.lambda_s0": ("m", True, None, "> 0"),
+    "centrals.lambda_i0": ("m", True, None, "> 0"),
+    "sweep.axis1": (None, False, None, None),
+    "sweep.axis1_range": (None, False, None, None),
+    "sweep.axis1_scale": (None, False, "linear", None),
+    "sweep.axis1_points": (None, False, None, None),
+    "sweep.axis2": (None, False, None, None),
+    "sweep.axis2_range": (None, False, None, None),
+    "sweep.axis2_scale": (None, False, "linear", None),
+    "sweep.axis2_points": (None, False, None, None),
+    "sweep.quantities": (None, False, None, None),
 }
+# domain -> whether a finite number lies in it: each key's domain is what the
+# library constructor its value reaches (PumpSpec, FilterSpec, ...) admits
+_DOMAINS = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0, "finite": lambda x: True}
 
 # sweepable parameter -> unit token of its range line: a config key's own
 # unit, and for the two widths that set both filters at once their own
@@ -89,11 +95,11 @@ _WRITES = {"pump.D_theta_out": {"pump.Dtilde_theta"},
            "filters.sigma_both_nm": {"filters.sigma_s", "filters.sigma_i"}}
 
 
-def _read_assignments(path: str | Path, keys) -> dict:
+def _read_assignments(path: str | Path, table: dict) -> dict:
     """Read 'key = value' lines into {key: raw value string}.
 
-    '#' starts a comment; keys outside `keys` and repeated keys are
-    rejected with the key named.
+    '#' starts a comment; keys outside `table`, repeated keys and missing
+    required keys are rejected with the key named.
     """
     raw = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -103,24 +109,26 @@ def _read_assignments(path: str | Path, keys) -> dict:
         if "=" not in stripped:
             raise ConfigInvalid(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in keys:
+        if key not in table:
             raise ConfigInvalid(f"unknown key {key!r} (line {lineno})", field=key)
         if key in raw:
             raise ConfigInvalid(f"duplicate key {key!r} (line {lineno})", field=key)
         raw[key] = value
-    return raw
-
-
-def parse_config(path: str | Path) -> dict:
-    """Read a config file into {dotted key: raw value string}."""
-    raw = _read_assignments(path, _SCHEMA)
-    for key, (_, required, _) in _SCHEMA.items():
+    for key, (_, required, _, _) in table.items():
         if required and key not in raw:
             raise ConfigInvalid(f"missing required key {key!r}", field=key)
     return raw
 
 
-def _parse_quantity(key: str, value: str, unit: str | None) -> float:
+def parse_config(path: str | Path) -> dict:
+    """Read a config file into {dotted key: raw value string}."""
+    return _read_assignments(path, _SCHEMA)
+
+
+def _parse_quantity(key: str, value: str, table: dict) -> float:
+    """The number a value string gives, with the unit, finiteness and domain
+    that table declares for key checked; a failure names the key."""
+    unit, _, _, domain = table[key]
     parts = value.split()
     if unit is None and len(parts) != 1:
         raise ConfigInvalid(f"{key} is dimensionless; got {value!r}", field=key)
@@ -133,16 +141,13 @@ def _parse_quantity(key: str, value: str, unit: str | None) -> float:
         raise ConfigInvalid(f"{key}: {token!r} is not a number", field=key) from None
     if not math.isfinite(number):
         raise ConfigInvalid(f"{key}: {token!r} is not a finite number", field=key)
+    if not _DOMAINS[domain](number):
+        raise ConfigInvalid(f"{key} must be {domain}; got {value!r}", field=key)
     return number
 
 
 def _parse_filter(key: str, value: str) -> float | None:
-    if value.strip() == "unfiltered":
-        return None
-    width = _parse_quantity(key, value, "rad/s")
-    if width <= 0:
-        raise ConfigInvalid(f"{key} must be positive or 'unfiltered'", field=key)
-    return width
+    return None if value.strip() == "unfiltered" else _parse_quantity(key, value, _SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -160,15 +165,18 @@ class Scenario:
 
 def resolve_scenario(raw: dict, *, include_g: bool = True,
                      p_min: float = 0.95) -> Scenario:
-    """Validate raw key/value strings into a ready-to-run Scenario."""
+    """Validate raw key/value strings into a ready-to-run Scenario.
+
+    Each number is checked against its key's domain where it is parsed, so
+    the library types built here accept every value that reaches them.
+    """
     if not 0.0 < p_min < 1.0:
         raise ConfigInvalid(f"p_min must lie in (0, 1); got {p_min!r}", field="p_min")
 
     def get(key):
-        unit, _, default = _SCHEMA[key]
         if key not in raw:
-            return default
-        return _parse_quantity(key, raw[key], unit)
+            return _SCHEMA[key][2]
+        return _parse_quantity(key, raw[key], _SCHEMA)
 
     model_name = raw["waveguide.model"].strip()
     try:
@@ -176,16 +184,8 @@ def resolve_scenario(raw: dict, *, include_g: bool = True,
     except (FileNotFoundError, ValueError) as exc:
         raise ConfigInvalid(f"waveguide.model: {exc}", field="waveguide.model") from exc
 
-    try:
-        wg = WaveguideSpec(alpha=get("waveguide.alpha"), ly=get("waveguide.Ly"),
-                           d=get("waveguide.d"), model=model)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc), field="waveguide") from exc
-
-    for key in ("centrals.lambda_s0", "centrals.lambda_i0", "pump.lambda_p0"):
-        if not get(key) > 0:
-            raise ConfigInvalid(f"{key} must be a positive wavelength; got {raw[key]!r}",
-                                field=key)
+    wg = WaveguideSpec(alpha=get("waveguide.alpha"), ly=get("waveguide.Ly"),
+                       d=get("waveguide.d"), model=model)
     omega_s0 = 2.0 * math.pi * C_LIGHT / get("centrals.lambda_s0")
     omega_i0 = 2.0 * math.pi * C_LIGHT / get("centrals.lambda_i0")
     omega_p0 = omega_s0 + omega_i0
@@ -203,18 +203,11 @@ def resolve_scenario(raw: dict, *, include_g: bool = True,
             field="pump.D_theta_out",
         )
 
-    try:
-        pump = PumpSpec(
-            lambda_p0=lambda_p0, tau_p=get("pump.tau_p"), z_p=get("pump.Z_p"),
-            y_p=get("pump.Y_p"), a_p=get("pump.a_p"),
-            p_p=get("pump.P_p"), f_rep=get("pump.f_rep"),
-        )
-    except OutOfRange as exc:
-        raise ConfigInvalid(str(exc), field="pump") from exc
-
-    pump = replace(pump, theta_p0=solve_phase_matching(wg, omega_s0, omega_i0))
-
-    # _parse_filter admits only the finite positive widths FilterSpec accepts
+    pump = with_matched_angle(wg, PumpSpec(
+        lambda_p0=lambda_p0, tau_p=get("pump.tau_p"), z_p=get("pump.Z_p"),
+        y_p=get("pump.Y_p"), a_p=get("pump.a_p"),
+        p_p=get("pump.P_p"), f_rep=get("pump.f_rep"),
+    ), omega_s0, omega_i0)
     filt = FilterSpec(*(_parse_filter(key, raw.get(key, "unfiltered"))
                         for key in ("filters.sigma_s", "filters.sigma_i")))
     sc = Scenario(wg=wg, pump=pump, filt=filt, omega_s0=omega_s0,

@@ -206,10 +206,20 @@ def hom_params(tpsa: GaussianTPSA) -> HomDip:
 
 
 def hom_curve(tpsa: GaussianTPSA, tau_l):
-    """Normalized coincidence rate R_n at delay tau_l (scalar or array)."""
+    """Normalized coincidence rate R_n at delay tau_l (scalar or array).
+
+    The delays are one curve, not a sweep grid: the first delay at which
+    R_n is not finite raises OutOfRange naming it.
+    """
     dip = hom_params(tpsa)
     tau = np.asarray(tau_l, dtype=float)
-    out = 1.0 - dip.a * np.exp(-dip.b * tau**2) * np.cos(dip.beat * tau)
+    with np.errstate(all="ignore"):
+        out = 1.0 - dip.a * np.exp(-dip.b * tau**2) * np.cos(dip.beat * tau)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        k = bad[0]
+        raise OutOfRange(f"R_n at tau_l = {float(tau.flat[k])!r} s is "
+                         f"{float(out.flat[k])!r}, not finite")
     return out if out.ndim else float(out)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from counterpairs import cli
+from counterpairs import cli, config
 from counterpairs.cli import build_parser, main
 from counterpairs.config import (
     apply_sweep_value,
@@ -26,6 +26,7 @@ from counterpairs.temporal import hom_params
 from counterpairs.tpsa import normalize
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "data" / "golden"
 INVERSE_INPUTS = GOLDEN_INPUTS / "inverse"
 
@@ -53,12 +54,67 @@ def grid_cells(path: Path) -> list:
     return [row.split(",")[1:] for row in path.read_text().splitlines()[1:]]
 
 
-def config_with(path: Path, settings: dict, base: str) -> Path:
-    """Write a shipped config to path with some 'key = value' lines replaced or added."""
+def config_with(path: Path, settings: dict, base: str | Path) -> Path:
+    """Write a shipped config (or, by absolute path, any input file of 'key = value'
+    lines) to path with some of its lines replaced or added."""
     lines = [line for line in (CONFIG_DIR / base).read_text().splitlines()
              if line.split(" = ")[0] not in settings]
     path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in settings.items()]) + "\n")
     return path
+
+
+# (settings, the guard that names them, the commands they fail)
+OVERFLOWING = [
+    ({"pump.tau_p": "1e300 s"}, "pump and filter", ("scenario", "hom", "schmidt")),
+    ({"pump.Z_p": "1e300 m"}, "pump and filter", ("scenario", "hom", "schmidt")),
+    ({"pump.a_p": "1e300"}, "pump and filter", ("scenario", "hom", "schmidt")),
+    ({"filters.sigma_s": "1e-300 rad/s"}, "pump and filter", ("scenario", "hom", "schmidt")),
+    # assembles, then overflows in the time-domain and dip closed forms
+    ({"filters.sigma_s": "1e-100 rad/s"}, "the scenario's", ("scenario", "hom")),
+    # assembles, then overflows in the Schmidt numbers; the dip stays in range
+    ({"pump.tau_p": "1e85 s", "pump.a_p": "1e10", "pump.Z_p": "1e83 m"}, "the scenario's",
+     ("scenario", "schmidt")),
+]
+
+# (input key, a value just outside its domain, the domain) for every key whose
+# domain bounds it, in the config and the widths file alike
+OUTSIDE = [(key, "-1" if domain == ">= 0" else "0", domain)
+           for table in (config._SCHEMA, cli._WIDTHS_KEYS)
+           for key, (_, _, _, domain) in table.items() if domain in ("> 0", ">= 0")]
+
+
+@pytest.mark.parametrize("key,number,domain", OUTSIDE, ids=[key for key, _, _ in OUTSIDE])
+def test_value_outside_its_domain_names_its_key(capsys, tmp_path, key, number, domain):
+    measured = key in cli._WIDTHS_KEYS
+    unit = (cli._WIDTHS_KEYS if measured else config._SCHEMA)[key][0]
+    value = number if unit is None else f"{number} {unit}"
+    if measured:
+        widths = config_with(tmp_path / "widths.cfg", {key: value},
+                             INVERSE_INPUTS / "fig2_split_widths.cfg")
+        args = ("inverse", "--widths", str(widths),
+                "--hom-csv", str(INVERSE_INPUTS / "fig2_split_dip.csv"))
+    else:
+        args = ("scenario", "--config",
+                str(config_with(tmp_path / "bad.cfg", {key: value}, "fig2.cfg")))
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == f"error: {key} must be {domain}; got {value!r} [field: {key}]\n"
+
+
+def test_readme_tables_give_each_key_its_unit_and_domain():
+    # one row per input key in the config and widths tables, read off the same tables
+    def cell(token):
+        return "-" if token is None else f"`{token}`"
+
+    expected = {key: (cell(unit), cell(domain))
+                for table in (config._SCHEMA, cli._WIDTHS_KEYS)
+                for key, (unit, _, _, domain) in table.items() if not key.startswith("sweep.")}
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [part.strip() for part in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].strip("`") in expected:
+            rows[cells[0].strip("`")] = (cells[1], cells[2])
+    assert rows == expected
 
 
 class TestScenario:
@@ -120,27 +176,6 @@ class TestScenario:
         assert code == 1
         assert "energy conservation" in err
 
-    def test_nonpositive_pump_value_names_field(self, capsys, tmp_path):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text((CONFIG_DIR / "fig2.cfg").read_text().replace(
-            "pump.Z_p = 1e-5 m", "pump.Z_p = 0 m"))
-        code, _, err = run_cli(capsys, "scenario", "--config", str(bad))
-        assert code == 1
-        assert err == ("error: lambda_p0, tau_p, z_p, y_p must be positive"
-                       " [field: pump]\n")
-
-    @pytest.mark.parametrize("key", ["centrals.lambda_s0", "centrals.lambda_i0",
-                                     "pump.lambda_p0"])
-    def test_zero_wavelength_names_field(self, capsys, tmp_path, key):
-        lines = (CONFIG_DIR / "fig2.cfg").read_text().splitlines()
-        assert sum(line.startswith(f"{key} = ") for line in lines) == 1
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("\n".join(f"{key} = 0 m" if line.startswith(f"{key} = ") else line
-                                 for line in lines) + "\n")
-        code, out, err = run_cli(capsys, "scenario", "--config", str(bad))
-        assert (code, out) == (1, "")
-        assert err == f"error: {key} must be a positive wavelength; got '0 m' [field: {key}]\n"
-
     @pytest.mark.parametrize("key,value", [
         ("pump.P_p", "inf W"), ("pump.f_rep", "inf 1/s"), ("waveguide.d", "inf m/V"),
         ("filters.sigma_s", "inf rad/s"), ("pump.a_p", "nan"),
@@ -151,17 +186,12 @@ class TestScenario:
         assert (code, out) == (1, "")
         assert err == f"error: {key}: {value.split()[0]!r} is not a finite number [field: {key}]\n"
 
-    @pytest.mark.parametrize("key,value,what", [
-        ("pump.tau_p", "1e300 s", "pump and filter"),
-        ("pump.Z_p", "1e300 m", "pump and filter"),
-        ("pump.a_p", "1e300", "pump and filter"),
-        ("filters.sigma_s", "1e-300 rad/s", "pump and filter"),
-        # assembles, then overflows in the time-domain and dip closed forms
-        ("filters.sigma_s", "1e-100 rad/s", "the scenario's")])
-    @pytest.mark.parametrize("command", ["scenario", "hom"])
-    def test_settings_that_overflow_are_user_errors(self, capsys, tmp_path, key, value, what,
-                                                    command):
-        bad = config_with(tmp_path / "bad.cfg", {key: value}, "fig2.cfg")
+    @pytest.mark.parametrize("command,settings,what", [
+        pytest.param(command, settings, what, id=" ".join([command, *(f"{k}={v}" for k, v in settings.items())]))
+        for settings, what, commands in OVERFLOWING for command in commands])
+    def test_settings_that_overflow_are_user_errors(self, capsys, tmp_path, command, settings,
+                                                    what):
+        bad = config_with(tmp_path / "bad.cfg", settings, "fig2.cfg")
         code, out, err = run_cli(capsys, command, "--config", str(bad))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {what} settings leave double range (")
@@ -682,21 +712,6 @@ class TestInverse:
                                  "--hom-csv", str(dip))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {what} leave double range (")
-
-    @pytest.mark.parametrize("line", [
-        "measure.sigma_omega_s = 0 rad/s", "measure.sigma_omega_i = -1.18e13 rad/s",
-        "measure.omega_s0 = -1.77e15 rad/s"])
-    def test_non_positive_width_or_central_names_field(self, capsys, tmp_path, line):
-        key, _, value = line.split(" ", 2)
-        rows = [row for row in (INVERSE_INPUTS / "fig2_split_widths.cfg").read_text().splitlines()
-                if not row.startswith(key + " ")]
-        widths = tmp_path / "widths.cfg"
-        widths.write_text("\n".join(rows + [line]) + "\n")
-        code, out, err = run_cli(capsys, "inverse", "--widths", str(widths),
-                                 "--hom-csv", str(INVERSE_INPUTS / "fig2_split_dip.csv"))
-        assert (code, out) == (1, "")
-        number = float(value.split()[0])
-        assert err == f"error: {key} must be positive; got {number!r} [field: {key}]\n"
 
 
 class TestDiagnostics:

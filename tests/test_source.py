@@ -35,24 +35,39 @@ def _is_ndarray(node):
             or isinstance(node, ast.Name) and node.id == "ndarray")
 
 
-def _array_tests(tree):
-    """Name of the innermost function around each isinstance(..., ndarray) call."""
+def _calls_by_owner(tree, matches):
+    """Name of the innermost function around each call for which matches(call) holds;
+    a decorator call counts as inside the function it decorates."""
     owner = {}
     for node in ast.walk(tree):     # breadth first: inner functions overwrite outer ones
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update((id(inner), node.name) for inner in ast.walk(node))
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2
-                and _is_ndarray(node.args[1])):
+        if isinstance(node, ast.Call) and matches(node):
             yield owner.get(id(node))
+
+
+def _found(matches):
+    """(module file, owning function) of each matching call in src/."""
+    return {(path.relative_to(SRC).as_posix(), name) for path in sorted(SRC.rglob("*.py"))
+            for name in _calls_by_owner(ast.parse(path.read_text()), matches)}
 
 
 def test_one_predicate_tells_scalars_from_arrays():
     # every scalar-or-array decision goes through _elementwise.is_array
-    found = {(path.relative_to(SRC).as_posix(), name) for path in sorted(SRC.rglob("*.py"))
-             for name in _array_tests(ast.parse(path.read_text()))}
+    found = _found(lambda call: isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+                   and len(call.args) == 2 and _is_ndarray(call.args[1]))
     assert found == {("_elementwise.py", "is_array")}
+
+
+def test_double_range_guards_sit_at_the_entry_points():
+    # one guard per library entry point and one around every CLI handler; a
+    # handler that adds its own, or an entry point that loses its, fails here
+    found = _found(lambda call: isinstance(call.func, ast.Name)
+                   and call.func.id == "in_double_range")
+    assert found == {("tpsa.py", "assemble_tpsa"), ("config.py", "compute_scenario"),
+                     ("config.py", "_evaluate_sweep"), ("inverse.py", "estimate"),
+                     ("inverse.py", "fit_hom_B"), ("cli.py", "main")}
 
 
 def _imported_names(tree):
@@ -91,7 +106,6 @@ UNREFERENCED = {
     "temporal.time_bandwidth": "perfbench traces it (layers.BOTH)",
     "tpsa.build_tpsa": "README quick start; perfbench oracle-verify",
     "tpsa.normalize": "perfbench oracle-verify and layers.SELF",
-    "tpsa.with_matched_angle": "README quick start; perfbench oracle-verify",
 }
 
 

@@ -24,6 +24,8 @@ from counterpairs.temporal import (
 from conftest import omega_of
 from reference_oracles import dft_time_amplitude
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
 
 def _simpson(values, h, axis):
     w = np.ones(values.shape[axis])
@@ -234,6 +236,12 @@ class TestHom:
         assert hom_curve(t, 0.0) == pytest.approx(1.0 - dip.a, rel=1e-12, abs=0)
         assert hom_curve(t, 1e-9) == pytest.approx(1.0, rel=1e-12, abs=0)
         assert 1.0 - dip.a >= 0.0
+        # split centrals: cos(beat tau_l) has no value this far out, so no R_n does
+        cfg = GOLDEN / "scenario" / "fig2_split_dtilde.cfg"
+        split = config.build_scenario_tpsa(config.resolve_scenario(config.parse_config(cfg)))
+        with pytest.raises(OutOfRange) as info:
+            hom_curve(split, 2.059138588039198e295)
+        assert str(info.value) == "R_n at tau_l = 2.059138588039198e+295 s is nan, not finite"
 
     def test_floor_nonnegative_over_random_sets(self, random_cases):
         for case in random_cases(12, seed=41, chirp=True):
