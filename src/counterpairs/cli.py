@@ -221,20 +221,25 @@ def _parse_widths_file(path: str) -> dict:
 
 
 def _parse_hom_csv(path: str) -> list:
-    rows = []
-    for line in Path(path).read_text().splitlines():
+    """(tau_l, R_n) samples; blank and '#' lines are skipped, and the first
+    line left may be a header."""
+    rows, read = [], 0
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        read += 1
         parts = stripped.split(",")
         try:
             sample = float(parts[0]), float(parts[1])
         except (ValueError, IndexError):
-            if not rows:  # tolerate a single header row
+            if read == 1:       # the one header line
                 continue
-            raise ConfigInvalid(f"bad coincidence sample line {line!r}") from None
+            raise ConfigInvalid(f"line {lineno}: bad coincidence sample {line!r}",
+                                field="--hom-csv") from None
         if not all(map(math.isfinite, sample)):
-            raise ConfigInvalid(f"non-finite coincidence sample line {line!r}")
+            raise ConfigInvalid(f"line {lineno}: non-finite coincidence sample {line!r}",
+                                field="--hom-csv")
         rows.append(sample)
     return rows
 
@@ -384,7 +389,7 @@ def main(argv=None) -> int:
         field = f" [field: {exc.field}]" if exc.field else ""
         print(f"error: {exc}{field}", file=sys.stderr)
         return 1
-    except (CounterpairsError, ValueError, FileNotFoundError) as exc:
+    except (CounterpairsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -40,9 +40,8 @@ from .tpsa import (
     GaussianTPSA,
     PumpSpec,
     assemble_tpsa,
-    external_angle,
-    refract_in,
-    refract_out,
+    external_dispersion,
+    internal_dispersion,
     with_matched_angle,
 )
 
@@ -181,7 +180,7 @@ def resolve_scenario(raw: dict, *, include_g: bool = True,
     model_name = raw["waveguide.model"].strip()
     try:
         model = load_model(model_name)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"waveguide.model: {exc}", field="waveguide.model") from exc
 
     wg = WaveguideSpec(alpha=get("waveguide.alpha"), ly=get("waveguide.Ly"),
@@ -239,11 +238,9 @@ def apply_sweep_value(sc: Scenario, param: str, value: float) -> Scenario:
     group, name = param.split(".")
     if name == "D_theta_out":
         omega_p0 = sc.omega_s0 + sc.omega_i0
-        n_p = refractive_index(sc.wg.model, omega_p0)
-        theta_out = external_angle(n_p, sc.pump.theta_p0)
-        dtilde_out = value * _DEG * 2.0 * math.pi * C_LIGHT / omega_p0**2
-        name, value = "Dtilde_theta", refract_in(
-            n_p, index_derivative(sc.wg.model, omega_p0), theta_out, dtilde_out)[1]
+        name, value = "Dtilde_theta", internal_dispersion(
+            refractive_index(sc.wg.model, omega_p0), index_derivative(sc.wg.model, omega_p0),
+            omega_p0, sc.pump.theta_p0, value * _DEG)
     elif name == "sigma_both_nm":
         name, value = "sigma_both", value * 1e-9 * sc.omega_s0**2 / (2.0 * math.pi * C_LIGHT)
     if group == "pump":
@@ -260,18 +257,10 @@ def _complex_pair(z: complex):
     return [z.real, z.imag]
 
 
+@in_double_range("the scenario's settings")
 def compute_scenario(sc: Scenario) -> dict:
     """Every scalar observable of one scenario as a JSON-ready dict."""
-    with in_double_range("the scenario's settings"):
-        return scenario_bundle(sc, scenario_material(sc))
-
-
-def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
-    """compute_scenario with the scenario's material already evaluated.
-
-    mp must be scenario_material(sc), or that of any scenario with the
-    same waveguide and centrals.
-    """
+    mp = scenario_material(sc)
     tpsa = assemble_tpsa(mp, sc.pump, sc.filt, include_g=sc.include_g)
     rate = pair_rate(tpsa)
     spec_s = spectrum(tpsa, "s")
@@ -291,8 +280,8 @@ def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
         }
     else:
         sep_out = None
-    ext = refract_out(mp.n_p, mp.dn_dw_p, mp.omega_p0,
-                      sc.pump.theta_p0, sc.pump.dtilde_theta)
+    d_out = external_dispersion(mp.n_p, mp.dn_dw_p, mp.omega_p0,
+                                sc.pump.theta_p0, sc.pump.dtilde_theta)
 
     return {
         "inputs": {
@@ -306,7 +295,7 @@ def scenario_bundle(sc: Scenario, mp: MaterialPoint) -> dict:
                 "theta_p0_rad": sc.pump.theta_p0,
                 "theta_p0_deg": sc.pump.theta_p0 / _DEG,
                 "Dtilde_theta_rad_s": sc.pump.dtilde_theta,
-                "D_theta_out_deg_per_m": ext.d_out / _DEG,
+                "D_theta_out_deg_per_m": None if d_out is None else d_out / _DEG,
                 "P_p_W": sc.pump.p_p, "f_rep_per_s": sc.pump.f_rep,
             },
             "filters": {"sigma_s_rad_per_s": sc.filt.sigma_s,
@@ -380,7 +369,7 @@ def _sigma_lambda_nm(tpsa: GaussianTPSA, field: str):
 
 # Sweep output quantities: name -> (unit label, value from the swept scenario
 # and its amplitude). Each computes only what it reports, on one cell or on
-# a whole broadcast grid, with the formulas of scenario_bundle.
+# a whole broadcast grid, with the formulas of compute_scenario.
 QUANTITIES = {
     "N": ("1/s", lambda sc, t: pair_rate(t).pairs_per_s),
     "per_pulse": ("1", lambda sc, t: pair_rate(t).per_pulse),

@@ -165,19 +165,6 @@ class GaussianTPSA:
         return 4.0 * self.f2s * self.f2i - self.f2si**2
 
 
-@dataclass(frozen=True)
-class ExternalAngularDispersion:
-    """Angular dispersion refracted out of the material.
-
-    dtilde_out in rad s, theta_out in rad, d_out = dtilde_out w^2/(2 pi c)
-    in rad/m (the per-wavelength form used for lab gratings/prisms).
-    """
-
-    dtilde_out: float
-    d_out: float
-    theta_out: float
-
-
 def with_matched_angle(wg: WaveguideSpec, pump: PumpSpec,
                        omega_s0: float, omega_i0: float) -> PumpSpec:
     """Pump with theta_p0 replaced by the phase-matching solution."""
@@ -358,25 +345,29 @@ def external_angle(n: float, theta_p0: float) -> float:
     return math.asin(s_out)
 
 
-def refract_out(n: float, dn_dw: float, omega_p0: float, theta_p0: float,
-                dtilde_internal: float) -> ExternalAngularDispersion:
-    """Refract the internal pump angle and angular dispersion out of the material.
+def external_dispersion(n: float, dn_dw: float, omega_p0: float, theta_p0: float,
+                        dtilde: float) -> float | None:
+    """Angular dispersion outside the material, rad/m, for dtilde (rad s) inside it.
 
-    n and dn_dw are the index and dn/domega at omega_p0.
+    n and dn_dw are the index and dn/domega at omega_p0. The result is the
+    per-wavelength form used for lab gratings and prisms, dtilde_out
+    omega_p0^2/(2 pi c); None when the pump has no external angle.
     """
-    theta_out = external_angle(n, theta_p0)
-    dtilde_out = (n * math.cos(theta_p0) / math.cos(theta_out) * dtilde_internal
+    try:
+        theta_out = external_angle(n, theta_p0)
+    except TotalInternalReflection:
+        return None
+    dtilde_out = (n * math.cos(theta_p0) / math.cos(theta_out) * dtilde
                   + math.sin(theta_p0) / math.cos(theta_out) * dn_dw)
-    d_out = dtilde_out * omega_p0**2 / (2.0 * math.pi * C_LIGHT)
-    return ExternalAngularDispersion(dtilde_out=dtilde_out, d_out=d_out,
-                                     theta_out=theta_out)
+    return dtilde_out * omega_p0**2 / (2.0 * math.pi * C_LIGHT)
 
 
-def refract_in(n: float, dn_dw: float, theta_out: float,
-               dtilde_out: float) -> tuple[float, float]:
-    """Inverse of refract_out: (theta_p0, dtilde_internal) from external values."""
-    theta_p0 = math.asin(math.sin(theta_out) / n)
-    dtilde = ((dtilde_out * math.cos(theta_out) - math.sin(theta_p0) * dn_dw)
-              / (n * math.cos(theta_p0)))
-    return theta_p0, dtilde
-
+def internal_dispersion(n: float, dn_dw: float, omega_p0: float, theta_p0: float,
+                        d_out: float) -> float:
+    """Inverse of external_dispersion: dtilde (rad s) inside the material for
+    d_out (rad/m, a scalar or an array) outside it. Raises
+    TotalInternalReflection when the pump has no external angle."""
+    theta_out = external_angle(n, theta_p0)
+    dtilde_out = d_out * 2.0 * math.pi * C_LIGHT / omega_p0**2
+    return ((dtilde_out * math.cos(theta_out) - math.sin(theta_p0) * dn_dw)
+            / (n * math.cos(theta_p0)))

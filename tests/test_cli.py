@@ -20,7 +20,7 @@ from counterpairs.config import (
     resolve_scenario,
 )
 from counterpairs.entanglement import schmidt
-from counterpairs.errors import CounterpairsError, TotalInternalReflection
+from counterpairs.errors import ConfigInvalid, CounterpairsError, TotalInternalReflection
 from counterpairs.spectral import pair_rate
 from counterpairs.temporal import hom_params
 from counterpairs.tpsa import normalize
@@ -56,10 +56,12 @@ def grid_cells(path: Path) -> list:
 
 def config_with(path: Path, settings: dict, base: str | Path) -> Path:
     """Write a shipped config (or, by absolute path, any input file of 'key = value'
-    lines) to path with some of its lines replaced or added."""
+    lines) to path with some of its lines replaced or added, and those of the
+    keys set to None dropped."""
     lines = [line for line in (CONFIG_DIR / base).read_text().splitlines()
              if line.split(" = ")[0] not in settings]
-    path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in settings.items()]) + "\n")
+    path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in settings.items()
+                                       if v is not None]) + "\n")
     return path
 
 
@@ -99,6 +101,99 @@ def test_value_outside_its_domain_names_its_key(capsys, tmp_path, key, number, d
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (1, "")
     assert err == f"error: {key} must be {domain}; got {value!r} [field: {key}]\n"
+
+
+# (command, the config: its whole text, or a shipped file with some keys set
+# or, set to None, dropped; the message, the field it names) for each check
+# of a config file's lines, keys and sweep section
+CONFIG_ERRORS = [
+    ("scenario", "pump.tau_p 1e-13 s\n",
+     "line 1: expected 'key = value', got 'pump.tau_p 1e-13 s'", None),
+    ("scenario", "", "missing required key 'waveguide.alpha'", "waveguide.alpha"),
+    ("scenario", ("fig2.cfg", {"pump.a_p": "0.1 s"}),
+     "pump.a_p is dimensionless; got '0.1 s'", "pump.a_p"),
+    ("scenario", ("fig2.cfg", {"pump.Dtilde_theta": "0 rad*s", "pump.D_theta_out": "0 deg/m"}),
+     "give either pump.Dtilde_theta or pump.D_theta_out, not both", "pump.D_theta_out"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.axis1": "pump.theta_p0"}),
+     "sweep.axis1: 'pump.theta_p0' is not sweepable", "sweep.axis1"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.axis2_points": None}),
+     "sweep.axis2 needs sweep.axis2_range and sweep.axis2_points", "sweep.axis2"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.axis1_range": "1e-14 2e-12"}),
+     "sweep.axis1_range must be '<lo> <hi> s'", "sweep.axis1_range"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.axis1_points": "many"}),
+     "sweep.axis1_range/sweep.axis1_points: invalid literal for int() with base 10: 'many'",
+     "sweep.axis1_range"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.axis1_points": "0"}),
+     "sweep.axis1_points must be >= 1", "sweep.axis1_points"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.axis1_scale": "cubic"}),
+     "sweep.axis1_scale must be linear or log", "sweep.axis1_scale"),
+    ("sweep", ("fig2.cfg", {}), "sweep.axis1 is required for sweeps", "sweep.axis1"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.quantities": None}),
+     "sweep.quantities is required", "sweep.quantities"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.quantities": "entropy bogus"}),
+     f"unknown sweep quantity 'bogus'; choose from {sorted(config.QUANTITIES)}",
+     "sweep.quantities"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.quantities": ","}),
+     "sweep.quantities is empty", "sweep.quantities"),
+]
+
+
+@pytest.mark.parametrize("command,source,message,field", CONFIG_ERRORS,
+                         ids=[message.split(";")[0] for _, _, message, _ in CONFIG_ERRORS])
+def test_a_bad_config_names_its_line_or_field(capsys, tmp_path, command, source, message,
+                                              field):
+    cfg = tmp_path / "bad.cfg"
+    if isinstance(source, str):
+        cfg.write_text(source)
+    else:
+        config_with(cfg, source[1], source[0])
+    out_dir = tmp_path / "out"
+    extra = ["--out-dir", str(out_dir)] if command == "sweep" else []
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}{'' if field is None else f' [field: {field}]'}\n"
+    assert not out_dir.exists()
+
+
+def test_only_sweepable_settings_are_applied():
+    # the CLI checks an axis before it applies it, so only a library call gets here
+    sc = resolve_scenario(parse_config(CONFIG_DIR / "fig2.cfg"))
+    with pytest.raises(ConfigInvalid, match="'pump.theta_p0' is not sweepable") as exc:
+        apply_sweep_value(sc, "pump.theta_p0", 0.1)
+    assert exc.value.field == "pump.theta_p0"
+
+
+# (arguments, the one that names a path that cannot be read or written):
+# {dir} is a directory, {file} a regular file, {model} a config whose
+# waveguide.model names a directory ending in .json
+BAD_PATHS = [
+    pytest.param(["scenario", "--config", "{dir}"], "{dir}", id="--config"),
+    pytest.param(["scenario", "--config", "{fig2}", "--out", "{dir}"], "{dir}", id="--out"),
+    pytest.param(["sweep", "--config", "{fig2_sweep}", "--out-dir", "{file}"], "{file}",
+                 id="--out-dir"),
+    pytest.param(["hom", "--config", "{fig2}", "--curve-out", "{dir}"], "{dir}",
+                 id="--curve-out"),
+    pytest.param(["inverse", "--widths", "{dir}", "--hom-csv", "{dip}"], "{dir}", id="--widths"),
+    pytest.param(["inverse", "--widths", "{widths}", "--hom-csv", "{dir}"], "{dir}",
+                 id="--hom-csv"),
+    pytest.param(["scenario", "--config", "{model}"], "{dir}.json", id="waveguide.model"),
+]
+
+
+@pytest.mark.parametrize("argv,path", BAD_PATHS)
+def test_a_path_that_cannot_be_used_is_a_user_error(capsys, tmp_path, argv, path):
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file",
+             "fig2": CONFIG_DIR / "fig2.cfg", "fig2_sweep": CONFIG_DIR / "fig2_sweep.cfg",
+             "dip": INVERSE_INPUTS / "fig2_dip.csv",
+             "widths": INVERSE_INPUTS / "fig2_widths.cfg", "model": tmp_path / "model.cfg"}
+    paths["dir"].mkdir()
+    (tmp_path / "dir.json").mkdir()
+    paths["file"].write_text("")
+    config_with(paths["model"], {"waveguide.model": f"{paths['dir']}.json"}, "fig2.cfg")
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "internal error" not in err
+    assert f"'{path.format(**paths)}'" in err
 
 
 def test_readme_tables_give_each_key_its_unit_and_domain():
@@ -208,6 +303,18 @@ class TestScenario:
         assert err == (f"error: p_min must lie in (0, 1); got {float(p_min)!r}"
                        " [field: p_min]\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_no_external_angle_echoes_a_null_lab_dispersion(self, capsys, tmp_path, fmt):
+        # the pump cannot leave the crystal, so it has no dispersion outside
+        # it; with none set, that is no error
+        cfg = config_with(tmp_path / "tir.cfg", NO_EXTERNAL_ANGLE, "fig2.cfg")
+        code, out, err = run_cli(capsys, "scenario", "--config", str(cfg), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["inputs"]["pump"]["D_theta_out_deg_per_m"] is None
+        else:
+            assert "inputs.pump.D_theta_out_deg_per_m," in out.splitlines()
 
     def test_external_angular_dispersion_without_an_external_angle(self, capsys, tmp_path):
         cfg = config_with(tmp_path / "tir.cfg",
@@ -672,10 +779,24 @@ class TestInverse:
     def test_non_finite_dip_sample_names_line(self, capsys, tmp_path, fig2_cfg, sample):
         widths, curve, _ = self._write_measurements(capsys, tmp_path, fig2_cfg)
         curve.write_text(curve.read_text() + sample + "\n")
+        lineno = len(curve.read_text().splitlines())
         code, out, err = run_cli(capsys, "inverse", "--widths", str(widths),
                                  "--hom-csv", str(curve))
         assert (code, out) == (1, "")
-        assert err == f"error: non-finite coincidence sample line {sample!r}\n"
+        assert err == (f"error: line {lineno}: non-finite coincidence sample {sample!r}"
+                       " [field: --hom-csv]\n")
+
+    @pytest.mark.parametrize("junk", [1, 3])
+    def test_dip_file_takes_one_header_line(self, capsys, tmp_path, junk):
+        # the golden dip has its header; a line above it is a second one
+        dip = tmp_path / "dip.csv"
+        dip.write_text("# measured dip\n\n" + "junk\n" * junk
+                       + (INVERSE_INPUTS / "fig2_dip.csv").read_text())
+        code, out, err = run_cli(capsys, "inverse", "--widths",
+                                 str(INVERSE_INPUTS / "fig2_widths.cfg"), "--hom-csv", str(dip))
+        assert (code, out) == (1, "")
+        second = "junk" if junk > 1 else "tau_l [s],R_n [1]"
+        assert err == f"error: line 4: bad coincidence sample {second!r} [field: --hom-csv]\n"
 
     @pytest.mark.parametrize("line,message", [
         ("measure.sigma_omega_s = 1e13 rad/s", "duplicate key"),

@@ -70,6 +70,22 @@ def test_double_range_guards_sit_at_the_entry_points():
                      ("inverse.py", "fit_hom_B"), ("cli.py", "main")}
 
 
+def _calls_to(name):
+    """Whether a call calls name, bare or as an attribute of a module."""
+    return lambda call: (isinstance(call.func, ast.Name) and call.func.id == name
+                         or isinstance(call.func, ast.Attribute) and call.func.attr == name)
+
+
+def test_one_conversion_each_way_refracts_the_pump():
+    # Snell's law at the crystal surface is applied by the two conversions of
+    # the angular dispersion alone, and each conversion has its one caller: a
+    # third refraction path fails here
+    assert _found(_calls_to("external_angle")) == {("tpsa.py", "external_dispersion"),
+                                                   ("tpsa.py", "internal_dispersion")}
+    assert _found(_calls_to("external_dispersion")) == {("config.py", "compute_scenario")}
+    assert _found(_calls_to("internal_dispersion")) == {("config.py", "apply_sweep_value")}
+
+
 def _imported_names(tree):
     """(line, bound name) for each name a module's import statements bind."""
     for node in ast.walk(tree):

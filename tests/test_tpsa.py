@@ -8,6 +8,7 @@ import pytest
 
 import counterpairs as cp
 from counterpairs import oracle
+from counterpairs.constants import C_LIGHT
 from counterpairs.dispersion import group_velocity, index_derivative
 from counterpairs.errors import (
     ExponentOverflow,
@@ -15,7 +16,7 @@ from counterpairs.errors import (
     PhaseMatchViolated,
     TotalInternalReflection,
 )
-from counterpairs.tpsa import build_tpsa, l2_norm, refract_in, refract_out
+from counterpairs.tpsa import build_tpsa, external_dispersion, internal_dispersion, l2_norm
 
 
 class TestCoefficientAssembly:
@@ -286,27 +287,30 @@ class TestExternalAngularDispersion:
         return cp.refractive_index(model, omega_p0), index_derivative(model, omega_p0)
 
     def test_zero_angle(self, linbo3, make_case):
+        # at normal incidence only the index scales the angular dispersion
         case = make_case()
         omega_p0 = case.omega_s0 + case.omega_i0
         n, dn_dw = self._index(linbo3, omega_p0)
-        ext = refract_out(n, dn_dw, omega_p0, 0.0, 1e-16)
-        assert ext.theta_out == 0.0
-        assert ext.dtilde_out == pytest.approx(n * 1e-16, rel=1e-12, abs=0)
-        zero = refract_out(n, dn_dw, omega_p0, 0.0, 0.0)
-        assert zero.dtilde_out == 0.0 and zero.d_out == 0.0
+        d_out = external_dispersion(n, dn_dw, omega_p0, 0.0, 1e-16)
+        assert d_out == pytest.approx(n * 1e-16 * omega_p0**2 / (2.0 * math.pi * C_LIGHT),
+                                      rel=1e-12, abs=0)
+        assert external_dispersion(n, dn_dw, omega_p0, 0.0, 0.0) == 0.0
+        assert internal_dispersion(n, dn_dw, omega_p0, 0.0, 0.0) == 0.0
 
     def test_round_trip(self, linbo3, make_case):
         case = make_case()
         omega_p0 = case.omega_s0 + case.omega_i0
         n, dn_dw = self._index(linbo3, omega_p0)
         theta, dtilde = 0.02, 1.3e-16
-        ext = refract_out(n, dn_dw, omega_p0, theta, dtilde)
-        theta_back, dtilde_back = refract_in(n, dn_dw, ext.theta_out, ext.dtilde_out)
-        assert theta_back == pytest.approx(theta, rel=1e-12, abs=0)
-        assert dtilde_back == pytest.approx(dtilde, rel=1e-12, abs=0)
+        d_out = external_dispersion(n, dn_dw, omega_p0, theta, dtilde)
+        back = internal_dispersion(n, dn_dw, omega_p0, theta, d_out)
+        assert back == pytest.approx(dtilde, rel=1e-12, abs=0)
 
     def test_total_internal_reflection(self, linbo3, make_case):
+        # no external angle: nothing to echo outward, and nothing to refract in
         case = make_case()
         omega_p0 = case.omega_s0 + case.omega_i0
-        with pytest.raises(TotalInternalReflection):
-            refract_out(*self._index(linbo3, omega_p0), omega_p0, 0.5, 0.0)
+        n, dn_dw = self._index(linbo3, omega_p0)
+        assert external_dispersion(n, dn_dw, omega_p0, 0.5, 0.0) is None
+        with pytest.raises(TotalInternalReflection, match="has no external angle"):
+            internal_dispersion(n, dn_dw, omega_p0, 0.5, 1.0)
