@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import (
@@ -131,6 +128,7 @@ def _grid_csv(axis1, axis2, rows, label: str) -> str:
 
 
 def _cmd_sweep(args) -> None:
+    import hashlib
     raw = parse_config(args.config)
     sc = resolve_scenario(raw, include_g=args.include_g, p_min=args.p_min)
     spec = parse_sweep(raw)
@@ -186,6 +184,7 @@ def _cmd_hom(args) -> dict:
     dip = hom_params(tpsa)
     doc = _hom_section(dip)
     if args.curve_out:
+        import numpy as np
         span = args.span * dip.delta_tau_l
         taus = np.linspace(-span, span, args.points)
         rates = hom_curve(tpsa, taus)

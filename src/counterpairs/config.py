@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import _elementwise as ew
 from .constants import C_LIGHT
 from .dispersion import (
@@ -428,9 +426,12 @@ def _parse_axis(raw: dict, which: str) -> SweepAxis | None:
             field=range_key)
     try:
         lo, hi = float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise ConfigInvalid(f"{range_key}: {exc}", field=range_key) from None
+    try:
         n = int(raw[points_key])
     except ValueError as exc:
-        raise ConfigInvalid(f"{range_key}/{points_key}: {exc}", field=range_key) from None
+        raise ConfigInvalid(f"{points_key}: {exc}", field=points_key) from None
     if n < 1:
         raise ConfigInvalid(f"{points_key} must be >= 1", field=points_key)
     scale = raw.get(f"{key}_scale", "linear").strip()
@@ -508,6 +509,7 @@ def sweep_point(sc: Scenario, spec: SweepSpec) -> SweepGrid:
     keeps those values, and one still non-finite fails with OutOfRange).
     When the material fails, every cell fails with it.
     """
+    import numpy as np
     axis1 = np.reshape(spec.axis1.values, (-1, 1))
     axis2 = None if spec.axis2 is None else np.reshape(spec.axis2.values, (1, -1))
     shape = (axis1.shape[0], 1 if axis2 is None else axis2.shape[1])

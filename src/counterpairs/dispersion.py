@@ -379,8 +379,13 @@ def load_model(source: str | Path) -> DispersionModel:
             raise FileNotFoundError(
                 f"no dispersion data file at {source!r} and no built-in model of that name"
             ) from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"dispersion data {str(source)!r} is not a JSON object")
     if raw.get("schema") != "dispersion-model/1":
         raise ValueError(f"unsupported dispersion data schema {raw.get('schema')!r}")
+    for key in ("material", "kind", "coefficients", "wavelength_window_m"):
+        if key not in raw:
+            raise ValueError(f"dispersion data {str(source)!r} lacks the key {key!r}")
     lam_lo, lam_hi = raw["wavelength_window_m"]
     if not (0.0 < lam_lo < lam_hi):
         raise ValueError("wavelength window must satisfy 0 < lo < hi")

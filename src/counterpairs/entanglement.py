@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _elementwise as ew
 from .dispersion import MaterialPoint
 from .errors import OutOfRange
@@ -115,6 +113,7 @@ def schmidt_mode(vartheta: float, n: int, x):
     evaluated through the normalized-function three-term recurrence to
     stay finite for large n. Accepts scalar or array x.
     """
+    import numpy as np
     if not (0.0 < vartheta < 1.0):
         raise OutOfRange(f"vartheta = {vartheta} outside (0, 1)")
     if n < 0:

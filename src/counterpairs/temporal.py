@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _elementwise as ew
 from .errors import NonNormalizable, OutOfRange, SingularTransform
 from .spectral import SpectrumParams, _peak, spectrum
@@ -133,6 +131,7 @@ def evaluate_time(td: TimeDomainTPSA, tau_s, tau_i):
     Gaussian envelope; the carrier is what beats at ws0 - wi0 in
     two-photon interference.
     """
+    import numpy as np
     ts = np.asarray(tau_s, dtype=float)
     ti = np.asarray(tau_i, dtype=float)
     us = ts - 1j * td.src.f1s
@@ -211,6 +210,7 @@ def hom_curve(tpsa: GaussianTPSA, tau_l):
     The delays are one curve, not a sweep grid: the first delay at which
     R_n is not finite raises OutOfRange naming it.
     """
+    import numpy as np
     dip = hom_params(tpsa)
     tau = np.asarray(tau_l, dtype=float)
     with np.errstate(all="ignore"):

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import _elementwise as ew
 from .constants import C_LIGHT, EPSILON_0
 from .dispersion import (
@@ -287,6 +285,7 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
 
 def evaluate(tpsa: GaussianTPSA, omega_s, omega_i):
     """Complex amplitude at (omega_s, omega_i); accepts scalars or arrays."""
+    import numpy as np
     ds = np.asarray(omega_s, dtype=float) - tpsa.omega_s0
     di = np.asarray(omega_i, dtype=float) - tpsa.omega_i0
     phi = np.asarray(tpsa.f2s * ds**2 + tpsa.f2i * di**2 + tpsa.f2si * ds * di

@@ -120,9 +120,11 @@ CONFIG_ERRORS = [
      "sweep.axis2 needs sweep.axis2_range and sweep.axis2_points", "sweep.axis2"),
     ("sweep", ("fig6_sweep.cfg", {"sweep.axis1_range": "1e-14 2e-12"}),
      "sweep.axis1_range must be '<lo> <hi> s'", "sweep.axis1_range"),
+    ("sweep", ("fig6_sweep.cfg", {"sweep.axis1_range": "short 2e-12 s"}),
+     "sweep.axis1_range: could not convert string to float: 'short'", "sweep.axis1_range"),
     ("sweep", ("fig6_sweep.cfg", {"sweep.axis1_points": "many"}),
-     "sweep.axis1_range/sweep.axis1_points: invalid literal for int() with base 10: 'many'",
-     "sweep.axis1_range"),
+     "sweep.axis1_points: invalid literal for int() with base 10: 'many'",
+     "sweep.axis1_points"),
     ("sweep", ("fig6_sweep.cfg", {"sweep.axis1_points": "0"}),
      "sweep.axis1_points must be >= 1", "sweep.axis1_points"),
     ("sweep", ("fig6_sweep.cfg", {"sweep.axis1_scale": "cubic"}),

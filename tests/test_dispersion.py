@@ -145,6 +145,27 @@ class TestLoadModel:
             assert err.startswith("error: waveguide.model: model 'test': ")
             assert err.endswith("[field: waveguide.model]\n")
 
+    @pytest.mark.parametrize("drop,named", [
+        ("material", "lacks the key 'material'"), ("kind", "lacks the key 'kind'"),
+        ("coefficients", "lacks the key 'coefficients'"),
+        ("wavelength_window_m", "lacks the key 'wavelength_window_m'"),
+        (None, "is not a JSON object"),
+    ], ids=["material", "kind", "coefficients", "wavelength_window_m", "not-an-object"])
+    def test_a_model_file_missing_a_key_names_it(self, capsys, tmp_path, drop, named):
+        # a user error naming the file's gap and the config field, never exit 2
+        model = _model_file(tmp_path, [2.0], kind="constant")
+        raw = json.loads(model.read_text())
+        model.write_text(json.dumps([raw] if drop is None
+                                    else {k: v for k, v in raw.items() if k != drop}))
+        with pytest.raises(ValueError, match=named):
+            cp.load_model(model)
+        cfg = tmp_path / "fig2.cfg"
+        cfg.write_text((CONFIG_DIR / "fig2.cfg").read_text().replace(
+            "waveguide.model = linbo3_e", f"waveguide.model = {model}"))
+        assert main(["phase-match", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (f"error: waveguide.model: dispersion data "
+                                           f"{str(model)!r} {named} [field: waveguide.model]\n")
+
 
 class TestBeta:
     def test_free_propagation_limit(self, linbo3):

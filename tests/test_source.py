@@ -152,3 +152,25 @@ def test_every_public_definition_has_a_caller():
                        and not node.name.startswith("_"))
         referenced.update(_referenced_names(tree))
     assert {qual for qual, name in defined.items() if name not in referenced} == set(UNREFERENCED)
+
+
+def _module_level_imports(tree):
+    """Top-level package of each import that runs when the module is imported:
+    every import outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_oracle_imports_numpy_at_module_level():
+    # the scalar path never needs numpy: array code imports it in the functions
+    # that make arrays, so `import counterpairs` and a scalar subcommand never load it
+    found = {path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+             if "numpy" in _module_level_imports(ast.parse(path.read_text()))}
+    assert found == {"oracle.py"}
