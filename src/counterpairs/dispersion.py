@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -342,16 +343,19 @@ def constant_model(n0: float) -> DispersionModel:
                            coefficients=(float(n0),), omega_window=(1e13, 2e16))
 
 
+def _numbers(values, count: int) -> bool:
+    """Whether a data file's value is a list of count finite numbers (bool is not one)."""
+    return (isinstance(values, list) and len(values) == count
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max for v in values))
+
+
 def _coefficients(material: str, kind: str, raw) -> tuple:
     """A data file's coefficients as DispersionModel holds them: (n0,) for a
     constant model, (B, C) pairs for a Sellmeier one."""
-    def numbers(values, count):
-        return (isinstance(values, list) and len(values) == count
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values))
-
-    if kind == "constant" and numbers(raw, 1):
+    if kind == "constant" and _numbers(raw, 1):
         return (raw[0],)
-    if kind == "sellmeier" and isinstance(raw, list) and all(numbers(pair, 2) for pair in raw):
+    if kind == "sellmeier" and isinstance(raw, list) and all(_numbers(pair, 2) for pair in raw):
         return tuple(tuple(pair) for pair in raw)
     if kind not in ("constant", "sellmeier"):
         raise ValueError(f"model {material!r}: unknown dispersion model kind {kind!r}")
@@ -386,9 +390,11 @@ def load_model(source: str | Path) -> DispersionModel:
     for key in ("material", "kind", "coefficients", "wavelength_window_m"):
         if key not in raw:
             raise ValueError(f"dispersion data {str(source)!r} lacks the key {key!r}")
-    lam_lo, lam_hi = raw["wavelength_window_m"]
-    if not (0.0 < lam_lo < lam_hi):
-        raise ValueError("wavelength window must satisfy 0 < lo < hi")
+    window = raw["wavelength_window_m"]
+    if not (_numbers(window, 2) and 0.0 < window[0] < window[1]):
+        raise ValueError(f"dispersion data {str(source)!r}: 'wavelength_window_m' must be "
+                         f"[lo, hi] in meters with 0 < lo < hi, got {window!r}")
+    lam_lo, lam_hi = window
     model = DispersionModel(
         material=raw["material"],
         kind=raw["kind"],

@@ -14,10 +14,13 @@ quadratic form, one real exp per point, on a grid sheared along the
 amplitude: the outer axis spans the field's marginal, the inner one the
 partner's conditional width about its conditional centre. This resolves
 the thin diagonal ridges that a box aligned with the field axes cannot.
-Marginals form that grid in row blocks, never whole (1537^2: about 25 ms,
-0.7 MB on 2 cores). The singular values come from a seeded block subspace
-iteration in real matrix products, not a full SVD (512^2: about 30-65 ms
-a call against 70-115 ms). Oracles favor correctness and determinism over speed.
+Marginals form that grid in row blocks, never whole. On each row q is a
+quadratic in the inner coordinate; its coefficients are formed once, on
+1-D arrays, in twice the working precision, and a block takes three passes
+before its exp (1537^2: about 13 ms, 0.5 MB on 2 cores). The singular
+values come from a seeded block subspace iteration in real matrix
+products, not a full SVD (512^2: about 30-65 ms a call against 70-115 ms).
+Oracles favor correctness and determinism over speed.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ _NODES15 = np.array([-x for x in _XGK[:7]] + [0.0] + list(_XGK[6::-1]))
 _W15 = np.array(list(_WGK[:7]) + [_WGK[7]] + list(_WGK[6::-1]))
 _G_IDX = np.arange(1, 15, 2)
 _W7 = np.array(list(_WG[:3]) + [_WG[3]] + list(_WG[2::-1]))
-_ROW_BLOCK = 10     # rows at once: 10 x 1537 doubles, under the 128 KiB malloc mmaps
+_ROW_BLOCK = 24     # rows of -2q per block in one reused buffer: 295 KB at 1537 points
 _SCHMIDT_BLOCK, _SCHMIDT_MODES, _SCHMIDT_MAX_STEPS = 32, 8, 100
 _NORMAL_SQRT = math.sqrt(sys.float_info.min)
 _SPAN = 8.0         # rate and marginal grids reach +-8 widths of the sheared frame
@@ -208,28 +211,82 @@ def _moments(axis, marginal, h):
     return norm, mean, var
 
 
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker): 2^27 + 1
+    splits each factor into halves of 26 bits whose products are exact."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dot2(terms):
+    """Sum of products, each given as a tuple of its factors, as accurate as
+    if formed in twice the working precision and rounded once (Ogita, Rump
+    & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005)): exact products and sums,
+    with only their small error terms summed in plain arithmetic."""
+    total = err = 0.0
+    for first, *rest in terms:
+        p, e = first, 0.0
+        for f in rest:
+            p, e_f = _two_prod(p, f)
+            e = e * f + e_f
+        total, e_s = _two_sum(total, p)
+        err = err + (e_s + e)
+    return total + err
+
+
+def _row_expansion(form, field: str, t: np.ndarray):
+    """(x, w, alpha, beta, gamma) of the sheared grid sampled at t widths:
+    row x = cx + sx t holds the partner at p = p0 + w t about its conditional
+    centre p0 = k x + m, where q is exactly alpha + beta t + gamma t^2 with
+    alpha = q(x, p0), beta = w dq/dp at p0 (zero but for the rounding of p0)
+    and gamma = a_p w^2. alpha and beta come from _dot2: along a thin ridge
+    the terms of q cancel, and their plain sum is off by up to 4e-10 on the
+    fig2 map; this expansion stays within 2e-14 of q at 50 digits."""
+    cx, sx, k, m, w = _shear(form, field)
+    a_s, a_i, a_si, b_s, b_i, c = form[2]
+    a_o, a_p, b_o, b_p = (a_s, a_i, b_s, b_i) if field == "s" else (a_i, a_s, b_i, b_s)
+    x = cx + sx * t
+    p0 = k * x + m
+    alpha = _dot2([(a_o, x, x), (a_p, p0, p0), (a_si, x, p0), (b_o, x), (b_p, p0), (c,)])
+    beta = w * _dot2([(2.0 * a_p, p0), (a_si, x), (b_p,)])
+    return x, w, alpha, beta, a_p * w * w
+
+
 def _marginal(form, field: str, n_points: int) -> MarginalResult:
     """Marginal of scale exp(-2q) over the partner, on the sheared Simpson grid of +-8
-    marginal by +-8 conditional widths, formed and reduced _ROW_BLOCK rows at a time."""
+    marginal by +-8 conditional widths, formed and reduced _ROW_BLOCK rows at a time:
+    each block of -2q takes three passes over one reused buffer."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
-    cx, sx, k, m, w = _shear(form, field)
     t = np.linspace(-_SPAN, _SPAN, n_points)
-    x = cx + sx * t
+    x, w, alpha, beta, gamma = _row_expansion(form, field, t)
+    alpha2, beta2, gamma2 = 2.0 * alpha, -2.0 * beta, -2.0 * gamma * t**2
     h_p, h_x = w * (t[1] - t[0]), x[1] - x[0]
     fine = _simpson_weights(n_points) * (form[0] * h_p / 3.0)
     half = _simpson_weights(len(t[::2])) * (form[0] * 2.0 * h_p / 3.0)
     marginal, coarse, worst = np.empty(n_points), np.empty(len(half)), -math.inf
+    buf = np.empty((_ROW_BLOCK, n_points))
     for lo in range(0, n_points, _ROW_BLOCK):
-        xb = x[lo:lo + _ROW_BLOCK, None]
-        p = (k * xb + m) + w * t
-        q = _exponent(form, xb, p) if field == "s" else _exponent(form, p, xb)
-        worst = max(worst, -float(q.min()))
+        rows = slice(lo, lo + _ROW_BLOCK)
+        q2 = buf[:min(_ROW_BLOCK, n_points - lo)]     # -2q on the block's rows
+        np.multiply.outer(beta2[rows], t, out=q2)
+        q2 += gamma2
+        q2 -= alpha2[rows, None]
+        worst = max(worst, 0.5 * float(q2.max()))
         if worst <= _EXP_GUARD:     # past the guard, only scan on for the worst -q
-            q *= -2.0
-            np.exp(q, out=q)
-            marginal[lo:lo + _ROW_BLOCK] = q @ fine
-            coarse[lo // 2:(lo + _ROW_BLOCK) // 2] = q[::2, ::2] @ half
+            np.exp(q2, out=q2)
+            marginal[rows] = q2 @ fine
+            coarse[lo // 2:(lo + _ROW_BLOCK) // 2] = q2[::2, ::2] @ half
     if worst > _EXP_GUARD:
         raise ExponentOverflow(f"-q = {worst:.3g} exceeds {_EXP_GUARD}")
     norm, mean, var = _moments(x, marginal, h_x)

@@ -125,6 +125,7 @@ class TestLoadModel:
     @pytest.mark.parametrize("kind,coefficients", [
         ("constant", [[2.0]]), ("constant", []), ("constant", [2.0, 3.0]), ("constant", ["2"]),
         ("sellmeier", [2.9804, 0.02047]), ("sellmeier", [[2.9804]]), ("sellmeier", [[1, 2, 3]]),
+        ("constant", [float("inf")]), ("sellmeier", [[float("nan"), 0.02047]]),
     ])
     def test_malformed_coefficients_are_rejected(self, tmp_path, kind, coefficients):
         with pytest.raises(ValueError, match=f"model 'test': {kind} coefficients must be"):
@@ -165,6 +166,28 @@ class TestLoadModel:
         assert main(["phase-match", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (f"error: waveguide.model: dispersion data "
                                            f"{str(model)!r} {named} [field: waveguide.model]\n")
+
+
+    @pytest.mark.parametrize("window", [
+        5e-7, ["a", "b"], [[1], [2]], [4e-7], [4e-7, 3.5e-6, 1e-5], [True, 3.5e-6],
+        [4e-7, float("inf")], [float("nan"), 3.5e-6], [3.5e-6, 4e-7], [0.0, 3.5e-6],
+    ], ids=["scalar", "strings", "nested", "one", "three", "bool", "inf", "nan",
+            "reversed", "zero"])
+    def test_a_malformed_window_names_the_file_and_key(self, capsys, tmp_path, window):
+        # a user error (exit 1), never an internal one (exit 2)
+        model = _model_file(tmp_path, [2.0], kind="constant")
+        raw = json.loads(model.read_text())
+        model.write_text(json.dumps({**raw, "wavelength_window_m": window}))
+        named = (f"dispersion data {str(model)!r}: 'wavelength_window_m' must be [lo, hi] "
+                 f"in meters with 0 < lo < hi, got {window!r}")
+        with pytest.raises(ValueError) as got:
+            cp.load_model(model)
+        assert str(got.value) == named
+        cfg = tmp_path / "fig2.cfg"
+        cfg.write_text((CONFIG_DIR / "fig2.cfg").read_text().replace(
+            "waveguide.model = linbo3_e", f"waveguide.model = {model}"))
+        assert main(["phase-match", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: waveguide.model: {named} [field: waveguide.model]\n"
 
 
 class TestBeta:

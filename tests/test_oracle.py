@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,7 @@ from counterpairs.errors import ExponentOverflow, GridTooCoarse, QuadratureNotCo
 from counterpairs.oracle import numeric_marginal, numeric_schmidt, quad2d, quad_norm
 from counterpairs.spectral import pair_rate, spectrum
 from counterpairs.temporal import evaluate_time, flux, time_domain
-from counterpairs.tpsa import evaluate, normalize
+from counterpairs.tpsa import _EXP_GUARD, evaluate, normalize
 from reference_oracles import dft_time_amplitude, erf_rational, exact_phi1p, quad1d
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -181,8 +182,9 @@ class TestRidgeCells:
 
 
 def _whole_grid_marginal(form, field, n_points, span=8.0):
-    """The marginal as formed before row blocking, kept as a reference: the
-    whole sheared grid through _density at once, reduced along its rows."""
+    """The marginal without row blocking, kept as a reference: the
+    whole sheared grid of -2q at once, from the same per-row expansion and
+    in the same three passes as a block, reduced along its rows."""
 
     def simpson_rows(values, h):
         w = np.ones(values.shape[1])
@@ -190,12 +192,13 @@ def _whole_grid_marginal(form, field, n_points, span=8.0):
         w[2:-1:2] = 2.0
         return np.tensordot(values, w, axes=([1], [0])) * (h / 3.0)
 
-    cx, sx, k, m, w = oracle._shear(form, field)
     t = np.linspace(-span, span, n_points)
-    x = cx + sx * t
-    p = (k * x + m)[:, None] + w * t
-    dens = (oracle._density(form, x[:, None], p) if field == "s"
-            else oracle._density(form, p, x[:, None]))
+    x, w, alpha, beta, gamma = oracle._row_expansion(form, field, t)
+    q2 = np.multiply.outer(-2.0 * beta, t) + (-2.0 * gamma * t**2) - 2.0 * alpha[:, None]
+    worst = 0.5 * float(q2.max())
+    if worst > _EXP_GUARD:
+        raise ExponentOverflow(f"-q = {worst:.3g} exceeds {_EXP_GUARD}")
+    dens = form[0] * np.exp(q2)
     h_p, h_x = w * (t[1] - t[0]), x[1] - x[0]
     marginal = simpson_rows(dens, h_p)
     norm, mean, var = oracle._moments(x, marginal, h_x)
@@ -223,7 +226,7 @@ class TestBlockedMarginal:
         return [form for t in cases
                 for form in (oracle._spectral_form(t), oracle._time_form(time_domain(t)))]
 
-    # after its full blocks, a last one of 7 rows (1537, 257 points) or 1 row (1001)
+    # after its full blocks, a last one of 1 row (1537 points) or 17 rows (257, 1001)
     @pytest.mark.parametrize("n_points", [1537, 257, 1001])
     def test_matches_the_whole_grid(self, forms, n_points):
         for form in forms:
@@ -272,6 +275,72 @@ class TestBlockedMarginal:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestRowExpansion:
+    """A marginal reads q on each row of its sheared grid as
+    alpha + beta t + gamma t^2 about the partner's conditional centre p0; it
+    evaluates q's full form only on 1-D arrays, never per grid point."""
+
+    @staticmethod
+    def _worst_errors(form, field, x, p0, w, t, approximations):
+        """The worst |q - q50| of each approximation (one value per node x[a],
+        p0[a] + w t[b]), q50 being q at that exact node to 50 digits."""
+        worst = [mpmath.mpf(0)] * len(approximations)
+        with mpmath.workdps(50):
+            a_s, a_i, a_si, b_s, b_i, c = (mpmath.mpf(v) for v in form[2])
+            for a, b in np.ndindex(len(x), len(t)):
+                own = mpmath.mpf(x[a])
+                node = mpmath.mpf(p0[a]) + mpmath.mpf(w) * mpmath.mpf(t[b])
+                xs, xi = (own, node) if field == "s" else (node, own)
+                q50 = a_s * xs**2 + a_i * xi**2 + a_si * xs * xi + b_s * xs + b_i * xi + c
+                worst = [max(e, abs(mpmath.mpf(float(q[a, b])) - q50))
+                         for e, q in zip(worst, approximations)]
+        return worst
+
+    def test_as_accurate_as_the_expanded_form_at_50_digits(self, random_cases):
+        # A grid node (x, p0 + w t) is exact in the floats x, p0, w and t; the
+        # expanded form first rounds p to a float, the expansion does not.
+        # On the ridge cells the expanded form is off by up to 4e-10, where
+        # its terms cancel; the expansion stays within 2e-14.
+        ts = [c.tpsa for c in random_cases(12, seed=41, chirp=True)]
+        ts += [_fig2_map_cell(*cell) for cell in TestRidgeCells.CELLS]
+        n, rng = 1537, np.random.default_rng(7)
+        t = np.linspace(-8.0, 8.0, n)
+        for tp in ts:
+            for form in (oracle._spectral_form(tp), oracle._time_form(time_domain(tp))):
+                for field in ("s", "i"):
+                    _, _, k, m, w = oracle._shear(form, field)
+                    x, _, alpha, beta, gamma = oracle._row_expansion(form, field, t)
+                    i, j = rng.choice(n, 8, replace=False), rng.choice(n, 16, replace=False)
+                    # the marginal's own arithmetic for -2q, halved (exactly)
+                    expansion = -0.5 * (np.multiply.outer(-2.0 * beta[i], t[j])
+                                        + (-2.0 * gamma * t[j] ** 2) - 2.0 * alpha[i, None])
+                    p0 = k * x[i] + m
+                    p = p0[:, None] + w * t[j]
+                    expanded = (oracle._exponent(form, x[i, None], p) if field == "s"
+                                else oracle._exponent(form, p, x[i, None]))
+                    new, old = self._worst_errors(form, field, x[i], p0, w, t[j],
+                                                  (expansion, expanded))
+                    assert new <= 1.25 * old
+
+    def test_full_form_only_on_rows(self, monkeypatch, make_case):
+        form = oracle._spectral_form(make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa)
+        n, sizes = 1537, []
+        exponent, dot2 = oracle._exponent, oracle._dot2
+
+        def spy_exponent(form, xs, xi):
+            sizes.append(max(np.size(xs), np.size(xi)))
+            return exponent(form, xs, xi)
+
+        def spy_dot2(terms):
+            sizes.append(max(np.size(f) for factors in terms for f in factors))
+            return dot2(terms)
+
+        monkeypatch.setattr(oracle, "_exponent", spy_exponent)
+        monkeypatch.setattr(oracle, "_dot2", spy_dot2)
+        oracle._marginal(form, "s", n)
+        assert sizes and max(sizes) <= n
 
 
 class TestNumericSchmidt:
