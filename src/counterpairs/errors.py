@@ -60,7 +60,9 @@ class FitDiverged(CounterpairsError):
 
 
 class QuadratureNotConverged(CounterpairsError):
-    """Adaptive quadrature exhausted its subdivision budget above tolerance."""
+    """An oracle did not settle: a marginal whose moments move by more than
+    1e-6 under grid halving, or a Schmidt subspace iteration still moving
+    after 100 steps."""
 
 
 class GridTooCoarse(CounterpairsError):

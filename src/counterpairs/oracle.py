@@ -1,32 +1,31 @@
 """Brute-force verifiers for the closed forms.
 
-The closed forms have independent numerical counterparts here: adaptive
-tensor Gauss-Kronrod quadrature for rates, Simpson marginals for widths
-and shifts, and the leading 8 singular values of the discretized
-amplitude, normalized by the sampled Frobenius mass, for Schmidt spectra.
-The references that only the tests call (a direct Riemann-sum Fourier
-transform for the time-domain amplitude, a no-Taylor single-pulse
+The closed forms have independent numerical counterparts here: Simpson
+marginals for rates (the marginal's norm), widths and shifts, and the
+leading 8 singular values of the discretized amplitude, normalized by the
+sampled Frobenius mass, for Schmidt spectra. The references that only the
+tests call (a second, adaptive quadrature of the rate, a direct Riemann-sum
+Fourier transform for the time-domain amplitude, a no-Taylor single-pulse
 amplitude and its rational error function) live in
 tests/reference_oracles.py.
 
-Rates and marginals integrate |Phi|^2 = scale exp(-2q), q the real
-quadratic form, one real exp per point, on a grid sheared along the
-amplitude: the outer axis spans the field's marginal, the inner one the
-partner's conditional width about its conditional centre. This resolves
-the thin diagonal ridges that a box aligned with the field axes cannot.
-Marginals form that grid in row blocks, never whole. On each row q is a
-quadratic in the inner coordinate; its coefficients are formed once, on
-1-D arrays, in twice the working precision, and a block takes three passes
-before its exp (1537^2: about 13 ms, 0.5 MB on 2 cores). The singular
-values come from a seeded block subspace iteration in real matrix
-products, not a full SVD (512^2: about 30-65 ms a call against 70-115 ms).
+Marginals integrate |Phi|^2 = scale exp(-2q), q the real quadratic form,
+one real exp per point, on a grid sheared along the amplitude: the outer
+axis spans the field's marginal, the inner one the partner's conditional
+width about its conditional centre. This resolves the thin diagonal
+ridges that a box aligned with the field axes cannot. Marginals form that
+grid in row blocks, never whole. On each row q is a quadratic in the inner
+coordinate; its coefficients are formed once, on 1-D arrays, in twice the
+working precision, and a block takes three passes before its exp (1537^2:
+about 13 ms, 0.5 MB on 2 cores). The rate is the norm of one marginal on
+a coarser grid (121^2). The singular values come from a seeded block
+subspace iteration in real matrix products, not a full SVD (512^2: about
+30-65 ms a call against 70-115 ms).
 Oracles favor correctness and determinism over speed.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -37,74 +36,14 @@ from .errors import ExponentOverflow, GridTooCoarse, QuadratureNotConverged
 from .temporal import TimeDomainTPSA
 from .tpsa import _EXP_GUARD, GaussianTPSA, evaluate
 
-# 15-point Kronrod extension of 7-point Gauss (QUADPACK constants).
-_XGK = (0.991455371120813, 0.949107912342759, 0.864864423359769,
-        0.741531185599394, 0.586087235467691, 0.405845151377397,
-        0.207784955007898, 0.0)
-_WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
-        0.140653259715525, 0.169004726639267, 0.190350578064785,
-        0.204432940075298, 0.209482141084728)
-_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
-       0.417959183673469)
-
-_NODES15 = np.array([-x for x in _XGK[:7]] + [0.0] + list(_XGK[6::-1]))
-_W15 = np.array(list(_WGK[:7]) + [_WGK[7]] + list(_WGK[6::-1]))
-_G_IDX = np.arange(1, 15, 2)
-_W7 = np.array(list(_WG[:3]) + [_WG[3]] + list(_WG[2::-1]))
 _ROW_BLOCK = 24     # rows of -2q per block in one reused buffer: 295 KB at 1537 points
 _SCHMIDT_BLOCK, _SCHMIDT_MODES, _SCHMIDT_MAX_STEPS = 32, 8, 100
 _NORMAL_SQRT = math.sqrt(sys.float_info.min)
 _SPAN = 8.0         # rate and marginal grids reach +-8 widths of the sheared frame
-
-
-def _adaptive_gk(f, box, abs_tol: float, max_cells: int):
-    """quad2d over a box of (lo, hi) pairs in any dimension: a cell splits in
-    half along every axis."""
-    gauss = np.ix_(*[_G_IDX] * len(box))
-    shapes = [(-1,) + (1,) * k for k in reversed(range(len(box)))]    # axis k along dim k
-
-    def eval_cell(cell):
-        h = [0.5 * (hi - lo) for lo, hi in cell]
-        vals = f(*[(0.5 * (lo + hi) + hk * _NODES15).reshape(shape)
-                   for (lo, hi), hk, shape in zip(cell, h, shapes)])
-        val_k, val_g = vals, vals[gauss]
-        for _ in cell:
-            val_k, val_g = _W15 @ val_k, _W7 @ val_g
-        vol = math.prod(h)
-        val = vol * float(val_k)
-        return val, abs(val - vol * float(val_g))
-
-    val, err_total = eval_cell(box)
-    heap = [(-err_total, 0, box, val)]      # (-error, creation index, cell, value)
-    n_cells = 1
-    while err_total > abs_tol and heap:
-        if n_cells >= max_cells:
-            raise QuadratureNotConverged(
-                f"error estimate {err_total:.3g} above {abs_tol:.3g} "
-                f"after {n_cells} cells"
-            )
-        neg_err, _, cell, _ = heapq.heappop(heap)
-        err_total += neg_err
-        halves = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in cell]
-        for child in itertools.product(*halves):
-            v, e = eval_cell(child)
-            heapq.heappush(heap, (-e, n_cells, child, v))
-            err_total += e
-            n_cells += 1
-    done = sorted(heap, key=lambda c: c[1])
-    return math.fsum(c[3] for c in done), err_total
-
-
-def quad2d(f, xlim, ylim, abs_tol: float, max_cells: int = 20000):
-    """Adaptive 2-D quadrature of a real integrand over a rectangle.
-
-    Recursively quarters the cell with the largest Kronrod-Gauss error
-    estimate until the summed estimate drops below abs_tol; deterministic
-    regardless of float noise (heap ties broken by creation order) with a
-    fixed-order final summation. Returns (value, error_estimate) and
-    raises QuadratureNotConverged when the cell budget is exhausted.
-    """
-    return _adaptive_gk(f, (xlim, ylim), abs_tol, max_cells)
+# The rate grid: the least 4k + 1 whose halving moves the norm and variance by at
+# most 1e-12 on the 576 fig2-map cells and 50 seeded random cases (4e-14 at 121,
+# 3e-12 at 113).
+_RATE_POINTS = 121
 
 
 def _spectral_form(tpsa: GaussianTPSA):
@@ -128,23 +67,6 @@ def _time_form(td: TimeDomainTPSA):
              (e_ss * us**2 + e_ii * ui**2 + e_si * us * ui).real))
 
 
-def _exponent(form, xs, xi):
-    _, _, (a_s, a_i, a_si, b_s, b_i, c) = form
-    return np.asarray(a_s * xs**2 + a_i * xi**2 + a_si * xs * xi + b_s * xs + b_i * xi + c)
-
-
-def _density(form, xs, xi):
-    """scale exp(-2q) at offsets (xs, xi) from the origin; one real exp per point."""
-    q = _exponent(form, xs, xi)
-    worst = -float(q.min())
-    if worst > _EXP_GUARD:
-        raise ExponentOverflow(f"-q = {worst:.3g} exceeds {_EXP_GUARD}")
-    q *= -2.0                   # in place: the grids hold millions of points
-    np.exp(q, out=q)
-    q *= form[0]
-    return q
-
-
 def _shear(form, field: str):
     """Sheared frame (cx, sx, k, m, w) of one field's marginal: the field x
     has marginal centre cx and 1/e width sx; at each x the partner peaks at
@@ -156,25 +78,7 @@ def _shear(form, field: str):
             -a_si / (2.0 * a_p), -b_p / (2.0 * a_p), 1.0 / math.sqrt(2.0 * a_p))
 
 
-def quad_norm(tpsa: GaussianTPSA, abs_tol: float | None = None) -> float:
-    """Integral of |Phi|^2 over both frequencies by adaptive quadrature,
-    over +-8 widths of the signal's sheared frame (unit Jacobian, so
-    the inner width w is the only scale factor)."""
-    form = _spectral_form(tpsa)
-    cx, sx, k, m, w = _shear(form, "s")
-
-    def f(x, u):
-        return w * _density(form, x, k * x + m + w * u)
-
-    if abs_tol is None:
-        abs_tol = 1e-9 * float(f(cx, 0.0)) * (2.0 * _SPAN * sx) * (2.0 * _SPAN)
-    value, _ = quad2d(f, (cx - _SPAN * sx, cx + _SPAN * sx), (-_SPAN, _SPAN), abs_tol)
-    return value
-
-
 def _simpson_weights(n: int) -> np.ndarray:
-    if n % 2 == 0:
-        raise ValueError("composite Simpson needs an odd point count")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -268,6 +172,9 @@ def _marginal(form, field: str, n_points: int) -> MarginalResult:
     each block of -2q takes three passes over one reused buffer."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
+    if n_points < 5 or n_points % 4 != 1:
+        raise ValueError(f"n_points must be 4k + 1 with k >= 1, so that the grid and its "
+                         f"halving both suit composite Simpson; got {n_points}")
     t = np.linspace(-_SPAN, _SPAN, n_points)
     x, w, alpha, beta, gamma = _row_expansion(form, field, t)
     alpha2, beta2, gamma2 = 2.0 * alpha, -2.0 * beta, -2.0 * gamma * t**2
@@ -300,6 +207,12 @@ def _marginal(form, field: str, n_points: int) -> MarginalResult:
     return MarginalResult(field=field, axis=own0 + x, values=marginal, norm=norm,
                           mean=own0 + mean, sigma_e1=math.sqrt(2.0 * var),
                           shift=mean, conv_error=conv)
+
+
+def quad_norm(tpsa: GaussianTPSA) -> float:
+    """Integral of |Phi|^2 over both frequencies: the norm of the signal's
+    marginal on a sheared Simpson grid of _RATE_POINTS^2 points."""
+    return _marginal(_spectral_form(tpsa), "s", _RATE_POINTS).norm
 
 
 def numeric_marginal(tpsa: GaussianTPSA, field: str = "s",

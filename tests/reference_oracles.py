@@ -1,26 +1,133 @@
 """Reference oracles that only the tests call.
 
-A direct Riemann-sum transform for the time-domain amplitude, a no-Taylor
-evaluation of the single-pulse amplitude (exact propagation constants and
-exact transverse-overlap factor), the in-house rational error function it
-uses, so it shares no numerics with the paths it checks, and 1-D adaptive
-Gauss-Kronrod quadrature over the package oracle's heap loop.
+Adaptive tensor Gauss-Kronrod quadrature in one and two dimensions, and
+with it a second rate integrator: |Phi|^2 over the package oracle's
+sheared frame, so that the rate is checked against two integrators that
+share only the quadratic form and its frame. Also a direct Riemann-sum transform for the
+time-domain amplitude, a no-Taylor evaluation of the single-pulse
+amplitude (exact propagation constants and exact transverse-overlap
+factor), and the in-house rational error function it uses, so it shares
+no numerics with the paths it checks.
 """
 
 import cmath
+import heapq
+import itertools
 import math
 
 import numpy as np
 
 from counterpairs.constants import C_LIGHT, EPSILON_0, HBAR
 from counterpairs.dispersion import WaveguideSpec, beta, gamma, group_velocity, refractive_index
-from counterpairs.oracle import _adaptive_gk, sample_grid
-from counterpairs.tpsa import GaussianTPSA, PumpSpec
+from counterpairs.errors import ExponentOverflow, QuadratureNotConverged
+from counterpairs.oracle import _SPAN, _shear, _spectral_form, sample_grid
+from counterpairs.tpsa import _EXP_GUARD, GaussianTPSA, PumpSpec
+
+# 15-point Kronrod extension of 7-point Gauss (QUADPACK constants).
+_XGK = (0.991455371120813, 0.949107912342759, 0.864864423359769,
+        0.741531185599394, 0.586087235467691, 0.405845151377397,
+        0.207784955007898, 0.0)
+_WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
+        0.140653259715525, 0.169004726639267, 0.190350578064785,
+        0.204432940075298, 0.209482141084728)
+_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
+       0.417959183673469)
+
+_NODES15 = np.array([-x for x in _XGK[:7]] + [0.0] + list(_XGK[6::-1]))
+_W15 = np.array(list(_WGK[:7]) + [_WGK[7]] + list(_WGK[6::-1]))
+_G_IDX = np.arange(1, 15, 2)
+_W7 = np.array(list(_WG[:3]) + [_WG[3]] + list(_WG[2::-1]))
+
+
+def _adaptive_gk(f, box, abs_tol: float, max_cells: int):
+    """quad2d over a box of (lo, hi) pairs in any dimension: a cell splits in
+    half along every axis."""
+    gauss = np.ix_(*[_G_IDX] * len(box))
+    shapes = [(-1,) + (1,) * k for k in reversed(range(len(box)))]    # axis k along dim k
+
+    def eval_cell(cell):
+        h = [0.5 * (hi - lo) for lo, hi in cell]
+        vals = f(*[(0.5 * (lo + hi) + hk * _NODES15).reshape(shape)
+                   for (lo, hi), hk, shape in zip(cell, h, shapes)])
+        val_k, val_g = vals, vals[gauss]
+        for _ in cell:
+            val_k, val_g = _W15 @ val_k, _W7 @ val_g
+        vol = math.prod(h)
+        val = vol * float(val_k)
+        return val, abs(val - vol * float(val_g))
+
+    val, err_total = eval_cell(box)
+    heap = [(-err_total, 0, box, val)]      # (-error, creation index, cell, value)
+    n_cells = 1
+    while err_total > abs_tol and heap:
+        if n_cells >= max_cells:
+            raise QuadratureNotConverged(
+                f"error estimate {err_total:.3g} above {abs_tol:.3g} "
+                f"after {n_cells} cells"
+            )
+        neg_err, _, cell, _ = heapq.heappop(heap)
+        err_total += neg_err
+        halves = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in cell]
+        for child in itertools.product(*halves):
+            v, e = eval_cell(child)
+            heapq.heappush(heap, (-e, n_cells, child, v))
+            err_total += e
+            n_cells += 1
+    done = sorted(heap, key=lambda c: c[1])
+    return math.fsum(c[3] for c in done), err_total
+
+
+def quad2d(f, xlim, ylim, abs_tol: float, max_cells: int = 20000):
+    """Adaptive 2-D quadrature of a real integrand over a rectangle.
+
+    Recursively quarters the cell with the largest Kronrod-Gauss error
+    estimate until the summed estimate drops below abs_tol; deterministic
+    regardless of float noise (heap ties broken by creation order) with a
+    fixed-order final summation. Returns (value, error_estimate) and
+    raises QuadratureNotConverged when the cell budget is exhausted.
+    """
+    return _adaptive_gk(f, (xlim, ylim), abs_tol, max_cells)
 
 
 def quad1d(f, lim, abs_tol: float, max_cells: int = 20000):
-    """Adaptive 1-D Gauss-Kronrod quadrature; same contract as oracle.quad2d."""
+    """Adaptive 1-D Gauss-Kronrod quadrature; same contract as quad2d."""
     return _adaptive_gk(f, (lim,), abs_tol, max_cells)
+
+
+def exponent(form, xs, xi):
+    """q at offsets (xs, xi) from the form's origin, from its full expanded
+    form at every point (the package oracle expands it per grid row)."""
+    _, _, (a_s, a_i, a_si, b_s, b_i, c) = form
+    return np.asarray(a_s * xs**2 + a_i * xi**2 + a_si * xs * xi + b_s * xs + b_i * xi + c)
+
+
+def density(form, xs, xi):
+    """scale exp(-2q) at offsets (xs, xi) from the origin; one real exp per point."""
+    q = exponent(form, xs, xi)
+    worst = -float(q.min())
+    if worst > _EXP_GUARD:
+        raise ExponentOverflow(f"-q = {worst:.3g} exceeds {_EXP_GUARD}")
+    q *= -2.0
+    np.exp(q, out=q)
+    q *= form[0]
+    return q
+
+
+def gk_rate(tpsa: GaussianTPSA, abs_tol: float | None = None) -> float:
+    """Integral of |Phi|^2 over both frequencies by quad2d, over +-8 widths
+    of the signal's sheared frame (unit Jacobian, so the inner width w is the
+    only scale factor). The default abs_tol is 1e-9 of the peak times the
+    box area."""
+    form = _spectral_form(tpsa)
+    cx, sx, k, m, w = _shear(form, "s")
+
+    def f(x, u):
+        return w * density(form, x, k * x + m + w * u)
+
+    if abs_tol is None:
+        abs_tol = 1e-9 * float(f(cx, 0.0)) * (2.0 * _SPAN * sx) * (2.0 * _SPAN)
+    value, _ = quad2d(f, (cx - _SPAN * sx, cx + _SPAN * sx), (-_SPAN, _SPAN), abs_tol)
+    return value
 
 
 def dft_time_amplitude(tpsa: GaussianTPSA, tau_s, tau_i,

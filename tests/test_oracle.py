@@ -13,11 +13,12 @@ import pytest
 import counterpairs as cp
 from counterpairs import config, oracle
 from counterpairs.errors import ExponentOverflow, GridTooCoarse, QuadratureNotConverged
-from counterpairs.oracle import numeric_marginal, numeric_schmidt, quad2d, quad_norm
+from counterpairs.oracle import numeric_marginal, numeric_schmidt, quad_norm
 from counterpairs.spectral import pair_rate, spectrum
 from counterpairs.temporal import evaluate_time, flux, time_domain
 from counterpairs.tpsa import _EXP_GUARD, evaluate, normalize
-from reference_oracles import dft_time_amplitude, erf_rational, exact_phi1p, quad1d
+from reference_oracles import (density, dft_time_amplitude, erf_rational, exact_phi1p,
+                               exponent, gk_rate, quad1d, quad2d)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -53,16 +54,18 @@ class TestQuadrature:
     def test_refinement_stability(self, make_case):
         # tightening the tolerance by 100x moves the answer by < 10x of it
         t = make_case(sigma_s=3e13, sigma_i=4e13).tpsa
-        loose = quad_norm(t, abs_tol=1e-6 * pair_rate(t).pairs_per_s)
-        tight = quad_norm(t, abs_tol=1e-8 * pair_rate(t).pairs_per_s)
+        loose = gk_rate(t, abs_tol=1e-6 * pair_rate(t).pairs_per_s)
+        tight = gk_rate(t, abs_tol=1e-8 * pair_rate(t).pairs_per_s)
         assert abs(loose - tight) < 10 * 1e-6 * pair_rate(t).pairs_per_s
 
 
 class TestQuadNorm:
-    def test_matches_general_rate(self, random_cases):
+    # the package's Simpson rate and the tests' Gauss-Kronrod one
+    @pytest.mark.parametrize("integrate", [quad_norm, gk_rate], ids=["simpson", "gauss-kronrod"])
+    def test_matches_general_rate(self, random_cases, integrate):
         for case in random_cases(6, seed=71, chirp=True):
             n = pair_rate(case.tpsa).pairs_per_s
-            assert quad_norm(case.tpsa) == pytest.approx(n, rel=1e-6, abs=0)
+            assert integrate(case.tpsa) == pytest.approx(n, rel=1e-6, abs=0)
 
     def test_normalized_amplitude_integrates_to_one(self, make_case):
         t = normalize(make_case(a_p=0.4).tpsa)
@@ -92,6 +95,16 @@ class TestNumericMarginal:
         t = make_case(sigma_s=2.5e13, sigma_i=7e13).tpsa
         assert numeric_marginal(t, "s").norm == pytest.approx(
             pair_rate(t).pairs_per_s, rel=1e-8, abs=0)
+
+    # 1535 is odd, but its halved grid of 768 points is not
+    @pytest.mark.parametrize("n_points", [1535, 1536])
+    def test_point_count_must_be_4k_plus_1(self, make_case, n_points):
+        t = make_case().tpsa
+        td = time_domain(t)
+        with pytest.raises(ValueError, match=r"n_points must be 4k \+ 1"):
+            numeric_marginal(t, "s", n_points=n_points)
+        with pytest.raises(ValueError, match=r"n_points must be 4k \+ 1"):
+            oracle.numeric_time_marginal(td, "s", n_points=n_points)
 
 
 class TestRealDensity:
@@ -124,7 +137,7 @@ class TestRealDensity:
                 xs, xi = self._sheared_grid(form, field)
                 ws, wi = t.omega_s0 + xs, t.omega_i0 + xi
                 want = np.abs(evaluate(t, ws, wi)) ** 2
-                got = oracle._density(form, ws - t.omega_s0, wi - t.omega_i0)
+                got = density(form, ws - t.omega_s0, wi - t.omega_i0)
                 assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
     def test_time_density_is_abs_evaluate_time_squared(self, random_cases):
@@ -139,13 +152,13 @@ class TestRealDensity:
             for field in ("s", "i"):
                 xs, xi = self._sheared_grid(form, field)
                 want = np.abs(evaluate_time(td, xs, xi)) ** 2
-                got = oracle._density(form, xs, xi)
+                got = density(form, xs, xi)
                 assert np.max(np.abs(got - want)) <= 2e-13 * np.max(want)
 
     def test_exponent_guard(self):
         form = (1.0, (0.0, 0.0), (1.0, 1.0, 0.0, 0.0, 0.0, -701.0))
         with pytest.raises(ExponentOverflow):
-            oracle._density(form, np.zeros(3), np.zeros(3))
+            density(form, np.zeros(3), np.zeros(3))
 
 
 def _fig2_map_cell(i, j):
@@ -161,7 +174,8 @@ class TestRidgeCells:
     """Corners of the fig2 map (tau_p near 10 fs with wide beams, near 2 ps
     with narrow ones), where the amplitude is a thin diagonal ridge. A grid
     aligned with the field axes fails its halving test on these cells, and
-    puts quad_norm 0.24-0.42 % off on (23, 0) and (0, 23)."""
+    put the adaptive Gauss-Kronrod rate 0.24-0.42 % off on (23, 0) and
+    (0, 23)."""
 
     CELLS = [(0, 18), (0, 23), (5, 23), (16, 0), (23, 0), (23, 7)]
 
@@ -175,10 +189,12 @@ class TestRidgeCells:
             m = oracle.numeric_time_marginal(td, field, n_points=1537)
             assert m.sigma_e1 == pytest.approx(flux(t, field).sigma_tau, rel=1e-4, abs=0)
 
-    @pytest.mark.parametrize("cell", [(0, 23), (23, 0)])
+    @pytest.mark.parametrize("cell", CELLS)
     def test_quad_norm_matches_rate(self, cell):
         t = _fig2_map_cell(*cell)
         assert quad_norm(t) == pytest.approx(pair_rate(t).pairs_per_s, rel=1e-6, abs=0)
+        # the rate grid is converged far below the gate, not just under it
+        assert numeric_marginal(t, "s", n_points=oracle._RATE_POINTS).conv_error <= 1e-12
 
 
 def _whole_grid_marginal(form, field, n_points, span=8.0):
@@ -318,8 +334,8 @@ class TestRowExpansion:
                                         + (-2.0 * gamma * t[j] ** 2) - 2.0 * alpha[i, None])
                     p0 = k * x[i] + m
                     p = p0[:, None] + w * t[j]
-                    expanded = (oracle._exponent(form, x[i, None], p) if field == "s"
-                                else oracle._exponent(form, p, x[i, None]))
+                    expanded = (exponent(form, x[i, None], p) if field == "s"
+                                else exponent(form, p, x[i, None]))
                     new, old = self._worst_errors(form, field, x[i], p0, w, t[j],
                                                   (expansion, expanded))
                     assert new <= 1.25 * old
@@ -327,17 +343,12 @@ class TestRowExpansion:
     def test_full_form_only_on_rows(self, monkeypatch, make_case):
         form = oracle._spectral_form(make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa)
         n, sizes = 1537, []
-        exponent, dot2 = oracle._exponent, oracle._dot2
-
-        def spy_exponent(form, xs, xi):
-            sizes.append(max(np.size(xs), np.size(xi)))
-            return exponent(form, xs, xi)
+        dot2 = oracle._dot2
 
         def spy_dot2(terms):
             sizes.append(max(np.size(f) for factors in terms for f in factors))
             return dot2(terms)
 
-        monkeypatch.setattr(oracle, "_exponent", spy_exponent)
         monkeypatch.setattr(oracle, "_dot2", spy_dot2)
         oracle._marginal(form, "s", n)
         assert sizes and max(sizes) <= n
