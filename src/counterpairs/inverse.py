@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._gauss import det
 from .entanglement import _p_vartheta, entropy
 from .errors import FitDiverged, NegativeDiscriminant, NoPhysicalRoot, in_double_range
 
@@ -62,7 +63,7 @@ def _candidate(f2s: float, f: float, b: float) -> tuple[float, float, float, flo
         return None
     f2i = f2s / f
     f2si = (f + 1.0) / f * f2s - 1.0 / (2.0 * b)
-    if (d_fr := 4.0 * f2s * f2i - f2si**2) <= 0.0:
+    if (d_fr := det(f2s, f2i, f2si)) <= 0.0:
         return None
     return f2s, f2i, f2si, d_fr
 

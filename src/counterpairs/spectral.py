@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _elementwise as ew
+from . import _elementwise as ew, _gauss
 from .constants import C_LIGHT, HBAR
-from .errors import NonNormalizable, OutOfRange
-from .tpsa import GaussianTPSA, _marginal_form, l2_norm
+from .errors import OutOfRange
+from .tpsa import GaussianTPSA, l2_norm
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,8 @@ def spectrum(tpsa: GaussianTPSA, field: str = "s") -> SpectrumParams:
     """Gaussian parameters of the signal or idler intensity spectrum."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
-    if ew.violated(tpsa.d_fr > 0):
-        raise NonNormalizable(f"D_fr = {tpsa.d_fr:.3g} <= 0")
-    sigma, shift = _marginal_form(
-        tpsa.f2s.real, tpsa.f2i.real, tpsa.f2si.real, tpsa.f1s.real, tpsa.f1i.real,
-        tpsa.d_fr, field)
+    sigma, shift = _gauss.marginal(tpsa.f2s.real, tpsa.f2i.real, tpsa.f2si.real,
+                                   tpsa.f1s.real, tpsa.f1i.real, tpsa.d_fr, field)
     return SpectrumParams(amplitude=_peak(tpsa, field, sigma), sigma_omega=sigma,
                           delta_omega0=shift, field=field)
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _elementwise as ew
-from .errors import NonNormalizable, OutOfRange, SingularTransform
+from . import _elementwise as ew, _gauss
+from .errors import OutOfRange, SingularTransform
 from .spectral import SpectrumParams, _peak, spectrum
-from .tpsa import GaussianTPSA, _marginal_form, e_factor
+from .tpsa import GaussianTPSA
 
 _DF_REL_FLOOR = 1e-12
 
@@ -33,7 +33,7 @@ class TimeDomainTPSA:
         + exp_si (tau_s - i f1s)(tau_i - i f1i),
     with exp_ss = f2i/D_f, exp_ii = f2s/D_f, exp_si = -f2si/D_f and f1s, f1i
     those of src. The t block holds the real coefficients of -ln|Phi(t)|^2 / 2
-    that give the flux widths and centres; d_t = 4 t2s t2i - t2si^2.
+    that give the flux widths and centres; d_t = 4 t2s t2i - t2si^2 = D_fr/|D_f|^2 (no cancelling).
     """
 
     d_f: complex
@@ -46,6 +46,7 @@ class TimeDomainTPSA:
     t2si: float
     t1s: float
     t1i: float
+    d_t: float
     src: GaussianTPSA
 
     def __post_init__(self):
@@ -54,14 +55,6 @@ class TimeDomainTPSA:
                 f"time-domain quadratic form not positive: t2s = {self.t2s:.3g}, "
                 f"t2i = {self.t2i:.3g}, d_t = {self.d_t:.3g}"
             )
-
-    @property
-    def d_t(self) -> float:
-        """4 t2s t2i - t2si^2, evaluated as the identical D_fr / |D_f|^2.
-
-        The difference of products cancels; the quotient does not.
-        """
-        return self.src.d_fr / abs(self.d_f) ** 2
 
 
 @dataclass(frozen=True)
@@ -113,14 +106,14 @@ def time_domain(tpsa: GaussianTPSA) -> TimeDomainTPSA:
     exp_ss = tpsa.f2i / d_f
     exp_ii = tpsa.f2s / d_f
     exp_si = -tpsa.f2si / d_f
-    t1s = ((2.0 * tpsa.f2i * tpsa.f1s - tpsa.f2si * tpsa.f1i) / d_f).imag
-    t1i = ((2.0 * tpsa.f2s * tpsa.f1i - tpsa.f2si * tpsa.f1s) / d_f).imag
+    # the time-linear coefficients of Re q are -Im of the spectral form's stationary point
+    x_s, x_i = _gauss.stationary(tpsa.f2s, tpsa.f2i, tpsa.f2si, tpsa.f1s, tpsa.f1i, d_f)
     amp = (ew.sqrt(tpsa.c_phi_sq) * ew.exp(-tpsa.f0)
            * tpsa.prefactor / ew.csqrt(d_f))
     return TimeDomainTPSA(
         d_f=d_f, amp=amp, exp_ss=exp_ss, exp_ii=exp_ii, exp_si=exp_si,
         t2s=exp_ss.real, t2i=exp_ii.real, t2si=exp_si.real,
-        t1s=t1s, t1i=t1i, src=tpsa,
+        t1s=-x_s.imag, t1i=-x_i.imag, d_t=tpsa.d_fr / abs(d_f) ** 2, src=tpsa,
     )
 
 
@@ -147,7 +140,7 @@ def flux(tpsa: GaussianTPSA, field: str = "s") -> FluxParams:
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
     td = time_domain(tpsa)
-    sigma, shift = _marginal_form(td.t2s, td.t2i, td.t2si, td.t1s, td.t1i, td.d_t, field)
+    sigma, shift = _gauss.marginal(td.t2s, td.t2i, td.t2si, td.t1s, td.t1i, td.d_t, field)
     return FluxParams(amplitude=_peak(tpsa, field, sigma), sigma_tau=sigma,
                       delta_tau0=shift, field=field)
 
@@ -179,25 +172,25 @@ def width_products(spec_s: SpectrumParams, spec_i: SpectrumParams,
 def hom_params(tpsa: GaussianTPSA) -> HomDip:
     """Closed-form coincidence-dip parameters.
 
-    Exact for frequency-degenerate pairs (ws0 = wi0), chirped or not: in
-    the exchange-overlap Gaussian integral the equal chirp of the two
-    fields cancels out of f2s + conj(f2i) and of f2si + conj(f2si), so
-    every combination below composes from real parts (this also makes b
-    independent of the pulse duration and chirp, as the width of the dip
-    must be). When the centrals are split by more than the bandwidth the
-    quoted contrast a is an upper bound: the true exchange overlap
-    acquires an exp(-(ws0-wi0)^2 * form-factor) suppression that the
-    closed form does not carry, because a single-blob amplitude has no
-    support at exchanged frequencies.
+    The contrast a is the exchange overlap, the integral of Phi(ws, wi)
+    Phi*(wi, ws), over the direct one of |Phi|^2 (Grice & Walmsley 1997).
+    Both integrate exp(-2q); the exchange form has a_s = a_i = (f2s^r +
+    f2i^r)/2, a_si = f2si^r and b_s = b_i = (f1s^r + f1i^r)/2, so a = 1
+    exactly when Phi is exchange-symmetric. Exact for degenerate pairs, chirped
+    or not: the equal chirp of the two fields cancels out of the exchange form
+    (this also makes b independent of the pulse duration and chirp). For
+    centrals split by more than the bandwidth a is an upper bound: the true
+    overlap carries an exp(-(ws0-wi0)^2 * form-factor) suppression that a
+    single-blob amplitude, with no support at exchanged frequencies, cannot give.
     """
-    if ew.violated(tpsa.d_fr > 0):
-        raise NonNormalizable(f"D_fr = {tpsa.d_fr:.3g} <= 0")
-    fsum = tpsa.f2s.real + tpsa.f2i.real
-    cross = tpsa.f2si.real
-    f1_sum = tpsa.f1s.real + tpsa.f1i.real
-    a = (ew.sqrt(tpsa.d_fr / (fsum**2 - cross**2))
-         * ew.exp(f1_sum**2 / (2.0 * (fsum + cross))) / e_factor(tpsa))
-    b = 1.0 / (2.0 * (fsum - cross))
+    cross, f1s, f1i = tpsa.f2si.real, tpsa.f1s.real, tpsa.f1i.real
+    half, b_x = (tpsa.f2s.real + tpsa.f2i.real) / 2.0, (f1s + f1i) / 2.0
+    d_x = _gauss.det(half, half, cross)     # formed as d_fr is, for a = 1 when symmetric
+    if ew.violated(d_x < math.inf):         # raise as the square (f2s^r + f2i^r)^2 would
+        raise OverflowError("the exchange determinant leaves double range")
+    a = (ew.sqrt(tpsa.d_fr / d_x) * ew.exp(_gauss.exponent(half, half, cross, b_x, b_x, d_x))
+         / ew.exp(_gauss.exponent(tpsa.f2s.real, tpsa.f2i.real, cross, f1s, f1i, tpsa.d_fr)))
+    b = 1.0 / (2.0 * (2.0 * half - cross))
     a = ew.where(a <= 1.0 + 1e-9, ew.minimum(a, 1.0), a)
     beat = tpsa.omega_s0 - tpsa.omega_i0
     return HomDip(a=a, b=b, visibility=a / (2.0 - a), beat=beat,

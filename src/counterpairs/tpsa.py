@@ -11,7 +11,8 @@ The quadratic coefficients combine the pump-pulse envelope (tau_p, chirp
 ap), the transverse pump profile (Zp) through group-velocity-mismatch
 coefficients V_ps/V_pi, Gaussian frequency filters, and small corrections
 (the G terms) from the frequency dependence of the transverse mode
-overlap. All values are SI; angles are radians.
+overlap. All values are SI; angles are radians. The determinants D_fr, D_f
+and the norm are read off the one Gaussian integral of _gauss.
 
 The swept pump and filter settings may be numpy arrays broadcast over a
 sweep grid; the coefficients and every closed form built on them then
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import _elementwise as ew
+from . import _elementwise as ew, _gauss
 from .constants import C_LIGHT, EPSILON_0
 from .dispersion import (
     MaterialPoint,
@@ -155,12 +156,12 @@ class GaussianTPSA:
     @property
     def d_fr(self) -> float:
         """Real-part determinant 4 f2s^r f2i^r - (f2si^r)^2, s^4."""
-        return 4.0 * self.f2s.real * self.f2i.real - self.f2si.real**2
+        return _gauss.det(self.f2s.real, self.f2i.real, self.f2si.real)
 
     @property
     def d_f(self) -> complex:
         """Complex determinant 4 f2s f2i - f2si^2, s^4."""
-        return 4.0 * self.f2s * self.f2i - self.f2si**2
+        return _gauss.det(self.f2s, self.f2i, self.f2si)
 
 
 def with_matched_angle(wg: WaveguideSpec, pump: PumpSpec,
@@ -300,31 +301,14 @@ def evaluate(tpsa: GaussianTPSA, omega_s, omega_i):
     return out if out.ndim else complex(out)
 
 
-def _marginal_form(a_s, a_i, a_si, b_s, b_i, d, field: str):
-    """(1/e width, centre) of one field's marginal of exp(-2q), q = a_s x_s^2
-    + a_i x_i^2 + a_si x_s x_i + b_s x_s + b_i x_i, d = 4 a_s a_i - a_si^2."""
-    a_p, b_o, b_p = (a_i, b_s, b_i) if field == "s" else (a_s, b_i, b_s)
-    return ew.sqrt(2.0 * a_p / d), -(2.0 * a_p * b_o - a_si * b_p) / d
-
-
-def e_factor(tpsa: GaussianTPSA) -> float:
-    """Linear-coefficient enhancement of the squared-amplitude integral.
-
-    exp(2 (f2s^r f1i^2 + f2i^r f1s^2 - f2si^r f1s f1i) / D_fr), using the
-    real parts of the linear coefficients.
-    """
-    f1s, f1i = tpsa.f1s.real, tpsa.f1i.real
-    return ew.exp(2.0 * (tpsa.f2s.real * f1i**2 + tpsa.f2i.real * f1s**2
-                         - tpsa.f2si.real * f1s * f1i) / tpsa.d_fr)
-
-
 def l2_norm(tpsa: GaussianTPSA) -> float:
     """Exact integral of |Phi|^2 over both frequencies (the pair rate scale)."""
     d = tpsa.d_fr
     if ew.violated(d > 0):
         raise NonNormalizable(f"D_fr = {d:.3g} <= 0")
-    return (tpsa.c_phi_sq * tpsa.prefactor**2 * ew.exp(-2.0 * tpsa.f0)
-            * math.pi * e_factor(tpsa) / ew.sqrt(d))
+    return _gauss.integral(tpsa.f2s.real, tpsa.f2i.real, tpsa.f2si.real, tpsa.f1s.real,
+                           tpsa.f1i.real, d, tpsa.c_phi_sq * tpsa.prefactor**2
+                           * ew.exp(-2.0 * tpsa.f0))
 
 
 def normalize(tpsa: GaussianTPSA) -> GaussianTPSA:

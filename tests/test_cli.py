@@ -22,7 +22,7 @@ from counterpairs.config import (
 from counterpairs.entanglement import schmidt
 from counterpairs.errors import ConfigInvalid, CounterpairsError, TotalInternalReflection
 from counterpairs.spectral import pair_rate
-from counterpairs.temporal import hom_params
+from counterpairs.temporal import flux, hom_params
 from counterpairs.tpsa import normalize
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -429,11 +429,12 @@ class TestSweep:
         assert not out_dir.exists()
 
     def test_failing_cells_do_not_abort_the_sweep(self, capsys, tmp_path):
-        # at tau_p = 0.52 fs the dip contrast computes slightly above 1 at
-        # Z_p = 1.8 cm: that cell turns NaN in every requested grid, with its
-        # message in the manifest and its class name in errors.csv, and the
-        # rest are still written. D_f is singular at 10 cm, which fails only
-        # the quantities that need the time domain.
+        # at tau_p = 0.52 fs, D_f cancels below its floor at Z_p = 10 cm
+        # (SingularTransform): that cell turns NaN in every requested grid, with
+        # its message in the manifest and its class name in errors.csv, and the
+        # rest are still written. The amplitude is exchange-symmetric on this
+        # axis, so the dip contrast is exactly 1 in every cell, the failing one
+        # included: only the time-domain quantity fails there.
         base = (CONFIG_DIR / "fig2.cfg").read_text().replace(
             "pump.tau_p = 1e-13 s", "pump.tau_p = 5.2e-16 s") + (
             "sweep.axis1 = pump.Z_p\n"
@@ -441,47 +442,41 @@ class TestSweep:
             "sweep.axis1_scale = log\n"
             "sweep.axis1_points = 9\n"
         )
-
-        def sweep(quantities):
-            cfg = tmp_path / f"{quantities}.cfg"
-            cfg.write_text(base + f"sweep.quantities = {quantities}\n")
-            out_dir = tmp_path / quantities
-            code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
-                                 "--out-dir", str(out_dir))
-            assert code == 0
-            manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
-            errors = [row.split(",")[1] for row in
-                      (out_dir / "errors.csv").read_text().splitlines()[1:]]
-            return cfg, out_dir, manifest, errors
-
-        cfg, out_dir, manifest, errors = sweep("hom_A visibility entropy N")
-        assert sorted(manifest["files"]) == ["N", "entropy", "hom_A", "visibility"]
+        quantities = "hom_A visibility entropy N sigma_tau_s"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(base + f"sweep.quantities = {quantities}\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+        errors = [row.split(",")[1] for row in
+                  (out_dir / "errors.csv").read_text().splitlines()[1:]]
+        assert sorted(manifest["files"]) == sorted(quantities.split())
 
         raw = parse_config(cfg)
         sc = resolve_scenario(raw)
         messages = set()
         failed = []
         for z_p in parse_sweep(raw).axis1.values:
+            tpsa = build_scenario_tpsa(apply_sweep_value(sc, "pump.Z_p", z_p))
+            assert tpsa.f2s == tpsa.f2i and tpsa.f1s == tpsa.f1i
+            assert hom_params(tpsa).a == 1.0
             try:
-                tpsa = build_scenario_tpsa(apply_sweep_value(sc, "pump.Z_p", z_p))
-                hom_params(tpsa), schmidt(normalize(tpsa)), pair_rate(tpsa)
+                schmidt(normalize(tpsa)), pair_rate(tpsa), flux(tpsa, "s")
                 failed.append("")
             except CounterpairsError as exc:
                 messages.add(str(exc))
                 failed.append(type(exc).__name__)
-        assert any(failed) and not all(failed)
-        assert any("dip contrast" in m for m in messages)
+        assert failed == [""] * 8 + ["SingularTransform"]
+        assert all(m.startswith("|D_f| = ") for m in messages)
         assert manifest["errors"] == sorted(messages)
         assert errors == failed
-        for fname in manifest["files"].values():
+        for name, fname in manifest["files"].items():
             rows = (out_dir / fname).read_text().splitlines()[1:]
             cells = [float(row.split(",")[1]) for row in rows]
             assert [np.isnan(x) for x in cells] == [bool(f) for f in failed]
-
-        assert failed[-1] == ""
-        _, _, manifest, errors = sweep("sigma_tau_s")
-        assert errors[-1] == "SingularTransform"
-        assert any(m.startswith("|D_f| = ") for m in manifest["errors"])
+            if name == "hom_A":
+                assert cells[:-1] == [1.0] * 8
 
     @pytest.mark.parametrize("axis", [
         {"sweep.axis1_range": "1e-14 inf s"},

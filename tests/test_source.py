@@ -35,22 +35,23 @@ def _is_ndarray(node):
             or isinstance(node, ast.Name) and node.id == "ndarray")
 
 
-def _calls_by_owner(tree, matches):
-    """Name of the innermost function around each call for which matches(call) holds;
-    a decorator call counts as inside the function it decorates."""
+def _owners(tree, matches):
+    """Name of the innermost function around each node for which matches(node) holds;
+    a decorator counts as inside the function it decorates."""
     owner = {}
     for node in ast.walk(tree):     # breadth first: inner functions overwrite outer ones
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update((id(inner), node.name) for inner in ast.walk(node))
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and matches(node):
+        if matches(node):
             yield owner.get(id(node))
 
 
-def _found(matches):
-    """(module file, owning function) of each matching call in src/."""
+def _found(matches, nodes=ast.Call):
+    """(module file, owning function) of each matching node (by default, call) in src/."""
     return {(path.relative_to(SRC).as_posix(), name) for path in sorted(SRC.rglob("*.py"))
-            for name in _calls_by_owner(ast.parse(path.read_text()), matches)}
+            for name in _owners(ast.parse(path.read_text()),
+                                lambda node: isinstance(node, nodes) and matches(node))}
 
 
 def test_one_predicate_tells_scalars_from_arrays():
@@ -84,6 +85,37 @@ def test_one_conversion_each_way_refracts_the_pump():
                                                    ("tpsa.py", "internal_dispersion")}
     assert _found(_calls_to("external_dispersion")) == {("config.py", "compute_scenario")}
     assert _found(_calls_to("internal_dispersion")) == {("config.py", "apply_sweep_value")}
+
+
+def _is_square(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2)
+
+
+def _is_determinant(node):
+    """x - y**2 where x is 4 * a * b or another square: a 2x2 determinant."""
+    left = node.left
+    four_ab = (isinstance(left, ast.BinOp) and isinstance(left.op, ast.Mult)
+               and isinstance(left.left, ast.BinOp) and isinstance(left.left.op, ast.Mult)
+               and isinstance(left.left.left, ast.Constant) and left.left.left.value == 4)
+    return isinstance(node.op, ast.Sub) and _is_square(node.right) and (four_ab or _is_square(left))
+
+
+def test_determinants_are_formed_in_one_place():
+    # every closed form takes its determinant from the Gaussian-integral module,
+    # so exact determinants change one function; the oracle keeps its own
+    assert _found(_is_determinant, ast.BinOp) == {("_gauss.py", "det"), ("oracle.py", "_shear")}
+
+
+def test_the_oracle_shares_no_numerics_with_the_closed_forms():
+    # the oracles check the closed forms, so they import nothing of their integral
+    names = []
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert names and not any("_gauss" in name.split(".") for name in names)
 
 
 def _imported_names(tree):

@@ -2,10 +2,13 @@
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from counterpairs import config, oracle, spectral, temporal
 from counterpairs.constants import HBAR
@@ -25,6 +28,12 @@ from conftest import omega_of
 from reference_oracles import dft_time_amplitude
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+FIG2 = config.resolve_scenario(config.parse_config(
+    Path(__file__).resolve().parents[1] / "configs" / "fig2.cfg"))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 
 
 def _simpson(values, h, axis):
@@ -192,6 +201,31 @@ class TestHom:
         assert dip.a == pytest.approx(1.0, abs=1e-12)
         assert dip.visibility == pytest.approx(1.0, abs=1e-12)
         assert dip.beat == 0.0
+
+    # fig2 is degenerate at normal incidence: f2s == f2i and f1s == f1i
+    # exactly, so the exchange overlap is the norm itself. Drawn over the fig2
+    # map's pump settings and a wider Z_p, chirped, filtered or not, with and
+    # without G. The examples are 0.52 fs cells where D_fr is 1e-9 to 1e-12
+    # of 4 f2s^r f2i^r: two exponents rounded apart would differ there by
+    # up to 1e-5.
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(tau_p=_log_uniform(1e-14, 2e-12), z_p=_log_uniform(1e-7, 1e-1),
+           a_p=st.floats(-3.0, 3.0), sigma=st.none() | _log_uniform(1e12, 1e15),
+           include_g=st.booleans())
+    @example(tau_p=5.2e-16, z_p=10**-2.5, a_p=0.0, sigma=None, include_g=True)
+    @example(tau_p=5.2e-16, z_p=10**-1.75, a_p=0.0, sigma=None, include_g=True)
+    @example(tau_p=5.2e-16, z_p=0.1, a_p=0.0, sigma=None, include_g=True)
+    def test_exchange_symmetric_amplitude_has_unit_contrast(self, tau_p, z_p, a_p, sigma,
+                                                            include_g):
+        sc = replace(FIG2, include_g=include_g)
+        for key, value in (("pump.tau_p", tau_p), ("pump.Z_p", z_p), ("pump.a_p", a_p),
+                           ("filters.sigma_both", sigma)):
+            if value is not None:
+                sc = config.apply_sweep_value(sc, key, value)
+        t = config.build_scenario_tpsa(sc)
+        assert t.f2s == t.f2i and t.f1s == t.f1i
+        dip = hom_params(t)
+        assert (dip.a, dip.visibility) == (1.0, 1.0)
 
     def test_cw_limit_restores_contrast(self, make_case):
         # asymmetric angular dispersion lowers a; lengthening the pulse heals it
