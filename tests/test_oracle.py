@@ -199,8 +199,9 @@ class TestRidgeCells:
 
 def _whole_grid_marginal(form, field, n_points, span=8.0):
     """The marginal without row blocking, kept as a reference: the
-    whole sheared grid of -2q at once, from the same per-row expansion and
-    in the same three passes as a block, reduced along its rows."""
+    whole sheared grid of -2q at once, from the same per-row expansion in
+    three passes (an outer product, a row added, a column subtracted),
+    reduced along its rows."""
 
     def simpson_rows(values, h):
         w = np.ones(values.shape[1])
@@ -292,6 +293,19 @@ class TestBlockedMarginal:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_peak_memory_of_the_sampled_amplitude(self, make_case):
+        # the 512^2 complex grid is 4.19 MB; evaluate holds at most it and
+        # one full-size term (out of place it took three grids, 12.6 MB)
+        t = normalize(make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            oracle.sample_grid(t, 512, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 512 * 512 * 16
+
 
 class TestRowExpansion:
     """A marginal reads q on each row of its sheared grid as
@@ -327,11 +341,11 @@ class TestRowExpansion:
             for form in (oracle._spectral_form(tp), oracle._time_form(time_domain(tp))):
                 for field in ("s", "i"):
                     _, _, k, m, w = oracle._shear(form, field)
-                    x, _, alpha, beta, gamma = oracle._row_expansion(form, field, t)
+                    x, _, r, c = oracle._row_factors(form, field, t)
                     i, j = rng.choice(n, 8, replace=False), rng.choice(n, 16, replace=False)
-                    # the marginal's own arithmetic for -2q, halved (exactly)
-                    expansion = -0.5 * (np.multiply.outer(-2.0 * beta[i], t[j])
-                                        + (-2.0 * gamma * t[j] ** 2) - 2.0 * alpha[i, None])
+                    # the marginal's own arithmetic for -2q, its product of
+                    # row and column factors, halved (exactly)
+                    expansion = -0.5 * np.matmul(r[i], c[:, j])
                     p0 = k * x[i] + m
                     p = p0[:, None] + w * t[j]
                     expanded = (exponent(form, x[i, None], p) if field == "s"

@@ -16,7 +16,13 @@ from counterpairs.errors import (
     PhaseMatchViolated,
     TotalInternalReflection,
 )
-from counterpairs.tpsa import build_tpsa, external_dispersion, internal_dispersion, l2_norm
+from counterpairs.tpsa import (
+    _EXP_GUARD,
+    build_tpsa,
+    external_dispersion,
+    internal_dispersion,
+    l2_norm,
+)
 
 
 class TestCoefficientAssembly:
@@ -201,6 +207,79 @@ class TestEvaluate:
         peak = t.omega_s0 + 3.5e-12 / (2.0 * t.f2s.real)
         with pytest.raises(ExponentOverflow):
             cp.evaluate(t, peak, t.omega_i0)
+
+
+def _evaluate_out_of_place(tpsa, omega_s, omega_i):
+    """evaluate as one out-of-place expression, kept as the reference for
+    the in-place accumulation."""
+    ds = np.asarray(omega_s, dtype=float) - tpsa.omega_s0
+    di = np.asarray(omega_i, dtype=float) - tpsa.omega_i0
+    phi = np.asarray(tpsa.f2s * ds**2 + tpsa.f2i * di**2 + tpsa.f2si * ds * di
+                     + tpsa.f1s * ds + tpsa.f1i * di + tpsa.f0)
+    worst = float(np.max(-phi.real))
+    if worst > _EXP_GUARD:
+        raise ExponentOverflow(
+            f"-Re(phi) = {worst:.3g} exceeds {_EXP_GUARD}; "
+            "amplitude coefficients are not credible"
+        )
+    out = math.sqrt(tpsa.c_phi_sq) * tpsa.prefactor * np.exp(-phi)
+    return out if out.ndim else complex(out)
+
+
+def _bits(z):
+    return np.asarray(z).tobytes()
+
+
+class TestEvaluateInPlace:
+    """evaluate sums phi's terms in place, in the order the out-of-place
+    expression adds them, and negates, exponentiates and scales in place."""
+
+    @pytest.fixture
+    def tpsa(self, make_case):
+        return cp.normalize(make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa)
+
+    def test_a_broadcast_grid_bit_for_bit(self, tpsa):
+        # +-40 marginal widths: exp underflows through the subnormals to zero
+        ws, wi, _ = oracle.sample_grid(tpsa, 512, 40.0)
+        saved = ws.tobytes(), wi.tobytes()
+        want = _evaluate_out_of_place(tpsa, ws[:, None], wi[None, :])
+        got = cp.evaluate(tpsa, ws[:, None], wi[None, :])
+        assert (ws.tobytes(), wi.tobytes()) == saved
+        assert got.shape == want.shape == (512, 512) and got.dtype == want.dtype
+        assert np.any(got == 0.0) and np.any((got.real != 0.0) & (abs(got.real) < 2.3e-308))
+        assert _bits(got) == _bits(want)
+
+    def test_equal_shape_arrays_bit_for_bit(self, tpsa):
+        ws, wi, _ = oracle.sample_grid(tpsa, 512, 5.0)
+        saved = ws.tobytes(), wi.tobytes()
+        got = cp.evaluate(tpsa, ws, wi[::-1])
+        assert (ws.tobytes(), wi.tobytes()) == saved
+        assert got.shape == (512,)
+        assert _bits(got) == _bits(_evaluate_out_of_place(tpsa, ws, wi[::-1]))
+        # On an array under numpy's 256 KiB temporary-elision threshold the
+        # out-of-place expression multiplies the scale in from the left; where
+        # the exp underflows, that can flip the sign of a zero, never a value.
+        ws, wi, _ = oracle.sample_grid(tpsa, 512, 40.0)
+        assert np.array_equal(cp.evaluate(tpsa, ws, wi[::-1]),
+                              _evaluate_out_of_place(tpsa, ws, wi[::-1]))
+
+    def test_scalars_bit_for_bit(self, tpsa):
+        ws, wi, _ = oracle.sample_grid(tpsa, 9, 40.0)
+        for w_s in ws:
+            for w_i in wi:
+                got = cp.evaluate(tpsa, w_s, w_i)
+                assert type(got) is complex
+                assert _bits(got) == _bits(_evaluate_out_of_place(tpsa, w_s, w_i))
+
+    def test_overflow_message_unchanged(self, make_case):
+        t = replace(make_case().tpsa, f1s=complex(-3.5e-12))
+        peak = t.omega_s0 + 3.5e-12 / (2.0 * t.f2s.real)
+        for ws in (peak, np.array([t.omega_s0, peak])):
+            with pytest.raises(ExponentOverflow) as got:
+                cp.evaluate(t, ws, t.omega_i0)
+            with pytest.raises(ExponentOverflow) as want:
+                _evaluate_out_of_place(t, ws, t.omega_i0)
+            assert str(got.value) == str(want.value)
 
 
 def _rotated(case):
