@@ -434,7 +434,7 @@ def _parse_axis(raw: dict, which: str) -> SweepAxis | None:
         raise ConfigInvalid(f"{points_key}: {exc}", field=points_key) from None
     if n < 1:
         raise ConfigInvalid(f"{points_key} must be >= 1", field=points_key)
-    scale = raw.get(f"{key}_scale", "linear").strip()
+    scale = raw.get(f"{key}_scale", _SCHEMA[f"{key}_scale"][2]).strip()
     if scale not in ("linear", "log"):
         raise ConfigInvalid(f"{key}_scale must be linear or log", field=f"{key}_scale")
     if scale == "log" and (lo <= 0 or hi <= 0):

@@ -7,10 +7,10 @@ The transversely incident pump travels as a bulk plane wave with
 wavevector magnitude k_p(w) = n0(w) w / c.
 
 All operations are pure functions of immutable inputs. Frequency
-derivatives are closed forms: the Sellmeier form is differentiated by the
-chain rule in x = L^2, and group velocities and the overlap expansion
-follow from n, dn/domega and d^2n/domega^2 at the evaluation frequency
-alone, so a frequency on the edge of the validity window evaluates.
+derivatives are closed forms: one pass over the Sellmeier terms gives n,
+dn/domega and d^2n/domega^2 by the chain rule in x = L^2, and group
+velocities and the overlap expansion follow from these at the evaluation
+frequency alone, so a frequency on the edge of the validity window evaluates.
 
 Everything the amplitude needs from the material at one pair of central
 frequencies is gathered in a frozen MaterialPoint by material_point().
@@ -107,43 +107,37 @@ class GTaylor:
             raise ValueError("g0 must be positive")
 
 
-def _check_window(model: DispersionModel, omega: float) -> None:
+def refractive_index(model: DispersionModel, omega: float) -> float:
+    """Refractive index n0(omega) for an in-window angular frequency."""
+    return _index_derivatives(model, omega, derivatives=False)[0]
+
+
+def _index_derivatives(model: DispersionModel, omega: float, derivatives: bool = True) -> tuple:
+    """(n0, dn0/domega, d^2n0/domega^2) at an in-window frequency from one pass over the
+    Sellmeier terms, or (n0,) alone: the derivatives' powers overflow before n0 does.
+
+    With x = L^2 (um^2), dx/dw = -2x/w and d^2x/dw^2 = 6x/w^2; the squared
+    index N = n^2 = 1 + sum B x/(x - C) has N_x = -sum B C/(x - C)^2 and
+    N_xx = 2 sum B C/(x - C)^3.
+    """
     lo, hi = model.omega_window
     if not (lo <= omega <= hi):
         raise OutOfValidityWindow(
             f"omega = {omega:.6g} rad/s outside validity window "
             f"[{lo:.6g}, {hi:.6g}] of {model.material!r}"
         )
-
-
-def refractive_index(model: DispersionModel, omega: float) -> float:
-    """Refractive index n0(omega) for an in-window angular frequency."""
-    _check_window(model, omega)
     if model.kind == "constant":
-        return float(model.coefficients[0])
-    lam_um2 = (2.0 * math.pi * C_LIGHT / omega * 1e6) ** 2
-    n_sq = 1.0
-    for b, c_um2 in model.coefficients:
-        n_sq += b * lam_um2 / (lam_um2 - c_um2)
-    return math.sqrt(n_sq)
-
-
-def _index_derivatives(model: DispersionModel, omega: float) -> tuple:
-    """(n0, dn0/domega, d^2n0/domega^2) at an in-window frequency.
-
-    With x = L^2 (um^2), dx/dw = -2x/w and d^2x/dw^2 = 6x/w^2; the squared
-    index N = n^2 = 1 + sum B x/(x - C) has N_x = -sum B C/(x - C)^2 and
-    N_xx = 2 sum B C/(x - C)^3.
-    """
-    n = refractive_index(model, omega)
-    if model.kind == "constant":
-        return n, 0.0, 0.0
+        return float(model.coefficients[0]), 0.0, 0.0
     x = (2.0 * math.pi * C_LIGHT / omega * 1e6) ** 2
-    n_x = n_xx = 0.0
+    n_sq, n_x, n_xx = 1.0, 0.0, 0.0
     for b, c_um2 in model.coefficients:
-        r = b * c_um2 / (x - c_um2) ** 2
+        n_sq += b * x / (x - c_um2)
+        r = b * c_um2 / (x - c_um2) ** 2 if derivatives else 0.0
         n_x -= r
         n_xx += 2.0 * r / (x - c_um2)
+    n = math.sqrt(n_sq)
+    if not derivatives:
+        return (n,)
     x1 = -2.0 * x / omega
     x2 = 6.0 * x / omega**2
     dn_sq = n_x * x1

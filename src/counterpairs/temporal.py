@@ -31,12 +31,11 @@ class TimeDomainTPSA:
 
     q = exp_ss (tau_s - i f1s)^2 + exp_ii (tau_i - i f1i)^2
         + exp_si (tau_s - i f1s)(tau_i - i f1i),
-    with exp_ss = f2i/D_f, exp_ii = f2s/D_f, exp_si = -f2si/D_f and f1s, f1i
-    those of src. The t block holds the real coefficients of -ln|Phi(t)|^2 / 2
+    with exp_ss = f2i/D_f, exp_ii = f2s/D_f, exp_si = -f2si/D_f (the Fourier dual, _gauss.dual)
+    and f1s, f1i those of src. The t block holds the real coefficients of -ln|Phi(t)|^2 / 2
     that give the flux widths and centres; d_t = 4 t2s t2i - t2si^2 = D_fr/|D_f|^2 (no cancelling).
     """
 
-    d_f: complex
     amp: complex
     exp_ss: complex
     exp_ii: complex
@@ -103,17 +102,15 @@ def time_domain(tpsa: GaussianTPSA) -> TimeDomainTPSA:
             f"|D_f| = {abs(d_f):.3g} below {_DF_REL_FLOOR:.0e} of its term scale"
         )
     d_f = ew.where(ok, d_f, math.nan)
-    exp_ss = tpsa.f2i / d_f
-    exp_ii = tpsa.f2s / d_f
-    exp_si = -tpsa.f2si / d_f
+    (exp_ss, exp_ii, exp_si), root, d_t = _gauss.dual(tpsa.f2s, tpsa.f2i, tpsa.f2si,
+                                                      d_f, tpsa.d_fr)
     # the time-linear coefficients of Re q are -Im of the spectral form's stationary point
     x_s, x_i = _gauss.stationary(tpsa.f2s, tpsa.f2i, tpsa.f2si, tpsa.f1s, tpsa.f1i, d_f)
-    amp = (ew.sqrt(tpsa.c_phi_sq) * ew.exp(-tpsa.f0)
-           * tpsa.prefactor / ew.csqrt(d_f))
+    amp = ew.sqrt(tpsa.c_phi_sq) * ew.exp(-tpsa.f0) * tpsa.prefactor / root
     return TimeDomainTPSA(
-        d_f=d_f, amp=amp, exp_ss=exp_ss, exp_ii=exp_ii, exp_si=exp_si,
+        amp=amp, exp_ss=exp_ss, exp_ii=exp_ii, exp_si=exp_si,
         t2s=exp_ss.real, t2i=exp_ii.real, t2si=exp_si.real,
-        t1s=-x_s.imag, t1i=-x_i.imag, d_t=tpsa.d_fr / abs(d_f) ** 2, src=tpsa,
+        t1s=-x_s.imag, t1i=-x_i.imag, d_t=d_t, src=tpsa,
     )
 
 
@@ -188,8 +185,9 @@ def hom_params(tpsa: GaussianTPSA) -> HomDip:
     d_x = _gauss.det(half, half, cross)     # formed as d_fr is, for a = 1 when symmetric
     if ew.violated(d_x < math.inf):         # raise as the square (f2s^r + f2i^r)^2 would
         raise OverflowError("the exchange determinant leaves double range")
-    a = (ew.sqrt(tpsa.d_fr / d_x) * ew.exp(_gauss.exponent(half, half, cross, b_x, b_x, d_x))
-         / ew.exp(_gauss.exponent(tpsa.f2s.real, tpsa.f2i.real, cross, f1s, f1i, tpsa.d_fr)))
+    x_d = _gauss.exponent(tpsa.f2s.real, tpsa.f2i.real, cross, f1s, f1i, tpsa.d_fr)
+    # one exp of the exponents' difference: each alone may pass 709 where a is 1
+    a = ew.sqrt(tpsa.d_fr / d_x) * ew.exp(_gauss.exponent(half, half, cross, b_x, b_x, d_x) - x_d)
     b = 1.0 / (2.0 * (2.0 * half - cross))
     a = ew.where(a <= 1.0 + 1e-9, ew.minimum(a, 1.0), a)
     beat = tpsa.omega_s0 - tpsa.omega_i0

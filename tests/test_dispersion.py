@@ -113,6 +113,16 @@ class TestLoadModel:
         with pytest.raises(ValueError, match="finite and > 1"):
             cp.load_model(_model_file(tmp_path, [[1e-3, 10.0]], window=(1e-7, 1e-6)))
 
+    def test_the_index_alone_evaluates_where_its_derivatives_overflow(self, tmp_path):
+        # a pole far beyond the window, C = 1e200 um^2: the power (x - C)^2 of its
+        # derivative terms overflows, its index term does not. The loader and the
+        # index evaluate; the derivatives raise, as they always have
+        model = cp.load_model(_model_file(tmp_path, [[2.9804, 0.02047], [1e-3, 1e200]]))
+        omega = omega_of(1.064e-6)
+        assert 2.0 < refractive_index(model, omega) < 2.1
+        with pytest.raises(OverflowError):
+            dispersion.index_derivative(model, omega)
+
     def test_constant_model_loads(self, tmp_path):
         model = cp.load_model(_model_file(tmp_path, [2.0], kind="constant"))
         assert model.kind == "constant" and model.coefficients == (2.0,)

@@ -3,7 +3,8 @@
 Each case is a seeded positive-definite form q = a_s x^2 + a_i y^2 + a_si x y
 + b_s x + b_i y with O(1) coefficients. The module runs on the double
 coefficients and the reference on the same values, converted exactly, at
-50 digits; every gate is 1e-12 of the reference or of its scale.
+50 digits; every gate is 1e-12 of the reference or of its scale. The Fourier
+dual is checked on complex quadratic parts whose real parts are such forms.
 """
 
 import math
@@ -124,3 +125,29 @@ def test_stationary_point_solves_the_gradient_system(form):
         want = _mp_stationary(form)
         for g, w in zip(got, want):
             assert abs(g - w) <= REL * mp.norm(want)
+
+
+def _complex_quadratic_parts(n, seed):
+    """n seeded complex (a_s, a_i, a_si): the real parts are those of _forms, the
+    imaginary parts uniform in [-2.5, 2.5], so that d falls on both sides of the
+    root's branch cut along the negative axis."""
+    rng = random.Random(seed)
+    return [tuple(x + 1j * rng.uniform(-2.5, 2.5) for x in form[:3]) for form in _forms(n, seed)]
+
+
+@pytest.mark.parametrize("part", _complex_quadratic_parts(8, seed=19))
+def test_dual_is_the_inverse_form_with_its_root_and_real_determinant(part):
+    d_real = _gauss.det(*(x.real for x in part))      # the real forms' d: 0.36 and more
+    (dual_s, dual_i, dual_si), root, d_t = _gauss.dual(*part, _gauss.det(*part), d_real)
+    with mp.workdps(DPS):
+        a_s, a_i, a_si = _mp(part)
+        inverse = mp.inverse(mp.matrix([[a_s, a_si / 2], [a_si / 2, a_i]]))
+        # the dual form's matrix is a quarter of the inverse
+        for got, want in ((dual_s, inverse[0, 0] / 4), (dual_i, inverse[1, 1] / 4),
+                          (dual_si, inverse[0, 1] / 2)):
+            assert abs(got - want) <= REL * abs(want)
+        want = mp.sqrt(4 * a_s * a_i - a_si**2)       # the principal root
+        assert abs(root - want) <= REL * abs(want)
+        re_s, re_i, re_si = (mp.re(inverse[k]) for k in ((0, 0), (1, 1), (0, 1)))
+        want = (re_s * re_i - re_si**2) / 4           # 4 a_s a_i - a_si^2 of the dual's real part
+        assert abs(d_t - want) <= REL * want

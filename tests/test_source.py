@@ -107,6 +107,12 @@ def test_determinants_are_formed_in_one_place():
     assert _found(_is_determinant, ast.BinOp) == {("_gauss.py", "det"), ("oracle.py", "_shear")}
 
 
+def test_the_complex_root_is_taken_in_one_place():
+    # the time-domain amplitude's sqrt(D_f) comes with the Fourier dual of the
+    # Gaussian-integral module, so a change of branch or precision changes one place
+    assert {module for module, _ in _found(_calls_to("csqrt"))} == {"_gauss.py"}
+
+
 def test_the_oracle_shares_no_numerics_with_the_closed_forms():
     # the oracles check the closed forms, so they import nothing of their integral
     names = []

@@ -102,6 +102,21 @@ def test_axes_on_different_settings_are_accepted(tmp_path, param1, param2):
     assert (spec.axis1.param, spec.axis2.param) == (param1, param2)
 
 
+@pytest.mark.parametrize("which", ["axis1", "axis2"])
+def test_an_axis_without_a_scale_takes_the_schema_default(tmp_path, monkeypatch, which):
+    # the unset scale comes from the schema, not from a literal of the axis parser
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_two_axis_config("pump.tau_p", "pump.Z_p"))
+    raw = config.parse_config(cfg)
+    assert getattr(config.parse_sweep(raw), which).scale == "linear"
+    key = f"sweep.{which}_scale"
+    unit, required, _, domain = config._SCHEMA[key]
+    monkeypatch.setitem(config._SCHEMA, key, (unit, required, "log", domain))
+    axis = getattr(config.parse_sweep(raw), which)
+    assert axis.scale == "log"
+    assert axis.values[1] == pytest.approx(math.sqrt(axis.values[0] * axis.values[2]), rel=1e-12)
+
+
 ALL = " ".join(config.QUANTITIES)
 
 

@@ -207,7 +207,8 @@ class TestHom:
     # map's pump settings and a wider Z_p, chirped, filtered or not, with and
     # without G. The examples are 0.52 fs cells where D_fr is 1e-9 to 1e-12
     # of 4 f2s^r f2i^r: two exponents rounded apart would differ there by
-    # up to 1e-5.
+    # up to 1e-5. The last two have no filter and direct exponents x_d of about
+    # 830 and 20,000: exp of either alone overflows, exp(x_x - x_d) is 1.
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(tau_p=_log_uniform(1e-14, 2e-12), z_p=_log_uniform(1e-7, 1e-1),
            a_p=st.floats(-3.0, 3.0), sigma=st.none() | _log_uniform(1e12, 1e15),
@@ -215,6 +216,10 @@ class TestHom:
     @example(tau_p=5.2e-16, z_p=10**-2.5, a_p=0.0, sigma=None, include_g=True)
     @example(tau_p=5.2e-16, z_p=10**-1.75, a_p=0.0, sigma=None, include_g=True)
     @example(tau_p=5.2e-16, z_p=0.1, a_p=0.0, sigma=None, include_g=True)
+    @example(tau_p=4.553031110651367e-16, z_p=6.105984254515654e-3, a_p=2.471155416298339,
+             sigma=None, include_g=True)
+    @example(tau_p=3.013944726982899e-16, z_p=1.2176344522478952e-6, a_p=1.5700906780484123,
+             sigma=None, include_g=True)
     def test_exchange_symmetric_amplitude_has_unit_contrast(self, tau_p, z_p, a_p, sigma,
                                                             include_g):
         sc = replace(FIG2, include_g=include_g)
