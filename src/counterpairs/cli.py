@@ -129,7 +129,8 @@ def _grid_csv(axis1, axis2, rows, label: str) -> str:
 
 def _cmd_sweep(args) -> None:
     import hashlib
-    raw = parse_config(args.config)
+    data = Path(args.config).read_bytes()   # read once: the manifest hashes what was parsed
+    raw = parse_config(data)
     sc = resolve_scenario(raw, include_g=args.include_g, p_min=args.p_min)
     spec = parse_sweep(raw)
     out_dir = Path(args.out_dir)
@@ -158,7 +159,7 @@ def _cmd_sweep(args) -> None:
     manifest = {
         "package": "counterpairs",
         "version": __version__,
-        "config_sha256": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
+        "config_sha256": hashlib.sha256(data).hexdigest(),
         "include_g": args.include_g,
         "p_min": args.p_min,
         "axis1": {"param": spec.axis1.param, "points": len(spec.axis1.values),
@@ -211,7 +212,7 @@ _WIDTHS_KEYS = {
 
 def _parse_widths_file(path: str) -> dict:
     widths = {key: _parse_quantity(key, value, _WIDTHS_KEYS)
-              for key, value in _read_assignments(path, _WIDTHS_KEYS).items()}
+              for key, value in _read_assignments(Path(path).read_bytes(), _WIDTHS_KEYS).items()}
     if len(missing := {"measure.omega_s0", "measure.omega_i0"} - widths.keys()) == 1:
         key = missing.pop()
         raise ConfigInvalid(f"missing key {key!r}: give both measured centrals or neither",
@@ -339,19 +340,6 @@ _COMMANDS = {
 }
 
 
-def _command_parser(parser, name):
-    _, handler, options = _COMMANDS[name]
-    for flag, kwargs in options.items():
-        if isinstance(flag, tuple):
-            group = parser.add_mutually_exclusive_group()
-            for one, one_kwargs in zip(flag, kwargs):
-                group.add_argument(one, **one_kwargs)
-        else:
-            parser.add_argument(flag, **kwargs)
-    parser.set_defaults(command=name, fn=handler)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="counterpairs",
@@ -362,22 +350,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _command_parser(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, kwargs in options.items():
+            if isinstance(flag, tuple):
+                group = command.add_mutually_exclusive_group()
+                for one, one_kwargs in zip(flag, kwargs):
+                    group.add_argument(one, **one_kwargs)
+            else:
+                command.add_argument(flag, **kwargs)
+        command.set_defaults(command=name, fn=handler)
     return parser
 
 
+# built once: a request pays for parsing its arguments, not for building a parser
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    # A request builds only its subcommand's parser; the full parser takes the
-    # rest and reports unrecognized arguments, with its usage text and exit code.
-    argv = sys.argv[1:] if argv is None else list(argv)
-    name = argv[0] if argv and argv[0] in _COMMANDS else None
-    if name:
-        parser = _command_parser(
-            argparse.ArgumentParser(prog=f"counterpairs {name}", allow_abbrev=False), name)
-        args, extra = parser.parse_known_args(argv[1:])
-    if not name or extra:
-        args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)     # None parses sys.argv[1:]
     try:
         with in_double_range("the scenario's settings"):     # overflow in any handler is a user error
             doc = args.fn(args)

@@ -15,6 +15,7 @@ config input: it is solved from momentum conservation at the centrals.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -92,14 +93,16 @@ _WRITES = {"pump.D_theta_out": {"pump.Dtilde_theta"},
            "filters.sigma_both_nm": {"filters.sigma_s", "filters.sigma_i"}}
 
 
-def _read_assignments(path: str | Path, table: dict) -> dict:
-    """Read 'key = value' lines into {key: raw value string}.
+def _read_assignments(data: bytes, table: dict) -> dict:
+    """Read the 'key = value' lines of a file's bytes, decoded as a text-mode
+    open() decodes them, into {key: raw value string}.
 
     '#' starts a comment; keys outside `table`, repeated keys and missing
     required keys are rejected with the key named.
     """
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -117,9 +120,11 @@ def _read_assignments(path: str | Path, table: dict) -> dict:
     return raw
 
 
-def parse_config(path: str | Path) -> dict:
-    """Read a config file into {dotted key: raw value string}."""
-    return _read_assignments(path, _SCHEMA)
+def parse_config(source: str | Path | bytes) -> dict:
+    """Read a config file, given by its path or as its bytes, into
+    {dotted key: raw value string}."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    return _read_assignments(data, _SCHEMA)
 
 
 def _parse_quantity(key: str, value: str, table: dict) -> float:

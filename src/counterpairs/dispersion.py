@@ -26,7 +26,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .constants import C_LIGHT
@@ -37,6 +36,7 @@ from .errors import (
     OutOfValidityWindow,
 )
 
+_DATA = Path(__file__).with_name("data")    # the built-in models, shipped beside this module
 _GAMMA_SQ_FLOOR = 1e-12   # 1/m^2, below this the 1/(gs^2+gi^2) expansion is rejected
 
 
@@ -360,7 +360,8 @@ def _coefficients(material: str, kind: str, raw) -> tuple:
 def load_model(source: str | Path) -> DispersionModel:
     """Load a dispersion model from a JSON data file or a built-in name.
 
-    Built-in names resolve inside the packaged data directory ("linbo3_e").
+    A built-in name ("linbo3_e") is read by path from the data directory
+    packaged beside this module.
     The file schema carries the material label, (B, C) coefficient pairs,
     and the wavelength validity window in meters; the loader converts the
     window to angular frequency and verifies n0 > 1 across it.
@@ -370,9 +371,7 @@ def load_model(source: str | Path) -> DispersionModel:
         raw = json.loads(path.read_text())
     else:
         try:
-            raw = json.loads(
-                resources.files("counterpairs.data").joinpath(f"{source}.json").read_text()
-            )
+            raw = json.loads((_DATA / f"{source}.json").read_text())
         except FileNotFoundError:
             raise FileNotFoundError(
                 f"no dispersion data file at {source!r} and no built-in model of that name"

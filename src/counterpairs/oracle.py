@@ -109,8 +109,16 @@ class MarginalResult:
     conv_error: float
 
 
+def _finite_mass(mass: float) -> float:
+    """mass, when |Phi|^2 neither under- nor overflowed in its sum (Phi itself may not)."""
+    if not 0.0 < mass < math.inf:
+        raise ExponentOverflow(f"the sampled mass {mass!r} leaves double range: "
+                               "the amplitude's scale or exponent is not credible")
+    return mass
+
+
 def _moments(axis, marginal, h):
-    norm = float(_simpson(marginal, h))
+    norm = _finite_mass(float(_simpson(marginal, h)))
     mean = float(_simpson(marginal * axis, h)) / norm
     var = float(_simpson(marginal * (axis - mean) ** 2, h)) / norm
     return norm, mean, var
@@ -199,17 +207,17 @@ def _marginal(form, field: str, n_points: int) -> MarginalResult:
         rows = slice(lo, lo + _ROW_BLOCK)
         q2 = buf[:min(_ROW_BLOCK, n_points - lo)]     # -2q on the block's rows
         np.matmul(r[rows], c, out=q2)
-        worst = max(worst, 0.5 * float(q2.max()))
-        if worst <= _EXP_GUARD:     # past the guard, only scan on for the worst -q
+        worst = max(worst, float(q2.max()))
+        if worst <= _EXP_GUARD:     # past the guard, only scan on for the worst -2q
             np.exp(q2, out=q2)
             marginal[rows] = q2 @ fine
             coarse[lo // 2:(lo + _ROW_BLOCK) // 2] = q2[::2, ::2] @ half
     if worst > _EXP_GUARD:
-        raise ExponentOverflow(f"-q = {worst:.3g} exceeds {_EXP_GUARD}")
+        raise ExponentOverflow(f"-2q = {worst:.3g} exceeds {_EXP_GUARD}")
     norm, mean, var = _moments(x, marginal, h_x)
     c_norm, c_mean, c_var = _moments(x[::2], coarse, 2.0 * h_x)
     conv = max(abs(c_norm / norm - 1.0), abs(c_var / var - 1.0))
-    if conv > 1e-6:
+    if not conv <= 1e-6:        # so is a NaN, from a variance that left double range
         raise QuadratureNotConverged(
             f"marginal moments changed by {conv:.3g} under grid halving"
         )
@@ -294,19 +302,20 @@ def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
     slower, until another BLAS or LAPACK call clears that state.
     Raises GridTooCoarse when the boundary ring of |Phi|^2 carries more
     than 1e-8 of the sampled mass (a conservative proxy for the 1e-6
-    outside-the-grid bound).
+    outside-the-grid bound), and ExponentOverflow when that mass is 0 or
+    not finite: |Phi|^2 leaves double range where Phi may not.
     """
     if n_points < 256:
         raise ValueError("n_points must be at least 256")
     amplitude = sample_grid(tpsa, n_points, span)[2]
-    dens = np.abs(amplitude) ** 2
-    total = float(dens.sum())
+    with np.errstate(over="ignore"):        # an overflow raises as a typed error below
+        dens = np.abs(amplitude) ** 2
+        total = _finite_mass(float(dens.sum()))
     ring = float(dens[0, :].sum() + dens[-1, :].sum()
                  + dens[:, 0].sum() + dens[:, -1].sum())
-    if total == 0.0 or ring / total > 1e-8:
+    if ring / total > 1e-8:
         raise GridTooCoarse(
-            f"boundary ring carries {ring / total if total else math.inf:.3g} "
-            "of the sampled mass; widen the grid"
+            f"boundary ring carries {ring / total:.3g} of the sampled mass; widen the grid"
         )
     del dens
     amplitude *= 1.0 / math.sqrt(total)

@@ -1,10 +1,15 @@
 """Command-line driver: scenario/sweep/inverse round trips and determinism."""
 
+import argparse
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +374,25 @@ class TestSweep:
         assert manifest["quantities"]["sigma_lambda_s"] == "nm"
         assert manifest["errors"] == []
         assert len(manifest["config_sha256"]) == 64
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_manifest_hashes_a_piped_config(self, capsys, tmp_path):
+        # a pipe can be read once: the manifest must hash the bytes that were parsed
+        cfg = CONFIG_DIR / "fig5_sweep.cfg"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "counterpairs.cli", "sweep", "--config", "/dev/stdin",
+             "--out-dir", str(tmp_path / "piped")],
+            input=cfg.read_bytes(), env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                             "--out-dir", str(tmp_path / "file"))
+        assert code == 0
+        piped, direct = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                         for d in ("piped", "file"))
+        assert piped == direct
+        manifest = json.loads(piped["sweep_manifest.json"])
+        assert manifest["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
     def test_manifest_records_p_min(self, capsys, tmp_path):
         # n_min depends on the mode-count target, so the manifest names it
@@ -874,7 +898,7 @@ def _exit(capsys, parse, argv):
 
 
 class TestParser:
-    """main() builds only the named subcommand's parser.
+    """main() parses every request with the one parser built at import.
 
     Whatever it prints and the namespace it hands on are those of the
     full build_parser().
@@ -919,6 +943,7 @@ class TestParser:
         seen = []
         help_text, _, options = cli._COMMANDS[argv[0]]
         monkeypatch.setitem(cli._COMMANDS, argv[0], (help_text, seen.append, options))
+        monkeypatch.setattr(cli, "_PARSER", build_parser())    # main's parser, with the stub
         assert main(argv) == 0
         assert seen == [build_parser().parse_args(argv)]
         assert seen[0].command == argv[0]
@@ -952,10 +977,10 @@ class TestParser:
         assert code == 2 and message in err
         assert _exit(capsys, build_parser().parse_args, argv) == (code, "", err)
 
-    def test_a_request_builds_only_its_own_parser(self, capsys, monkeypatch, fig2_cfg):
-        def refuse():
-            raise AssertionError("full parser built")
+    def test_a_request_builds_no_parser(self, capsys, monkeypatch, fig2_cfg):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parser built")
 
-        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
         assert main(["scenario", "--config", str(fig2_cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["rate"]["N_pairs_per_s"] > 0

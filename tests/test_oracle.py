@@ -170,6 +170,12 @@ def _fig2_map_cell(i, j):
     return config.build_scenario_tpsa(point)
 
 
+@pytest.fixture(scope="module")
+def fig2():
+    return config.build_scenario_tpsa(
+        config.resolve_scenario(config.parse_config(CONFIG_DIR / "fig2.cfg")))
+
+
 class TestRidgeCells:
     """Corners of the fig2 map (tau_p near 10 fs with wide beams, near 2 ps
     with narrow ones), where the amplitude is a thin diagonal ridge. A grid
@@ -212,9 +218,9 @@ def _whole_grid_marginal(form, field, n_points, span=8.0):
     t = np.linspace(-span, span, n_points)
     x, w, alpha, beta, gamma = oracle._row_expansion(form, field, t)
     q2 = np.multiply.outer(-2.0 * beta, t) + (-2.0 * gamma * t**2) - 2.0 * alpha[:, None]
-    worst = 0.5 * float(q2.max())
+    worst = float(q2.max())
     if worst > _EXP_GUARD:
-        raise ExponentOverflow(f"-q = {worst:.3g} exceeds {_EXP_GUARD}")
+        raise ExponentOverflow(f"-2q = {worst:.3g} exceeds {_EXP_GUARD}")
     dens = form[0] * np.exp(q2)
     h_p, h_x = w * (t[1] - t[0]), x[1] - x[0]
     marginal = simpson_rows(dens, h_p)
@@ -261,10 +267,10 @@ class TestBlockedMarginal:
                 assert abs(got.conv_error - want.conv_error) <= 1e-12
 
     @pytest.mark.parametrize("c,x_first,message", [
-        # only the last row, so only the last block, passes the guard
-        (-701.0, -32000.0, "-q = 701 exceeds"),
+        # only the last row, so only the last block, passes the guard on -2q
+        (-351.0, -32000.0, "-2q = 702 exceeds"),
         # every row does, the first block already; the worst is the last row
-        (-2000.0, -10.0, "-q = 2e+03 exceeds"),
+        (-2000.0, -10.0, "-2q = 4e+03 exceeds"),
     ], ids=["last-block", "every-block"])
     def test_guard_checks_each_block_before_its_exp(self, monkeypatch, c, x_first, message):
         # q = x^2 + p^2 + c, deepest at x = 0, which the frame puts on the last row
@@ -280,6 +286,25 @@ class TestBlockedMarginal:
                 _whole_grid_marginal(form, "s", n, span)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(message)
+
+    # fig2's amplitude with f0 replaced: |Phi|^2 = exp(-2q) over- or underflows
+    # at -q = 400 (-2q = 800) and at -q = -400, where exp(-q) alone does not
+    @pytest.mark.parametrize("f0,message", [
+        (-400.0, "-2q = 800 exceeds"),
+        (400.0, "the sampled mass 0.0 leaves double range"),
+    ], ids=["overflow", "underflow"])
+    def test_marginals_raise_where_the_density_leaves_double_range(self, fig2, f0, message):
+        t = replace(fig2, f0=f0)
+        with np.errstate(over="raise"):     # the guard stops the exp that would overflow
+            for oracle_call in (quad_norm, numeric_marginal):
+                with pytest.raises(ExponentOverflow, match=message):
+                    oracle_call(t)
+
+    def test_the_rate_holds_just_inside_the_guard(self, fig2):
+        # -2q = 600 at the peak: exp is finite and the norm is 5.75e267
+        t = replace(fig2, f0=-300.0)
+        assert quad_norm(t) == pytest.approx(pair_rate(t).pairs_per_s, rel=1e-6, abs=0)
+        assert pair_rate(t).pairs_per_s == pytest.approx(5.7507137990732e267, rel=1e-12)
 
     def test_peak_memory_of_one_marginal(self, make_case):
         # the whole 1537^2 grid took 56.8 MB; a block of rows stays far below 4 MB
@@ -396,6 +421,14 @@ class TestNumericSchmidt:
             numeric_schmidt(t, n_points=128)
         with pytest.raises(GridTooCoarse):
             numeric_schmidt(t, n_points=256, span=1.5)
+
+    # |Phi| = exp(-q) passes evaluate's guard; its square, the sampled mass, does not
+    @pytest.mark.parametrize("f0,mass", [(-400.0, "inf"), (400.0, "0.0")],
+                             ids=["overflow", "underflow"])
+    @pytest.mark.filterwarnings("error")        # the typed error alone, no numpy warning
+    def test_raises_where_the_density_leaves_double_range(self, fig2, f0, mass):
+        with pytest.raises(ExponentOverflow, match=f"the sampled mass {mass} leaves"):
+            numeric_schmidt(replace(fig2, f0=f0), n_points=256)
 
     # (tau_p, z_p, a_p) with vartheta 0.85-0.92, where the spectrum decays slowest
     HIGH_VARTHETA = [(5.68e-13, 3e-6, 0.8), (7.21e-13, 3e-6, 0.8), (9.14e-13, 3e-6, -1.2),

@@ -1,4 +1,5 @@
-"""What a fresh process loads: the scalar path never imports numpy.
+"""What a fresh process loads: the scalar path never imports numpy, and a request
+imports no module that importing the CLI did not.
 
 These run the package in new interpreters, because this test process has
 numpy loaded already (conftest imports it).
@@ -30,9 +31,11 @@ import json, sys
 import counterpairs
 assert "numpy" not in sys.modules, "import counterpairs loaded numpy"
 from counterpairs.cli import main
+loaded = set(sys.modules)
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    assert "numpy" not in sys.modules, f"{argv[0]} loaded numpy"
+    # numpy above all: a request imports nothing that the import did not
+    assert set(sys.modules) == loaded, f"{argv[0]} imported {sorted(set(sys.modules) - loaded)}"
 """
 
 # (output file, arguments): each scalar subcommand, and scenario in both formats
