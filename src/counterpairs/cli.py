@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 
 from . import __version__
@@ -77,10 +78,42 @@ def _leaves(doc: dict) -> list:
     return leaves
 
 
+_float_repr = float.__repr__     # json's float format; a float subclass prints as a float
+
+
+def _json(node, indent: str = "\n") -> str:
+    """json.dumps(node, indent=2, sort_keys=True, allow_nan=False) for str-keyed dicts:
+    each leaf formatted by the C function json uses (a finite float in its container's
+    comprehension, saving a call), each container joined once; indent precedes the
+    closing bracket. A non-finite float raises ValueError, as in json."""
+    inner = indent + "  "
+    if isinstance(node, dict):
+        lines = [f"{encode_basestring_ascii(key)}: {text}"
+                 for key in sorted(node) for value in [node[key]]
+                 for text in [_float_repr(value) if type(value) is float and isfinite(value)
+                              else _json(value, inner)]]
+        return f"{{{inner}{(',' + inner).join(lines)}{indent}}}" if lines else "{}"
+    if isinstance(node, (list, tuple)):
+        lines = [_float_repr(value) if type(value) is float and isfinite(value)
+                 else _json(value, inner) for value in node]
+        return f"[{inner}{(',' + inner).join(lines)}{indent}]" if lines else "[]"
+    if isinstance(node, float):
+        if not isfinite(node):
+            raise ValueError(f"Out of range float values are not JSON compliant: {node!r}")
+        return _float_repr(node)
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    if node is None or isinstance(node, bool):
+        return {None: "null", True: "true", False: "false"}[node]
+    if isinstance(node, int):
+        return int.__repr__(node)
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         try:
-            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            text = _json(doc) + "\n"
         except ValueError:      # the walk names a non-finite float's key
             _leaves(doc)
             raise
@@ -171,8 +204,7 @@ def _cmd_sweep(args) -> None:
         "files": files,
         "errors": sorted({str(exc) for exc in failed}),
     }
-    (out_dir / "sweep_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / "sweep_manifest.json").write_text(_json(manifest) + "\n")
 
 
 def _cmd_hom(args) -> dict:

@@ -36,7 +36,6 @@ from .errors import (
     OutOfValidityWindow,
 )
 
-_DATA = Path(__file__).with_name("data")    # the built-in models, shipped beside this module
 _GAMMA_SQ_FLOOR = 1e-12   # 1/m^2, below this the 1/(gs^2+gi^2) expansion is rejected
 
 
@@ -357,25 +356,8 @@ def _coefficients(material: str, kind: str, raw) -> tuple:
     raise ValueError(f"model {material!r}: {kind} coefficients must be {shape}, got {raw!r}")
 
 
-def load_model(source: str | Path) -> DispersionModel:
-    """Load a dispersion model from a JSON data file or a built-in name.
-
-    A built-in name ("linbo3_e") is read by path from the data directory
-    packaged beside this module.
-    The file schema carries the material label, (B, C) coefficient pairs,
-    and the wavelength validity window in meters; the loader converts the
-    window to angular frequency and verifies n0 > 1 across it.
-    """
-    path = Path(source)
-    if path.suffix == ".json" and path.exists():
-        raw = json.loads(path.read_text())
-    else:
-        try:
-            raw = json.loads((_DATA / f"{source}.json").read_text())
-        except FileNotFoundError:
-            raise FileNotFoundError(
-                f"no dispersion data file at {source!r} and no built-in model of that name"
-            ) from None
+def _model(raw, source) -> DispersionModel:
+    """The model a data file's parsed JSON describes, checked; source names the file."""
     if not isinstance(raw, dict):
         raise ValueError(f"dispersion data {str(source)!r} is not a JSON object")
     if raw.get("schema") != "dispersion-model/1":
@@ -409,3 +391,29 @@ def load_model(source: str | Path) -> DispersionModel:
             "index must be finite and > 1 across the validity window"
         )
     return model
+
+
+def load_model(source: str | Path) -> DispersionModel:
+    """Load a dispersion model from a JSON data file or a built-in name.
+
+    A user's .json file is read and checked on every call. A built-in name
+    ("linbo3_e") returns the model parsed from the data directory packaged
+    beside this module, once, at import.
+    The file schema carries the material label, (B, C) coefficient pairs,
+    and the wavelength validity window in meters; the loader converts the
+    window to angular frequency and verifies n0 > 1 across it.
+    """
+    path = Path(source)
+    if path.suffix == ".json" and path.exists():
+        return _model(json.loads(path.read_text()), source)
+    try:
+        return _BUILT_IN[str(source)]
+    except KeyError:
+        raise FileNotFoundError(
+            f"no dispersion data file at {source!r} and no built-in model of that name"
+        ) from None
+
+
+# name -> model of each shipped data file, checked as a user's file is; a value, not a cache
+_BUILT_IN = {path.stem: _model(json.loads(path.read_text()), path.stem)
+             for path in Path(__file__).with_name("data").iterdir() if path.suffix == ".json"}

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from counterpairs import cli, config
 from counterpairs.cli import build_parser, main
@@ -25,7 +27,12 @@ from counterpairs.config import (
     resolve_scenario,
 )
 from counterpairs.entanglement import schmidt
-from counterpairs.errors import ConfigInvalid, CounterpairsError, TotalInternalReflection
+from counterpairs.errors import (
+    ConfigInvalid,
+    CounterpairsError,
+    OutOfRange,
+    TotalInternalReflection,
+)
 from counterpairs.spectral import pair_rate
 from counterpairs.temporal import flux, hom_params
 from counterpairs.tpsa import normalize
@@ -690,6 +697,57 @@ class TestOutputFormat:
         assert code == 0 and json.loads(out)["P"] is None
         code, out, _ = run_cli(capsys, "scenario", *argv, "--format", "csv")
         assert code == 0 and "schmidt.P," in out.splitlines()
+
+
+# what json.dumps writes as it is: str keys that need escaping, numbers at the edges
+# of their formats, and numpy's float64, which json formats as a float
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fa.Z 9\u00e9\u03bb\u2028\U0001f600')
+                | st.characters(), max_size=6)
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, 1e22, 1e-7, 123456789012345680.0])
+           | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+_LEAVES = (st.none() | st.booleans() | _FLOATS | _TEXT
+           | st.integers() | st.integers(2**63 - 2, 2**80) | st.integers(-2**80, -2**63))
+_TREES = st.recursive(_LEAVES, lambda children: (
+    st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4)), max_leaves=24)
+_DOCUMENTS = st.dictionaries(_TEXT, _TREES, max_size=5)
+
+
+class TestJsonWriter:
+    """The one JSON writer gives json.dumps's bytes, and refuses a non-finite float
+    by its dotted key before anything is written."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(tree=_TREES)
+    def test_the_writer_writes_json_dumps_bytes(self, tree):
+        assert cli._json(tree) == json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(doc=_DOCUMENTS, bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+    def test_a_non_finite_float_anywhere_names_its_key(self, tmp_path_factory, doc, bad, data):
+        # put the one non-finite float at a drawn place: in a drawn dict or list,
+        # in place of a child, under a new key or at the end
+        node, keys = doc, []
+        while True:
+            slots = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+            slot = data.draw(st.sampled_from([None, *slots]))
+            if slot is None and isinstance(node, list):
+                slot = len(node)
+                node.append(None)
+            elif slot is None:
+                slot = data.draw(_TEXT.filter(lambda key: key not in node))
+            elif isinstance(node[slot], (dict, list)) and data.draw(st.booleans()):
+                node, keys = node[slot], keys + [str(slot)]
+                continue
+            node[slot] = bad
+            keys.append(str(slot))
+            break
+        out = tmp_path_factory.mktemp("emit") / "doc.json"
+        with pytest.raises(OutOfRange) as got:
+            cli._emit(doc, "json", str(out))
+        assert str(got.value) == f"{'.'.join(keys)} = {bad!r} is not finite"
+        assert not out.exists()
 
 
 class TestHomAndSchmidt:

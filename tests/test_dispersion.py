@@ -1,7 +1,9 @@
 """Dispersion, guided propagation, phase matching, and the overlap expansion."""
 
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,17 +79,52 @@ def _model_file(tmp_path, coefficients, window=(4.0e-7, 3.5e-6), kind="sellmeier
 
 class TestLoadModel:
     def test_shipped_model_loads_with_one_index_evaluation(self, monkeypatch):
+        # the shipped file is checked once, at import: a fresh copy of the module
+        # evaluates the index once while it is imported and never on a load_model call
+        spec = importlib.util.spec_from_file_location("counterpairs._dispersion_copy",
+                                                      dispersion.__file__)
+        copy = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, copy)   # its dataclasses look it up
         calls = []
-        original = dispersion.refractive_index
 
-        def counted(model, omega):
-            calls.append(omega)
-            return original(model, omega)
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "refractive_index"
+                    and frame.f_code.co_filename == dispersion.__file__):
+                calls.append(frame.f_locals["omega"])
 
-        monkeypatch.setattr(dispersion, "refractive_index", counted)
-        model = cp.load_model("linbo3_e")
+        sys.setprofile(profile)
+        try:
+            spec.loader.exec_module(copy)
+            at_import = list(calls)
+            model = copy.load_model("linbo3_e")
+            copy.load_model("linbo3_e")
+        finally:
+            sys.setprofile(None)
         # the long-wavelength end, where the index is smallest
-        assert calls == [model.omega_window[0]]
+        assert at_import == [model.omega_window[0]]
+        assert calls == at_import
+
+    def test_a_built_in_name_gives_one_model(self):
+        assert cp.load_model("linbo3_e") is cp.load_model("linbo3_e")
+        assert cp.load_model(Path("linbo3_e")) is cp.load_model("linbo3_e")
+
+    def test_a_user_file_is_read_on_every_call(self, tmp_path):
+        path = _model_file(tmp_path, [2.0], kind="constant")
+        assert cp.load_model(path).coefficients == (2.0,)
+        _model_file(tmp_path, [2.5], kind="constant")
+        assert cp.load_model(path).coefficients == (2.5,)
+
+    @pytest.mark.parametrize("source", ["./linbo3_e", "../data/linbo3_e", "linbo3_e.json",
+                                        "linbo3_e/", "LINBO3_E", "", "data/linbo3_e"])
+    def test_a_built_in_name_is_a_name_not_a_path(self, source):
+        # only the shipped name itself is built in; a path to it must end in .json
+        with pytest.raises(FileNotFoundError, match="no built-in model of that name"):
+            cp.load_model(source)
+
+    def test_a_path_needs_its_json_suffix(self, tmp_path):
+        path = _model_file(tmp_path, [2.0], kind="constant")
+        with pytest.raises(FileNotFoundError, match="no built-in model of that name"):
+            cp.load_model(str(path.with_suffix("")))
 
     def test_pole_inside_the_window_is_rejected(self, tmp_path):
         # a weak pole at L = 1 um: the index is finite and > 1 at the 65 evenly

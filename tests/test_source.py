@@ -87,6 +87,12 @@ def test_one_conversion_each_way_refracts_the_pump():
     assert _found(_calls_to("internal_dispersion")) == {("config.py", "apply_sweep_value")}
 
 
+def test_one_writer_writes_every_json_document():
+    # cli._json gives json.dumps's bytes, so a scalar document and the sweep
+    # manifest alike go through it; a second JSON writer fails here
+    assert not _found(lambda call: _calls_to("dumps")(call) or _calls_to("dump")(call))
+
+
 def _is_square(node):
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
             and isinstance(node.right, ast.Constant) and node.right.value == 2)
