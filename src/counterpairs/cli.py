@@ -26,15 +26,15 @@ from .config import (
     SWEEP_PARAMS,
     Scenario,
     _DEG,
-    _hom_section,
+    _hom,
     _parse_quantity,
     _read_assignments,
-    _schmidt_section,
-    build_scenario_tpsa,
+    _schmidt,
     compute_scenario,
     parse_config,
     parse_sweep,
     resolve_scenario,
+    scenario_material,
     sweep_point,
 )
 from .constants import C_LIGHT
@@ -46,10 +46,10 @@ from .dispersion import (
     pump_wavevector,
     refractive_index,
 )
-from .entanglement import schmidt
 from .errors import ConfigInvalid, CounterpairsError, OutOfRange, in_double_range
 from .inverse import MeasurementSet, estimate, fit_hom_B
 from .temporal import hom_curve, hom_params
+from .tpsa import assemble_tpsa
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -213,12 +213,13 @@ def _cmd_hom(args) -> dict:
     if args.points < 1:
         raise ConfigInvalid(f"--points must be a positive integer; got {args.points}",
                             field="--points")
-    tpsa = build_scenario_tpsa(_load_scenario(args))
-    dip = hom_params(tpsa)
-    doc = _hom_section(dip)
+    sc = _load_scenario(args)
+    mp = scenario_material(sc)
+    tpsa = assemble_tpsa(mp, sc.pump, sc.filt, include_g=sc.include_g)
+    doc = _hom(sc, mp, tpsa)
     if args.curve_out:
         import numpy as np
-        span = args.span * dip.delta_tau_l
+        span = args.span * hom_params(tpsa).delta_tau_l     # in s; the section's is in fs
         taus = np.linspace(-span, span, args.points)
         rates = hom_curve(tpsa, taus)
         Path(args.curve_out).write_text(_grid_csv(
@@ -229,8 +230,9 @@ def _cmd_hom(args) -> dict:
 
 def _cmd_schmidt(args) -> dict:
     sc = _load_scenario(args)
-    sch = schmidt(build_scenario_tpsa(sc), p_min=sc.p_min)
-    return {**_schmidt_section(sch), "p_min": sch.p_min}
+    mp = scenario_material(sc)
+    tpsa = assemble_tpsa(mp, sc.pump, sc.filt, include_g=sc.include_g)
+    return {**_schmidt(sc, mp, tpsa), "p_min": sc.p_min}
 
 
 # key -> (unit, required, default, domain), as config._SCHEMA

@@ -30,10 +30,10 @@ from .dispersion import (
     material_point,
     refractive_index,
 )
-from .entanglement import SchmidtSpectrum, principal_axes, schmidt, separability_roots
+from .entanglement import principal_axes, schmidt, separability_roots
 from .errors import ConfigInvalid, CounterpairsError, OutOfRange, in_double_range
 from .spectral import pair_rate, spectrum, wavelength_width, width_ratio
-from .temporal import HomDip, flux, hom_params, width_products
+from .temporal import flux, hom_params, width_products
 from .tpsa import (
     FilterSpec,
     GaussianTPSA,
@@ -265,16 +265,12 @@ def compute_scenario(sc: Scenario) -> dict:
     """Every scalar observable of one scenario as a JSON-ready dict."""
     mp = scenario_material(sc)
     tpsa = assemble_tpsa(mp, sc.pump, sc.filt, include_g=sc.include_g)
-    rate = pair_rate(tpsa)
-    spec_s = spectrum(tpsa, "s")
-    spec_i = spectrum(tpsa, "i")
-    flux_s = flux(tpsa, "s")
-    flux_i = flux(tpsa, "i")
-    dip = hom_params(tpsa)
-    sch = schmidt(tpsa, p_min=sc.p_min)
-    axes = principal_axes(tpsa)
-    tb = width_products(spec_s, spec_i, flux_s, flux_i)
-    ratio = width_ratio(tpsa)
+    rate = _rate(sc, mp, tpsa)
+    spectra = _spectra(sc, mp, tpsa)
+    flux_out = _flux(sc, mp, tpsa, spectra)
+    hom = _hom(sc, mp, tpsa)
+    sch = _schmidt(sc, mp, tpsa)
+    axes = _principal_axes(sc, mp, tpsa)
     if sc.pump.a_p == 0.0:
         sep = separability_roots(mp, sc.pump, include_g=sc.include_g)
         sep_out = {
@@ -283,33 +279,9 @@ def compute_scenario(sc: Scenario) -> dict:
         }
     else:
         sep_out = None
-    d_out = external_dispersion(mp.n_p, mp.dn_dw_p, mp.omega_p0,
-                                sc.pump.theta_p0, sc.pump.dtilde_theta)
 
     return {
-        "inputs": {
-            "waveguide": {
-                "alpha_1_per_m": sc.wg.alpha, "Ly_m": sc.wg.ly,
-                "d_m_per_V": sc.wg.d, "model": sc.wg.model.material,
-            },
-            "pump": {
-                "lambda_p0_m": sc.pump.lambda_p0, "tau_p_s": sc.pump.tau_p,
-                "a_p": sc.pump.a_p, "Z_p_m": sc.pump.z_p, "Y_p_m": sc.pump.y_p,
-                "theta_p0_rad": sc.pump.theta_p0,
-                "theta_p0_deg": sc.pump.theta_p0 / _DEG,
-                "Dtilde_theta_rad_s": sc.pump.dtilde_theta,
-                "D_theta_out_deg_per_m": None if d_out is None else d_out / _DEG,
-                "P_p_W": sc.pump.p_p, "f_rep_per_s": sc.pump.f_rep,
-            },
-            "filters": {"sigma_s_rad_per_s": sc.filt.sigma_s,
-                        "sigma_i_rad_per_s": sc.filt.sigma_i},
-            "centrals": {"omega_s0_rad_per_s": sc.omega_s0,
-                         "omega_i0_rad_per_s": sc.omega_i0,
-                         "lambda_s0_m": 2.0 * math.pi * C_LIGHT / sc.omega_s0,
-                         "lambda_i0_m": 2.0 * math.pi * C_LIGHT / sc.omega_i0},
-            "include_g": sc.include_g,
-            "p_min": sc.p_min,
-        },
+        "inputs": _inputs(sc, mp, tpsa),
         "tpsa": {
             "f2s_s2": _complex_pair(tpsa.f2s),
             "f2i_s2": _complex_pair(tpsa.f2i),
@@ -324,77 +296,126 @@ def compute_scenario(sc: Scenario) -> dict:
             "G_s_s2": tpsa.g_s, "G_i_s2": tpsa.g_i, "G_si_s2": tpsa.g_si,
             "D_fr_s4": tpsa.d_fr,
         },
-        "rate": {"N_pairs_per_s": rate.pairs_per_s,
-                 "per_pulse_probability": rate.per_pulse},
-        "spectra": {
-            "sigma_omega_s_rad_per_s": spec_s.sigma_omega,
-            "sigma_omega_i_rad_per_s": spec_i.sigma_omega,
-            "sigma_lambda_s_nm": wavelength_width(sc.omega_s0, spec_s.sigma_omega) * 1e9,
-            "sigma_lambda_i_nm": wavelength_width(sc.omega_i0, spec_i.sigma_omega) * 1e9,
-            "delta_omega_s0_rad_per_s": spec_s.delta_omega0,
-            "delta_omega_i0_rad_per_s": spec_i.delta_omega0,
-            "width_ratio_F": ratio.f,
-            "sigma_ratio_s_over_i": ratio.sigma_ratio_si,
-        },
-        "flux": {
-            "sigma_tau_s_fs": flux_s.sigma_tau * 1e15,
-            "sigma_tau_i_fs": flux_i.sigma_tau * 1e15,
-            "delta_tau_s0_fs": flux_s.delta_tau0 * 1e15,
-            "delta_tau_i0_fs": flux_i.delta_tau0 * 1e15,
-            "time_bandwidth_s": tb.product_s,
-            "time_bandwidth_i": tb.product_i,
-            "time_bandwidth_ratio": tb.ratio,
-        },
-        "hom": _hom_section(dip),
-        "schmidt": _schmidt_section(sch),
-        "separability": sep_out,
-        "principal_axes": {"mu1_s2": axes.mu1, "mu2_s2": axes.mu2,
-                           "psi_si_rad": axes.psi_si,
-                           "psi_si_deg": axes.psi_si / _DEG},
+        "rate": rate, "spectra": spectra, "flux": flux_out, "hom": hom, "schmidt": sch,
+        "separability": sep_out, "principal_axes": axes,
     }
 
 
-def _hom_section(dip: HomDip) -> dict:
+# Each computed section of the document: one function of the scenario, its
+# material and its amplitude, on scalars or on a sweep's broadcast arrays.
+def _inputs(sc, mp, tpsa):
+    d_out = external_dispersion(mp.n_p, mp.dn_dw_p, mp.omega_p0,
+                                sc.pump.theta_p0, sc.pump.dtilde_theta)
+    return {
+        "waveguide": {
+            "alpha_1_per_m": sc.wg.alpha, "Ly_m": sc.wg.ly,
+            "d_m_per_V": sc.wg.d, "model": sc.wg.model.material,
+        },
+        "pump": {
+            "lambda_p0_m": sc.pump.lambda_p0, "tau_p_s": sc.pump.tau_p,
+            "a_p": sc.pump.a_p, "Z_p_m": sc.pump.z_p, "Y_p_m": sc.pump.y_p,
+            "theta_p0_rad": sc.pump.theta_p0,
+            "theta_p0_deg": sc.pump.theta_p0 / _DEG,
+            "Dtilde_theta_rad_s": sc.pump.dtilde_theta,
+            "D_theta_out_deg_per_m": None if d_out is None else d_out / _DEG,
+            "P_p_W": sc.pump.p_p, "f_rep_per_s": sc.pump.f_rep,
+        },
+        "filters": {"sigma_s_rad_per_s": sc.filt.sigma_s,
+                    "sigma_i_rad_per_s": sc.filt.sigma_i},
+        "centrals": {"omega_s0_rad_per_s": sc.omega_s0,
+                     "omega_i0_rad_per_s": sc.omega_i0,
+                     "lambda_s0_m": 2.0 * math.pi * C_LIGHT / sc.omega_s0,
+                     "lambda_i0_m": 2.0 * math.pi * C_LIGHT / sc.omega_i0},
+        "include_g": sc.include_g,
+        "p_min": sc.p_min,
+    }
+
+
+def _rate(sc, mp, tpsa):
+    rate = pair_rate(tpsa)
+    return {"N_pairs_per_s": rate.pairs_per_s, "per_pulse_probability": rate.per_pulse}
+
+
+def _spectra(sc, mp, tpsa):
+    spec_s = spectrum(tpsa, "s")
+    spec_i = spectrum(tpsa, "i")
+    ratio = width_ratio(tpsa)
+    return {
+        "sigma_omega_s_rad_per_s": spec_s.sigma_omega,
+        "sigma_omega_i_rad_per_s": spec_i.sigma_omega,
+        "sigma_lambda_s_nm": wavelength_width(sc.omega_s0, spec_s.sigma_omega) * 1e9,
+        "sigma_lambda_i_nm": wavelength_width(sc.omega_i0, spec_i.sigma_omega) * 1e9,
+        "delta_omega_s0_rad_per_s": spec_s.delta_omega0,
+        "delta_omega_i0_rad_per_s": spec_i.delta_omega0,
+        "width_ratio_F": ratio.f,
+        "sigma_ratio_s_over_i": ratio.sigma_ratio_si,
+    }
+
+
+def _flux(sc, mp, tpsa, spectra):
+    """Its time-bandwidth products read the widths of the spectra section, built before."""
+    flux_s = flux(tpsa, "s")
+    flux_i = flux(tpsa, "i")
+    tb = width_products(spectra["sigma_omega_s_rad_per_s"], spectra["sigma_omega_i_rad_per_s"],
+                        flux_s.sigma_tau, flux_i.sigma_tau)
+    return {
+        "sigma_tau_s_fs": flux_s.sigma_tau * 1e15,
+        "sigma_tau_i_fs": flux_i.sigma_tau * 1e15,
+        "delta_tau_s0_fs": flux_s.delta_tau0 * 1e15,
+        "delta_tau_i0_fs": flux_i.delta_tau0 * 1e15,
+        "time_bandwidth_s": tb.product_s,
+        "time_bandwidth_i": tb.product_i,
+        "time_bandwidth_ratio": tb.ratio,
+    }
+
+
+def _hom(sc, mp, tpsa):
+    dip = hom_params(tpsa)
     return {"A": dip.a, "B_per_s2": dip.b, "visibility": dip.visibility,
             "beat_rad_per_s": dip.beat, "delta_tau_l_fs": dip.delta_tau_l * 1e15}
 
 
-def _schmidt_section(sch: SchmidtSpectrum) -> dict:
-    return {"P": sch.p if math.isfinite(sch.p) else None,     # infinite when separable
+def _schmidt(sc, mp, tpsa):
+    sch = schmidt(tpsa, p_min=sc.p_min)
+    return {"P": ew.where(sch.p < math.inf, sch.p, None),     # infinite when separable
             "vartheta": sch.vartheta, "entropy_bits": sch.entropy_bits, "n_min": sch.n_min,
             "lambda_sq_first_8": [sch.lambda_sq(n) for n in range(8)]}
 
 
-def _sigma_lambda_nm(tpsa: GaussianTPSA, field: str):
-    omega0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
-    return wavelength_width(omega0, spectrum(tpsa, field).sigma_omega) * 1e9
+def _principal_axes(sc, mp, tpsa):
+    axes = principal_axes(tpsa)
+    return {"mu1_s2": axes.mu1, "mu2_s2": axes.mu2, "psi_si_rad": axes.psi_si,
+            "psi_si_deg": axes.psi_si / _DEG}
 
 
-# Sweep output quantities: name -> (unit label, value from the swept scenario
-# and its amplitude). Each computes only what it reports, on one cell or on
-# a whole broadcast grid, with the formulas of compute_scenario.
+# Sweep output quantities: name -> (unit label, scenario section, key in it).
+# Each is its key's value in the section built on the swept grid; a dotted
+# key is nested, and a pair of keys gives their quotient.
 QUANTITIES = {
-    "N": ("1/s", lambda sc, t: pair_rate(t).pairs_per_s),
-    "per_pulse": ("1", lambda sc, t: pair_rate(t).per_pulse),
-    "sigma_omega_s": ("rad/s", lambda sc, t: spectrum(t, "s").sigma_omega),
-    "sigma_omega_i": ("rad/s", lambda sc, t: spectrum(t, "i").sigma_omega),
-    "sigma_lambda_s": ("nm", lambda sc, t: _sigma_lambda_nm(t, "s")),
-    "sigma_lambda_i": ("nm", lambda sc, t: _sigma_lambda_nm(t, "i")),
-    "ratio_lambda_si": ("1", lambda sc, t: (_sigma_lambda_nm(t, "s")
-                                            / _sigma_lambda_nm(t, "i"))),
-    "sigma_tau_s": ("fs", lambda sc, t: flux(t, "s").sigma_tau * 1e15),
-    "sigma_tau_i": ("fs", lambda sc, t: flux(t, "i").sigma_tau * 1e15),
-    "hom_A": ("1", lambda sc, t: hom_params(t).a),
-    "hom_B": ("1/s^2", lambda sc, t: hom_params(t).b),
-    "visibility": ("1", lambda sc, t: hom_params(t).visibility),
-    "delta_tau_l": ("fs", lambda sc, t: hom_params(t).delta_tau_l * 1e15),
-    "entropy": ("bits", lambda sc, t: schmidt(t, p_min=sc.p_min).entropy_bits),
-    "vartheta": ("1", lambda sc, t: schmidt(t, p_min=sc.p_min).vartheta),
-    "n_min": ("modes", lambda sc, t: schmidt(t, p_min=sc.p_min).n_min),
-    "psi_si": ("deg", lambda sc, t: principal_axes(t).psi_si / _DEG),
-    "theta_p0": ("deg", lambda sc, t: sc.pump.theta_p0 / _DEG),
+    "N": ("1/s", "rate", "N_pairs_per_s"),
+    "per_pulse": ("1", "rate", "per_pulse_probability"),
+    "sigma_omega_s": ("rad/s", "spectra", "sigma_omega_s_rad_per_s"),
+    "sigma_omega_i": ("rad/s", "spectra", "sigma_omega_i_rad_per_s"),
+    "sigma_lambda_s": ("nm", "spectra", "sigma_lambda_s_nm"),
+    "sigma_lambda_i": ("nm", "spectra", "sigma_lambda_i_nm"),
+    "ratio_lambda_si": ("1", "spectra", ("sigma_lambda_s_nm", "sigma_lambda_i_nm")),
+    "sigma_tau_s": ("fs", "flux", "sigma_tau_s_fs"),
+    "sigma_tau_i": ("fs", "flux", "sigma_tau_i_fs"),
+    "hom_A": ("1", "hom", "A"),
+    "hom_B": ("1/s^2", "hom", "B_per_s2"),
+    "visibility": ("1", "hom", "visibility"),
+    "delta_tau_l": ("fs", "hom", "delta_tau_l_fs"),
+    "entropy": ("bits", "schmidt", "entropy_bits"),
+    "vartheta": ("1", "schmidt", "vartheta"),
+    "n_min": ("modes", "schmidt", "n_min"),
+    "psi_si": ("deg", "principal_axes", "psi_si_deg"),
+    "theta_p0": ("deg", "inputs", "pump.theta_p0_deg"),
 }
 _INTEGER_QUANTITIES = ("n_min",)
+# section -> the function that builds it; flux, which also reads the spectra
+# section, is built by name
+_SECTIONS = {"rate": _rate, "spectra": _spectra, "hom": _hom, "schmidt": _schmidt,
+             "principal_axes": _principal_axes, "inputs": _inputs}
 
 
 @dataclass(frozen=True)
@@ -474,19 +495,38 @@ def parse_sweep(raw: dict) -> SweepSpec:
             raise ConfigInvalid(
                 f"unknown sweep quantity {name!r}; choose from {sorted(QUANTITIES)}",
                 field="sweep.quantities")
+        if names.count(name) > 1:
+            raise ConfigInvalid(f"duplicate sweep quantity {name!r}", field="sweep.quantities")
     if not names:
         raise ConfigInvalid("sweep.quantities is empty", field="sweep.quantities")
     return SweepSpec(axis1=axis1, axis2=axis2, quantities=names)
 
 
 def _evaluate_sweep(sc: Scenario, spec: SweepSpec, mp: MaterialPoint, v1, v2):
-    """The requested quantities at axis values v1, v2 (scalars or broadcast arrays)."""
+    """The requested quantities at axis values v1, v2 (scalars or broadcast
+    arrays), each read off its section of the scenario document; a section is
+    built once, when the first quantity that reads it is evaluated."""
     with in_double_range("the swept settings"):
         point = apply_sweep_value(sc, spec.axis1.param, v1)
         if spec.axis2 is not None:
             point = apply_sweep_value(point, spec.axis2.param, v2)
         tpsa = assemble_tpsa(mp, point.pump, point.filt, include_g=sc.include_g)
-        return tpsa, {name: QUANTITIES[name][1](point, tpsa) for name in spec.quantities}
+        doc, values = {}, {}
+        for name in spec.quantities:
+            _, section, key = QUANTITIES[name]
+            if section == "flux" and "spectra" not in doc:   # its width products read it
+                doc["spectra"] = _spectra(point, mp, tpsa)
+            if section not in doc:
+                doc[section] = (_flux(point, mp, tpsa, doc["spectra"]) if section == "flux"
+                                else _SECTIONS[section](point, mp, tpsa))
+            node = doc[section]
+            if isinstance(key, tuple):      # ratio_lambda_si: a quotient of two keys
+                values[name] = node[key[0]] / node[key[1]]
+            else:
+                for part in key.split("."):     # theta_p0's key is nested
+                    node = node[part]
+                values[name] = node
+        return tpsa, values
 
 
 @dataclass(frozen=True)

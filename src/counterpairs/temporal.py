@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import _elementwise as ew, _gauss
 from .errors import OutOfRange, SingularTransform
-from .spectral import SpectrumParams, _peak, spectrum
+from .spectral import _peak, spectrum
 from .tpsa import GaussianTPSA
 
 _DF_REL_FLOOR = 1e-12
@@ -153,15 +153,14 @@ class TimeBandwidth:
 
 def time_bandwidth(tpsa: GaussianTPSA) -> TimeBandwidth:
     """sigma_w * sigma_tau per field; the s/i ratio is exactly 1 when chirp-free."""
-    return width_products(spectrum(tpsa, "s"), spectrum(tpsa, "i"),
-                          flux(tpsa, "s"), flux(tpsa, "i"))
+    return width_products(spectrum(tpsa, "s").sigma_omega, spectrum(tpsa, "i").sigma_omega,
+                          flux(tpsa, "s").sigma_tau, flux(tpsa, "i").sigma_tau)
 
 
-def width_products(spec_s: SpectrumParams, spec_i: SpectrumParams,
-                   flux_s: FluxParams, flux_i: FluxParams) -> TimeBandwidth:
-    """time_bandwidth from the spectra and fluxes of both fields, already formed."""
-    prod_s = spec_s.sigma_omega * flux_s.sigma_tau
-    prod_i = spec_i.sigma_omega * flux_i.sigma_tau
+def width_products(sigma_omega_s, sigma_omega_i, sigma_tau_s, sigma_tau_i) -> TimeBandwidth:
+    """time_bandwidth from the spectral and flux widths of both fields, already formed."""
+    prod_s = sigma_omega_s * sigma_tau_s
+    prod_i = sigma_omega_i * sigma_tau_i
     return TimeBandwidth(product_s=prod_s, product_i=prod_i,
                          ratio=prod_s / prod_i)
 

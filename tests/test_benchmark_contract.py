@@ -7,6 +7,7 @@ off the values it returns, and the tracer looks functions up by
 these fails here, in the fast tests, instead of in a benchmark run.
 """
 
+import ast
 import importlib
 import inspect
 import sys
@@ -78,6 +79,16 @@ def _resolve(path):
                          ids=[f"{c[0]}/{c[1]}{''.join('+' + k for k in c[2])}" for c in CALLS])
 def test_call_shapes_bind(path, n_args, kwargs):
     inspect.signature(_resolve(path)).bind(*[ARG] * n_args, **{k: ARG for k in kwargs})
+
+
+def test_perfbench_counts_the_sweep_quantities_there_are():
+    # layers.QUANTITY_COUNT is the denominator of config.quantities_used_frac;
+    # read from the source, so the fast tests need not import perfbench
+    counts = [ast.literal_eval(node.value)
+              for node in ast.parse((PERFBENCH / "layers.py").read_text()).body
+              if isinstance(node, ast.Assign)
+              and [getattr(target, "id", None) for target in node.targets] == ["QUANTITY_COUNT"]]
+    assert counts == [len(cp.config.QUANTITIES)]
 
 
 def test_sweep_point_takes_the_spec_second():

@@ -149,6 +149,8 @@ CONFIG_ERRORS = [
      "sweep.quantities"),
     ("sweep", ("fig6_sweep.cfg", {"sweep.quantities": ","}),
      "sweep.quantities is empty", "sweep.quantities"),
+    ("sweep", ("fig8_sweep.cfg", {"sweep.quantities": "psi_si psi_si"}),
+     "duplicate sweep quantity 'psi_si'", "sweep.quantities"),
 ]
 
 
@@ -224,6 +226,24 @@ def test_readme_tables_give_each_key_its_unit_and_domain():
         if len(cells) == 4 and cells[0].strip("`") in expected:
             rows[cells[0].strip("`")] = (cells[1], cells[2])
     assert rows == expected
+
+
+def test_readme_table_gives_each_sweep_quantity_its_unit_and_scenario_key():
+    # one row per sweep quantity, read off QUANTITIES; ratio_lambda_si is the
+    # quotient of its two keys
+    def key_cell(section, key):
+        if isinstance(key, tuple):
+            return " / ".join(f"`{section}.{part}`" for part in key) + " (quotient)"
+        return f"`{section}.{key}`"
+
+    expected = {name: (f"`{unit}`", key_cell(section, key))
+                for name, (unit, section, key) in config.QUANTITIES.items()}
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [part.strip() for part in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].strip("`") in expected:
+            rows[cells[0].strip("`")] = (cells[1], cells[2])
+    assert list(rows.items()) == list(expected.items())
 
 
 class TestScenario:

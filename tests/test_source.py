@@ -83,8 +83,23 @@ def test_one_conversion_each_way_refracts_the_pump():
     # third refraction path fails here
     assert _found(_calls_to("external_angle")) == {("tpsa.py", "external_dispersion"),
                                                    ("tpsa.py", "internal_dispersion")}
-    assert _found(_calls_to("external_dispersion")) == {("config.py", "compute_scenario")}
+    assert _found(_calls_to("external_dispersion")) == {("config.py", "_inputs")}
     assert _found(_calls_to("internal_dispersion")) == {("config.py", "apply_sweep_value")}
+
+
+def test_each_observable_is_evaluated_in_its_section():
+    # scenario, sweep, hom and schmidt read every output off the sections of
+    # the scenario document, so config and the CLI call each observable in its
+    # section alone; a second spelling of an output (a sweep formula, a
+    # hand-built section) fails here. The dip curve's span reads the dip in s.
+    sections = {"pair_rate": "_rate", "spectrum": "_spectra", "width_ratio": "_spectra",
+                "flux": "_flux", "hom_params": "_hom", "schmidt": "_schmidt",
+                "principal_axes": "_principal_axes"}
+    found = {name: {site for site in _found(_calls_to(name))
+                    if site[0] in ("config.py", "cli.py")} for name in sections}
+    assert found == {name: {("config.py", owner)} | ({("cli.py", "_cmd_hom")}
+                                                     if name == "hom_params" else set())
+                     for name, owner in sections.items()}
 
 
 def test_one_writer_writes_every_json_document():
@@ -155,6 +170,7 @@ def test_every_import_is_used():
 # Public definitions that no other definition in src/ references, with the
 # caller outside src/ that keeps each one.
 UNREFERENCED = {
+    "config.build_scenario_tpsa": "perfbench builds its amplitudes with it (layers, workloads)",
     "dispersion.constant_model": "README library section: dispersion-free material",
     "dispersion.g_taylor": "perfbench counts its calls (layers.CALLS)",
     "entanglement.schmidt_mode": "README library section: Hermite-Gaussian Schmidt modes",

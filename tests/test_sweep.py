@@ -5,11 +5,14 @@ Every sweepable parameter is swept against a Z_p axis that starts at 0
 without the G terms) and with each alone, around a non-degenerate, chirped scenario with a one-sided
 filter. Each grid cell
 must equal the scalar evaluation of that cell to 1e-12 relative, fail
-where it fails, and report the same messages.
+where it fails, and report the same messages. A sweep quantity is a key of
+a section of the scenario document: each quantity equals the document's
+value there, and a sweep builds each section it reads once.
 """
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,25 @@ def test_an_axis_without_a_scale_takes_the_schema_default(tmp_path, monkeypatch,
 ALL = " ".join(config.QUANTITIES)
 
 
+def _leaf(doc: dict, path: str):
+    for key in path.split("."):
+        doc = doc[key]
+    return doc
+
+
+def scalar_quantity(point, mp, tpsa, name):
+    """One cell's sweep quantity: its key in its scenario section, built on scalars."""
+    _, section, key = config.QUANTITIES[name]
+    if section == "flux":
+        doc = config._flux(point, mp, tpsa, config._spectra(point, mp, tpsa))
+    else:
+        doc = config._SECTIONS[section](point, mp, tpsa)
+    if name == "ratio_lambda_si":
+        assert key == ("sigma_lambda_s_nm", "sigma_lambda_i_nm")
+        return doc["sigma_lambda_s_nm"] / doc["sigma_lambda_i_nm"]
+    return _leaf(doc, key)
+
+
 @pytest.mark.parametrize("quantities,include_g",
                          [(ALL, True), (ALL, False)] + [(q, True) for q in config.QUANTITIES])
 @pytest.mark.parametrize("param", sorted(AXIS1))
@@ -159,8 +181,9 @@ def test_grid_equals_per_cell_scalar_evaluation(capsys, tmp_path, param, quantit
             try:
                 point = config.apply_sweep_value(
                     config.apply_sweep_value(sc, param, v1), axis2, v2)
+                mp = config.scenario_material(point)
                 tpsa = config.build_scenario_tpsa(point)
-                cell = {name: config.QUANTITIES[name][1](point, tpsa)
+                cell = {name: scalar_quantity(point, mp, tpsa, name)
                         for name in spec.quantities}
                 classes[-1].append("")
             except CounterpairsError as exc:
@@ -197,6 +220,85 @@ def test_assembly_runs_once_per_sweep(capsys, tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def spy_on(monkeypatch, names) -> list:
+    """Record each call of the named observables through config, as (name,
+    *arguments after the amplitude), in the order of the calls."""
+    calls = []
+    for name in names:
+        def spy(tpsa, *args, _name=name, _fn=getattr(config, name), **kwargs):
+            calls.append((_name, *args))
+            return _fn(tpsa, *args, **kwargs)
+        monkeypatch.setattr(config, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name,observable,observed", [
+    ("fig3_sweep", "spectrum", [("spectrum", "s"), ("spectrum", "i")]),
+    ("fig5_sweep", "hom_params", [("hom_params",)]),
+    ("fig6_sweep", "schmidt", [("schmidt",)]),
+    ("fig7_sweep", "schmidt", [("schmidt",)]),
+])
+def test_a_sweep_evaluates_each_observable_once(capsys, tmp_path, monkeypatch, name,
+                                                observable, observed):
+    # however many requested quantities read one section, the broadcast grid
+    # builds it once: fig3's three quantities read both spectra, fig6's three
+    # one Schmidt spectrum
+    calls = spy_on(monkeypatch, [observable])
+    assert main(["sweep", "--config", str(CONFIG_DIR / f"{name}.cfg"),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert calls == observed
+
+
+OBSERVABLES = ("pair_rate", "spectrum", "width_ratio", "flux", "hom_params", "schmidt",
+               "principal_axes")
+
+
+@pytest.mark.parametrize("command,observed", [
+    ("scenario", [("pair_rate",), ("spectrum", "s"), ("spectrum", "i"), ("width_ratio",),
+                  ("flux", "s"), ("flux", "i"), ("hom_params",), ("schmidt",),
+                  ("principal_axes",)]),
+    ("hom", [("hom_params",)]),
+    ("schmidt", [("schmidt",)]),
+])
+def test_a_document_evaluates_each_observable_once(capsys, monkeypatch, command, observed):
+    # section by section, in this order: a scenario that fails in several
+    # observables names the first of them
+    calls = spy_on(monkeypatch, OBSERVABLES)
+    assert main([command, "--config", str(CONFIG_DIR / "fig2.cfg")]) == 0
+    capsys.readouterr()
+    assert calls == observed
+
+
+def test_every_sweep_quantity_is_its_scenario_value():
+    # on every cell of the fig2 map, each quantity equals compute_scenario's
+    # value at its section and key for that cell, and ratio_lambda_si the
+    # quotient of the two wavelength widths
+    raw = config.parse_config(CONFIG_DIR / "fig2_sweep.cfg")
+    sc = config.resolve_scenario(raw)
+    spec = replace(config.parse_sweep(raw), quantities=tuple(config.QUANTITIES))
+    grid = config.sweep_point(sc, spec)
+    assert len(spec.quantities) == 18
+    cells = 0
+    for i, v1 in enumerate(spec.axis1.values):
+        for j, v2 in enumerate(spec.axis2.values):
+            point = config.apply_sweep_value(
+                config.apply_sweep_value(sc, spec.axis1.param, v1), spec.axis2.param, v2)
+            doc = config.compute_scenario(point)
+            assert grid.errors[i][j] is None
+            for name, (_, section, key) in config.QUANTITIES.items():
+                if name == "ratio_lambda_si":
+                    want = (doc["spectra"]["sigma_lambda_s_nm"]
+                            / doc["spectra"]["sigma_lambda_i_nm"])
+                else:
+                    want = _leaf(doc[section], key)
+                got = grid.values[name][i][j]
+                assert type(got) is type(want), name
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (name, v1, v2)
+            cells += 1
+    assert cells == 576
 
 
 def test_a_failure_every_cell_shares_fails_each_cell(capsys, tmp_path):
