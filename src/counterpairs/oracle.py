@@ -17,11 +17,14 @@ ridges that a box aligned with the field axes cannot. Marginals form that
 grid in row blocks, never whole. On each row q is a quadratic in the inner
 coordinate; its coefficients are formed once, on 1-D arrays, in twice the
 working precision, and a block is one real matrix product of 3-term row
-and column factors before its exp (1537^2: about 5-7 ms, 0.5 MB on 2
-cores). The rate is the norm of one marginal on a coarser grid (121^2).
+and column factors before its exp, and one product with the fine and the
+halved Simpson rules after it (1537^2: about 4-7 ms, 0.5 MB on 2 cores).
+The rate is the norm of one marginal on a coarser grid (121^2).
 The singular values come from a seeded block subspace iteration in real
-matrix products, not a full SVD (512^2: about 20-50 ms a call against
-70-115 ms).
+matrix products, not a full SVD (512^2: about 11-41 ms a call against
+70-115 ms), on an amplitude sampled from the same quadratic form: |Phi|
+with one real exp per node, and of its phase only the one cross term that
+is not a function of one frequency alone, from two small tables.
 Oracles favor correctness and determinism over speed.
 """
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import ExponentOverflow, GridTooCoarse, QuadratureNotConverged
 from .temporal import TimeDomainTPSA
-from .tpsa import _EXP_GUARD, GaussianTPSA, evaluate
+from .tpsa import _EXP_GUARD, GaussianTPSA
 
 _ROW_BLOCK = 24     # rows of -2q per block in one reused buffer: 295 KB at 1537 points
 _SCHMIDT_BLOCK, _SCHMIDT_MODES, _SCHMIDT_MAX_STEPS = 32, 8, 100
@@ -190,7 +193,8 @@ def _row_factors(form, field: str, t: np.ndarray):
 def _marginal(form, field: str, n_points: int) -> MarginalResult:
     """Marginal of scale exp(-2q) over the partner, on the sheared Simpson grid of +-8
     marginal by +-8 conditional widths, formed and reduced _ROW_BLOCK rows at a time:
-    each block of -2q is one product of _row_factors into one reused buffer."""
+    each block of -2q is one product of _row_factors into one reused buffer, and
+    its exp one product with both Simpson rules."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
     if n_points < 5 or n_points % 4 != 1:
@@ -199,9 +203,11 @@ def _marginal(form, field: str, n_points: int) -> MarginalResult:
     t = np.linspace(-_SPAN, _SPAN, n_points)
     x, w, r, c = _row_factors(form, field, t)
     h_p, h_x = w * (t[1] - t[0]), x[1] - x[0]
-    fine = _simpson_weights(n_points) * (form[0] * h_p / 3.0)
-    half = _simpson_weights(len(t[::2])) * (form[0] * 2.0 * h_p / 3.0)
-    marginal, coarse, worst = np.empty(n_points), np.empty(len(half)), -math.inf
+    # column 0: the fine Simpson rule; column 1: the halved grid's, on even nodes
+    weights = np.zeros((n_points, 2))
+    weights[:, 0] = _simpson_weights(n_points) * (form[0] * h_p / 3.0)
+    weights[::2, 1] = _simpson_weights(len(t[::2])) * (form[0] * 2.0 * h_p / 3.0)
+    marginal, coarse, worst = np.empty(n_points), np.empty(len(t[::2])), -math.inf
     buf = np.empty((_ROW_BLOCK, n_points))
     for lo in range(0, n_points, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
@@ -210,8 +216,9 @@ def _marginal(form, field: str, n_points: int) -> MarginalResult:
         worst = max(worst, float(q2.max()))
         if worst <= _EXP_GUARD:     # past the guard, only scan on for the worst -2q
             np.exp(q2, out=q2)
-            marginal[rows] = q2 @ fine
-            coarse[lo // 2:(lo + _ROW_BLOCK) // 2] = q2[::2, ::2] @ half
+            sums = q2 @ weights
+            marginal[rows] = sums[:, 0]
+            coarse[lo // 2:(lo + _ROW_BLOCK) // 2] = sums[::2, 1]   # lo is even
     if worst > _EXP_GUARD:
         raise ExponentOverflow(f"-2q = {worst:.3g} exceeds {_EXP_GUARD}")
     norm, mean, var = _moments(x, marginal, h_x)
@@ -244,16 +251,6 @@ def numeric_time_marginal(td: TimeDomainTPSA, field: str = "s",
                           n_points: int = 2049) -> MarginalResult:
     """Marginal of |Phi(tau_s, tau_i)|^2 over the partner time, with moments."""
     return _marginal(_time_form(td), field, n_points)
-
-
-def sample_grid(tpsa: GaussianTPSA, n_points: int, span: float):
-    """(omega_s, omega_i, amplitude) over +-span marginal widths about the centers."""
-    form = _spectral_form(tpsa)
-    (cs, ss, *_), (ci, si, *_) = _shear(form, "s"), _shear(form, "i")
-    cs, ci = tpsa.omega_s0 + cs, tpsa.omega_i0 + ci
-    ws = np.linspace(cs - span * ss, cs + span * ss, n_points)
-    wi = np.linspace(ci - span * si, ci + span * si, n_points)
-    return ws, wi, evaluate(tpsa, ws[:, None], wi[None, :])
 
 
 def _flush(x):
@@ -289,6 +286,15 @@ def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
     leading 8 singular values, normalized by the sampled Frobenius mass
     (so the squares of all of them would sum to one).
 
+    The amplitude is sampled on n_points^2 nodes over +-span marginal
+    widths about the centres, with the phases that are functions of one
+    frequency alone dropped: they are diagonal unitary factors on either
+    side, which leave the singular values unchanged. |Phi| is scale^(1/2)
+    exp(-q) from the real quadratic form, one real exp per node (-q is held
+    to 700). The one cross phase left, exp(-i Im f2si x_s x_i) up to such
+    factors, is exp(-i g j) in column j on each row, built from two tables
+    by angle addition: 2 n ceil(sqrt(n)) complex exps, not n^2.
+
     The values come from a block subspace iteration with Rayleigh-Ritz
     (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)): from a fixed
     random block Z of 32 columns, Q = qr(A Z), then Z, R = qr(A^H Q), whose
@@ -307,9 +313,22 @@ def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
     """
     if n_points < 256:
         raise ValueError("n_points must be at least 256")
-    amplitude = sample_grid(tpsa, n_points, span)[2]
+    form = _spectral_form(tpsa)
+    (cs, ss, *_), (ci, si, *_) = _shear(form, "s"), _shear(form, "i")
+    xs = np.linspace(cs - span * ss, cs + span * ss, n_points)
+    xi, h_i = np.linspace(ci - span * si, ci + span * si, n_points, retstep=True)
+    a_s, a_i, a_si, b_s, b_i, c = form[2]
+    ones = np.ones(n_points)
+    mag = (np.stack([-((a_s * xs + b_s) * xs + c), ones, -a_si * xs], axis=1)
+           @ np.stack([ones, -(a_i * xi + b_i) * xi, xi]))      # -q, then |Phi|
+    worst = float(mag.max())
+    if worst > _EXP_GUARD:
+        raise ExponentOverflow(f"-Re(phi) = {worst:.3g} exceeds {_EXP_GUARD}; "
+                               "amplitude coefficients are not credible")
+    np.exp(mag, out=mag)
+    mag *= math.sqrt(form[0])
     with np.errstate(over="ignore"):        # an overflow raises as a typed error below
-        dens = np.abs(amplitude) ** 2
+        dens = mag**2
         total = _finite_mass(float(dens.sum()))
     ring = float(dens[0, :].sum() + dens[-1, :].sum()
                  + dens[:, 0].sum() + dens[:, -1].sum())
@@ -318,7 +337,15 @@ def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
             f"boundary ring carries {ring / total:.3g} of the sampled mass; widen the grid"
         )
     del dens
-    amplitude *= 1.0 / math.sqrt(total)
+    mag *= 1.0 / math.sqrt(total)
+    # Im f2si xs xi less its one-frequency terms: g j in column j, j = J a + b
+    g = tpsa.f2si.imag * h_i * (xs - cs)
+    J = math.isqrt(n_points - 1) + 1                            # ceil(sqrt(n_points))
+    phase = (np.exp(-1j * np.multiply.outer(g, np.arange(0, n_points, J)))[:, :, None]
+             * np.exp(-1j * np.multiply.outer(g, np.arange(J)))[:, None, :])
+    amplitude = phase.reshape(n_points, -1)[:, :n_points]      # a view: rows overhang
+    amplitude *= mag
+    del mag
     v = _flush(amplitude.view(np.float64))      # row i: Re A_i0, Im A_i0, Re A_i1, ...
     z = np.random.default_rng(0).standard_normal((n_points, _SCHMIDT_BLOCK))
     previous = np.full(_SCHMIDT_MODES, math.inf)

@@ -3,11 +3,12 @@
 Adaptive tensor Gauss-Kronrod quadrature in one and two dimensions, and
 with it a second rate integrator: |Phi|^2 over the package oracle's
 sheared frame, so that the rate is checked against two integrators that
-share only the quadratic form and its frame. Also a direct Riemann-sum transform for the
-time-domain amplitude, a no-Taylor evaluation of the single-pulse
-amplitude (exact propagation constants and exact transverse-overlap
-factor), and the in-house rational error function it uses, so it shares
-no numerics with the paths it checks.
+share only the quadratic form and its frame. Also the complex amplitude
+sampled by evaluate on the Schmidt oracle's grid, a direct Riemann-sum
+transform for the time-domain amplitude, a no-Taylor evaluation of the
+single-pulse amplitude (exact propagation constants and exact
+transverse-overlap factor), and the in-house rational error function it
+uses, so it shares no numerics with the paths it checks.
 """
 
 import cmath
@@ -20,8 +21,8 @@ import numpy as np
 from counterpairs.constants import C_LIGHT, EPSILON_0, HBAR
 from counterpairs.dispersion import WaveguideSpec, beta, gamma, group_velocity, refractive_index
 from counterpairs.errors import ExponentOverflow, QuadratureNotConverged
-from counterpairs.oracle import _SPAN, _shear, _spectral_form, sample_grid
-from counterpairs.tpsa import _EXP_GUARD, GaussianTPSA, PumpSpec
+from counterpairs.oracle import _SPAN, _shear, _spectral_form
+from counterpairs.tpsa import _EXP_GUARD, GaussianTPSA, PumpSpec, evaluate
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK constants).
 _XGK = (0.991455371120813, 0.949107912342759, 0.864864423359769,
@@ -128,6 +129,18 @@ def gk_rate(tpsa: GaussianTPSA, abs_tol: float | None = None) -> float:
         abs_tol = 1e-9 * float(f(cx, 0.0)) * (2.0 * _SPAN * sx) * (2.0 * _SPAN)
     value, _ = quad2d(f, (cx - _SPAN * sx, cx + _SPAN * sx), (-_SPAN, _SPAN), abs_tol)
     return value
+
+
+def sample_grid(tpsa: GaussianTPSA, n_points: int, span: float):
+    """(omega_s, omega_i, amplitude) over +-span marginal widths about the
+    centers, every complex sample by evaluate: the Schmidt oracle's grid with
+    all of its phase."""
+    form = _spectral_form(tpsa)
+    (cs, ss, *_), (ci, si, *_) = _shear(form, "s"), _shear(form, "i")
+    cs, ci = tpsa.omega_s0 + cs, tpsa.omega_i0 + ci
+    ws = np.linspace(cs - span * ss, cs + span * ss, n_points)
+    wi = np.linspace(ci - span * si, ci + span * si, n_points)
+    return ws, wi, evaluate(tpsa, ws[:, None], wi[None, :])
 
 
 def dft_time_amplitude(tpsa: GaussianTPSA, tau_s, tau_i,

@@ -18,7 +18,7 @@ from counterpairs.spectral import pair_rate, spectrum
 from counterpairs.temporal import evaluate_time, flux, time_domain
 from counterpairs.tpsa import _EXP_GUARD, evaluate, normalize
 from reference_oracles import (density, dft_time_amplitude, erf_rational, exact_phi1p,
-                               exponent, gk_rate, quad1d, quad2d)
+                               exponent, gk_rate, quad1d, quad2d, sample_grid)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -318,19 +318,6 @@ class TestBlockedMarginal:
             tracemalloc.stop()
         assert peak < 4e6
 
-    def test_peak_memory_of_the_sampled_amplitude(self, make_case):
-        # the 512^2 complex grid is 4.19 MB; evaluate holds at most it and
-        # one full-size term (out of place it took three grids, 12.6 MB)
-        t = normalize(make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            oracle.sample_grid(t, 512, 5.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.25 * 512 * 512 * 16
-
 
 class TestRowExpansion:
     """A marginal reads q on each row of its sheared grid as
@@ -450,6 +437,57 @@ class TestNumericSchmidt:
             assert len(got) == 8
             assert np.max(np.abs(got - _full_svd_schmidt(t)[:8])) <= 1e-12
 
+    # The cross phase exp(-i Im f2si x_s x_i) that the oracle builds from two
+    # tables spans 2.3e3 rad over the grid on this case, the widest of
+    # perfbench's seed-1 oracle-verify cases (a_p = -0.12)
+    WIDEST_CROSS_PHASE = dict(tau_p=7.515304075314769e-13, z_p=3.625678698269436e-06,
+                              a_p=-0.12199235134378883, dtilde_theta=4.2398450741812493e-17)
+
+    # without chirp the phase is exactly 1; at 300 points the tables of 17 x 18
+    # columns overhang the grid by 6
+    @pytest.mark.parametrize("kwargs,n_points", [
+        (WIDEST_CROSS_PHASE, 512), (dict(tau_p=4e-13, z_p=5e-6), 512),
+        (WIDEST_CROSS_PHASE, 300),
+    ], ids=["widest-cross-phase", "unchirped", "300-points"])
+    def test_cross_phase_matches_the_full_svd(self, make_case, kwargs, n_points):
+        t = normalize(make_case(**kwargs).tpsa)
+        assert (t.f2si.imag == 0.0) == ("a_p" not in kwargs)
+        got = numeric_schmidt(t, n_points=n_points)
+        assert np.max(np.abs(got - _full_svd_schmidt(t, n_points)[:8])) <= 1e-12
+
+    def test_complex_exps_per_call(self, monkeypatch, high_vartheta):
+        # 2 n ceil(sqrt(n)) complex exps at most, for the cross phase's two
+        # tables; sampling every node by evaluate took n^2 = 262144
+        exp, points = np.exp, []
+
+        def spy_exp(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                points.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy_exp)
+        numeric_schmidt(high_vartheta[0], n_points=512)
+        assert 0 < sum(points) <= 2 * 512 * 23
+
+    def test_peak_memory_of_one_call(self, make_case):
+        # the complex grid (4.2 MB and its 0.14 MB overhang) and |Phi| (2.1 MB)
+        # exist at once; sampling every node by evaluate peaked at 8.7 MB
+        t = normalize(make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            numeric_schmidt(t, n_points=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_exponent_guard(self, fig2):
+        # -q = 800 at the peak: exp(-q) itself would overflow
+        with np.errstate(over="raise"):
+            with pytest.raises(ExponentOverflow, match=r"-Re\(phi\) = 800 exceeds 700.0; "):
+                numeric_schmidt(replace(fig2, f0=-800.0), n_points=256)
+
     def test_is_deterministic(self, high_vartheta):
         t = high_vartheta[2]
         assert np.array_equal(numeric_schmidt(t), numeric_schmidt(t))
@@ -489,7 +527,7 @@ def _full_svd_schmidt(tpsa, n_points=512, span=5.0):
     """The Schmidt oracle as it was before subspace iteration, kept as a
     reference: every singular value of the sampled amplitude by a full SVD,
     scaled so their squares sum to one."""
-    svals = np.linalg.svd(oracle.sample_grid(tpsa, n_points, span)[2], compute_uv=False)
+    svals = np.linalg.svd(sample_grid(tpsa, n_points, span)[2], compute_uv=False)
     return svals / math.sqrt(float((svals**2).sum()))
 
 

@@ -181,6 +181,7 @@ UNREFERENCED = {
     "temporal.evaluate_time": "perfbench traces it (layers.BOTH)",
     "temporal.time_bandwidth": "perfbench traces it (layers.BOTH)",
     "tpsa.build_tpsa": "README quick start; perfbench oracle-verify",
+    "tpsa.evaluate": "README library section; perfbench sheared.py and layers.CALLS",
     "tpsa.normalize": "perfbench oracle-verify and layers.SELF",
 }
 

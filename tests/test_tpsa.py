@@ -23,6 +23,7 @@ from counterpairs.tpsa import (
     internal_dispersion,
     l2_norm,
 )
+from reference_oracles import sample_grid
 
 
 class TestCoefficientAssembly:
@@ -240,7 +241,7 @@ class TestEvaluateInPlace:
 
     def test_a_broadcast_grid_bit_for_bit(self, tpsa):
         # +-40 marginal widths: exp underflows through the subnormals to zero
-        ws, wi, _ = oracle.sample_grid(tpsa, 512, 40.0)
+        ws, wi, _ = sample_grid(tpsa, 512, 40.0)
         saved = ws.tobytes(), wi.tobytes()
         want = _evaluate_out_of_place(tpsa, ws[:, None], wi[None, :])
         got = cp.evaluate(tpsa, ws[:, None], wi[None, :])
@@ -250,7 +251,7 @@ class TestEvaluateInPlace:
         assert _bits(got) == _bits(want)
 
     def test_equal_shape_arrays_bit_for_bit(self, tpsa):
-        ws, wi, _ = oracle.sample_grid(tpsa, 512, 5.0)
+        ws, wi, _ = sample_grid(tpsa, 512, 5.0)
         saved = ws.tobytes(), wi.tobytes()
         got = cp.evaluate(tpsa, ws, wi[::-1])
         assert (ws.tobytes(), wi.tobytes()) == saved
@@ -259,12 +260,12 @@ class TestEvaluateInPlace:
         # On an array under numpy's 256 KiB temporary-elision threshold the
         # out-of-place expression multiplies the scale in from the left; where
         # the exp underflows, that can flip the sign of a zero, never a value.
-        ws, wi, _ = oracle.sample_grid(tpsa, 512, 40.0)
+        ws, wi, _ = sample_grid(tpsa, 512, 40.0)
         assert np.array_equal(cp.evaluate(tpsa, ws, wi[::-1]),
                               _evaluate_out_of_place(tpsa, ws, wi[::-1]))
 
     def test_scalars_bit_for_bit(self, tpsa):
-        ws, wi, _ = oracle.sample_grid(tpsa, 9, 40.0)
+        ws, wi, _ = sample_grid(tpsa, 9, 40.0)
         for w_s in ws:
             for w_i in wi:
                 got = cp.evaluate(tpsa, w_s, w_i)
