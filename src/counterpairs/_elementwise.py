@@ -49,21 +49,13 @@ def _numpy_fn(name):
 
 def _dispatch(numpy_name, scalar_fn, arity=1):
     """One function that calls numpy's numpy_name when an operand is an array,
-    else scalar_fn; the numpy function is looked up on the first array call."""
-    array_fn = None
-
-    def on_arrays(*args):
-        nonlocal array_fn
-        if array_fn is None:
-            array_fn = _numpy_fn(numpy_name)
-        return array_fn(*args)
-
+    else scalar_fn; the numpy function is looked up on each array call."""
     if arity == 1:
         def fn(x):
-            return on_arrays(x) if is_array(x) else scalar_fn(x)
+            return _numpy_fn(numpy_name)(x) if is_array(x) else scalar_fn(x)
     else:
         def fn(a, b):
-            return on_arrays(a, b) if is_array(a) or is_array(b) else scalar_fn(a, b)
+            return _numpy_fn(numpy_name)(a, b) if is_array(a) or is_array(b) else scalar_fn(a, b)
     return fn
 
 

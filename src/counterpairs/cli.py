@@ -26,7 +26,7 @@ from .config import (
     SWEEP_PARAMS,
     Scenario,
     _DEG,
-    _hom,
+    _dip_section,
     _parse_quantity,
     _read_assignments,
     _schmidt,
@@ -48,7 +48,7 @@ from .dispersion import (
 )
 from .errors import ConfigInvalid, CounterpairsError, OutOfRange, in_double_range
 from .inverse import MeasurementSet, estimate, fit_hom_B
-from .temporal import hom_curve, hom_params
+from .temporal import _dip_curve, hom_params
 from .tpsa import assemble_tpsa
 
 def _fmt(x) -> str:
@@ -216,12 +216,13 @@ def _cmd_hom(args) -> dict:
     sc = _load_scenario(args)
     mp = scenario_material(sc)
     tpsa = assemble_tpsa(mp, sc.pump, sc.filt, include_g=sc.include_g)
-    doc = _hom(sc, mp, tpsa)
+    dip = hom_params(tpsa)
+    doc = _dip_section(dip)
     if args.curve_out:
         import numpy as np
-        span = args.span * hom_params(tpsa).delta_tau_l     # in s; the section's is in fs
+        span = args.span * dip.delta_tau_l     # in s; the section's is in fs
         taus = np.linspace(-span, span, args.points)
-        rates = hom_curve(tpsa, taus)
+        rates = _dip_curve(dip, taus)
         Path(args.curve_out).write_text(_grid_csv(
             ("tau_l", taus.tolist(), "s"), None, [[rate] for rate in rates.tolist()], "R_n [1]"))
         doc["curve_file"] = args.curve_out

@@ -32,8 +32,8 @@ from .dispersion import (
 )
 from .entanglement import principal_axes, schmidt, separability_roots
 from .errors import ConfigInvalid, CounterpairsError, OutOfRange, in_double_range
-from .spectral import pair_rate, spectrum, wavelength_width, width_ratio
-from .temporal import flux, hom_params, width_products
+from .spectral import _field_spectrum, pair_rate, wavelength_width, width_ratio
+from .temporal import HomDip, _field_flux, hom_params, time_domain, width_products
 from .tpsa import (
     FilterSpec,
     GaussianTPSA,
@@ -41,6 +41,7 @@ from .tpsa import (
     assemble_tpsa,
     external_dispersion,
     internal_dispersion,
+    l2_norm,
     with_matched_angle,
 )
 
@@ -337,8 +338,9 @@ def _rate(sc, mp, tpsa):
 
 
 def _spectra(sc, mp, tpsa):
-    spec_s = spectrum(tpsa, "s")
-    spec_i = spectrum(tpsa, "i")
+    norm = l2_norm(tpsa)
+    spec_s = _field_spectrum(tpsa, "s", norm)
+    spec_i = _field_spectrum(tpsa, "i", norm)
     ratio = width_ratio(tpsa)
     return {
         "sigma_omega_s_rad_per_s": spec_s.sigma_omega,
@@ -354,8 +356,9 @@ def _spectra(sc, mp, tpsa):
 
 def _flux(sc, mp, tpsa, spectra):
     """Its time-bandwidth products read the widths of the spectra section, built before."""
-    flux_s = flux(tpsa, "s")
-    flux_i = flux(tpsa, "i")
+    td, norm = time_domain(tpsa), l2_norm(tpsa)
+    flux_s = _field_flux(td, "s", norm)
+    flux_i = _field_flux(td, "i", norm)
     tb = width_products(spectra["sigma_omega_s_rad_per_s"], spectra["sigma_omega_i_rad_per_s"],
                         flux_s.sigma_tau, flux_i.sigma_tau)
     return {
@@ -370,7 +373,11 @@ def _flux(sc, mp, tpsa, spectra):
 
 
 def _hom(sc, mp, tpsa):
-    dip = hom_params(tpsa)
+    return _dip_section(hom_params(tpsa))
+
+
+def _dip_section(dip: HomDip) -> dict:
+    """The hom section of a dip already formed."""
     return {"A": dip.a, "B_per_s2": dip.b, "visibility": dip.visibility,
             "beat_rad_per_s": dip.beat, "delta_tau_l_fs": dip.delta_tau_l * 1e15}
 

@@ -72,16 +72,21 @@ def spectrum(tpsa: GaussianTPSA, field: str = "s") -> SpectrumParams:
     """Gaussian parameters of the signal or idler intensity spectrum."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
+    return _field_spectrum(tpsa, field, l2_norm(tpsa))
+
+
+def _field_spectrum(tpsa: GaussianTPSA, field: str, norm) -> SpectrumParams:
+    """spectrum of one field, given the amplitude's L2 norm."""
     sigma, shift = _gauss.marginal(tpsa.f2s.real, tpsa.f2i.real, tpsa.f2si.real,
                                    tpsa.f1s.real, tpsa.f1i.real, tpsa.d_fr, field)
-    return SpectrumParams(amplitude=_peak(tpsa, field, sigma), sigma_omega=sigma,
+    return SpectrumParams(amplitude=_peak(tpsa, field, sigma, norm), sigma_omega=sigma,
                           delta_omega0=shift, field=field)
 
 
-def _peak(tpsa: GaussianTPSA, field: str, sigma):
-    """Peak of a spectrum or flux of 1/e half-width sigma; each integrates to hbar w0 N."""
+def _peak(tpsa: GaussianTPSA, field: str, sigma, norm):
+    """Peak of a spectrum or flux of 1/e half-width sigma; each integrates to hbar w0 norm."""
     own_omega0 = tpsa.omega_s0 if field == "s" else tpsa.omega_i0
-    return HBAR * own_omega0 * l2_norm(tpsa) / (math.sqrt(math.pi) * sigma)
+    return HBAR * own_omega0 * norm / (math.sqrt(math.pi) * sigma)
 
 
 def width_ratio(tpsa: GaussianTPSA) -> WidthRatio:

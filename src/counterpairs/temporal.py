@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from . import _elementwise as ew, _gauss
 from .errors import OutOfRange, SingularTransform
-from .spectral import _peak, spectrum
-from .tpsa import GaussianTPSA
+from .spectral import _field_spectrum, _peak
+from .tpsa import GaussianTPSA, l2_norm
 
 _DF_REL_FLOOR = 1e-12
 
@@ -136,9 +136,13 @@ def flux(tpsa: GaussianTPSA, field: str = "s") -> FluxParams:
     """Gaussian photon-flux parameters of the signal or idler field."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
-    td = time_domain(tpsa)
+    return _field_flux(time_domain(tpsa), field, l2_norm(tpsa))
+
+
+def _field_flux(td: TimeDomainTPSA, field: str, norm) -> FluxParams:
+    """flux of one field, given the time-domain form and the amplitude's L2 norm."""
     sigma, shift = _gauss.marginal(td.t2s, td.t2i, td.t2si, td.t1s, td.t1i, td.d_t, field)
-    return FluxParams(amplitude=_peak(tpsa, field, sigma), sigma_tau=sigma,
+    return FluxParams(amplitude=_peak(td.src, field, sigma, norm), sigma_tau=sigma,
                       delta_tau0=shift, field=field)
 
 
@@ -153,8 +157,12 @@ class TimeBandwidth:
 
 def time_bandwidth(tpsa: GaussianTPSA) -> TimeBandwidth:
     """sigma_w * sigma_tau per field; the s/i ratio is exactly 1 when chirp-free."""
-    return width_products(spectrum(tpsa, "s").sigma_omega, spectrum(tpsa, "i").sigma_omega,
-                          flux(tpsa, "s").sigma_tau, flux(tpsa, "i").sigma_tau)
+    norm = l2_norm(tpsa)
+    sigma_s = _field_spectrum(tpsa, "s", norm).sigma_omega
+    sigma_i = _field_spectrum(tpsa, "i", norm).sigma_omega
+    td = time_domain(tpsa)
+    return width_products(sigma_s, sigma_i, _field_flux(td, "s", norm).sigma_tau,
+                          _field_flux(td, "i", norm).sigma_tau)
 
 
 def width_products(sigma_omega_s, sigma_omega_i, sigma_tau_s, sigma_tau_i) -> TimeBandwidth:
@@ -200,8 +208,12 @@ def hom_curve(tpsa: GaussianTPSA, tau_l):
     The delays are one curve, not a sweep grid: the first delay at which
     R_n is not finite raises OutOfRange naming it.
     """
+    return _dip_curve(hom_params(tpsa), tau_l)
+
+
+def _dip_curve(dip: HomDip, tau_l):
+    """hom_curve of a dip already formed."""
     import numpy as np
-    dip = hom_params(tpsa)
     tau = np.asarray(tau_l, dtype=float)
     with np.errstate(all="ignore"):
         out = 1.0 - dip.a * np.exp(-dip.b * tau**2) * np.cos(dip.beat * tau)

@@ -27,6 +27,13 @@ def test_no_module_memoizes():
     assert found and not {name: uses for name, uses in found.items() if uses}
 
 
+def test_no_function_keeps_a_value_between_calls():
+    # a closure that rebinds an enclosing variable keeps a value from one call
+    # to the next, a memo by another name: each value is formed where it is
+    # read, or passed on as an argument
+    assert not _found(lambda node: True, ast.Nonlocal)
+
+
 def _is_ndarray(node):
     """Whether an isinstance class argument names ndarray, alone or in a tuple."""
     if isinstance(node, ast.Tuple):
@@ -91,15 +98,18 @@ def test_each_observable_is_evaluated_in_its_section():
     # scenario, sweep, hom and schmidt read every output off the sections of
     # the scenario document, so config and the CLI call each observable in its
     # section alone; a second spelling of an output (a sweep formula, a
-    # hand-built section) fails here. The dip curve's span reads the dip in s.
-    sections = {"pair_rate": "_rate", "spectrum": "_spectra", "width_ratio": "_spectra",
-                "flux": "_flux", "hom_params": "_hom", "schmidt": "_schmidt",
-                "principal_axes": "_principal_axes"}
-    found = {name: {site for site in _found(_calls_to(name))
-                    if site[0] in ("config.py", "cli.py")} for name in sections}
-    assert found == {name: {("config.py", owner)} | ({("cli.py", "_cmd_hom")}
-                                                     if name == "hom_params" else set())
-                     for name, owner in sections.items()}
+    # hand-built section) fails here. A section forms each value it reads once:
+    # both spectra share one norm, both fluxes one norm and one time-domain
+    # form. The hom handler forms the dip its section, span and curve read.
+    sites = {name: {("config.py", owner)} for name, owner in (
+        ("pair_rate", "_rate"), ("_field_spectrum", "_spectra"), ("width_ratio", "_spectra"),
+        ("time_domain", "_flux"), ("_field_flux", "_flux"), ("schmidt", "_schmidt"),
+        ("principal_axes", "_principal_axes"))}
+    hom = {("config.py", "_hom"), ("cli.py", "_cmd_hom")}
+    sites.update(l2_norm={("config.py", "_spectra"), ("config.py", "_flux")},
+                 hom_params=hom, _dip_section=hom, _dip_curve={("cli.py", "_cmd_hom")})
+    assert {name: {site for site in _found(_calls_to(name)) if site[0] in ("config.py", "cli.py")}
+            for name in sites} == sites
 
 
 def test_one_writer_writes_every_json_document():
@@ -179,6 +189,9 @@ UNREFERENCED = {
     "oracle.numeric_time_marginal": "perfbench oracle-verify; README verification design",
     "oracle.quad_norm": "perfbench oracle-verify; README verification design",
     "temporal.evaluate_time": "perfbench traces it (layers.BOTH)",
+    "spectral.spectrum": "README quick start; perfbench layers.BOTH and oracle-verify",
+    "temporal.flux": "README quick start; perfbench layers.BOTH and oracle-verify",
+    "temporal.hom_curve": "README CLI section; perfbench scenario-mix and layers.BOTH",
     "temporal.time_bandwidth": "perfbench traces it (layers.BOTH)",
     "tpsa.build_tpsa": "README quick start; perfbench oracle-verify",
     "tpsa.evaluate": "README library section; perfbench sheared.py and layers.CALLS",

@@ -12,6 +12,7 @@ value there, and a sweep builds each section it reads once.
 
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -223,28 +224,36 @@ def test_assembly_runs_once_per_sweep(capsys, tmp_path, monkeypatch):
 
 
 def spy_on(monkeypatch, names) -> list:
-    """Record each call of the named observables through config, as (name,
-    *arguments after the amplitude), in the order of the calls."""
+    """Record each call of the named functions of config, through every package
+    module that binds them, as (name, *its field arguments), in call order."""
     calls = []
     for name in names:
-        def spy(tpsa, *args, _name=name, _fn=getattr(config, name), **kwargs):
-            calls.append((_name, *args))
-            return _fn(tpsa, *args, **kwargs)
-        monkeypatch.setattr(config, name, spy)
+        original = getattr(config, name)
+
+        def spy(*args, _name=name, _fn=original, **kwargs):
+            calls.append((_name, *(arg for arg in args if isinstance(arg, str))))
+            return _fn(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("counterpairs")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
     return calls
 
 
 @pytest.mark.parametrize("name,observable,observed", [
-    ("fig3_sweep", "spectrum", [("spectrum", "s"), ("spectrum", "i")]),
+    ("fig3_sweep", "_field_spectrum", [("_field_spectrum", "s"), ("_field_spectrum", "i")]),
     ("fig5_sweep", "hom_params", [("hom_params",)]),
     ("fig6_sweep", "schmidt", [("schmidt",)]),
     ("fig7_sweep", "schmidt", [("schmidt",)]),
+    ("fig2_sweep", "time_domain", [("time_domain",)]),
+    ("fig2_sweep", "l2_norm", [("l2_norm",)] * 3),
 ])
 def test_a_sweep_evaluates_each_observable_once(capsys, tmp_path, monkeypatch, name,
                                                 observable, observed):
     # however many requested quantities read one section, the broadcast grid
     # builds it once: fig3's three quantities read both spectra, fig6's three
-    # one Schmidt spectrum
+    # one Schmidt spectrum. fig2's rate, spectra and flux sections form one
+    # norm each, and its flux section one time-domain form for both fields
     calls = spy_on(monkeypatch, [observable])
     assert main(["sweep", "--config", str(CONFIG_DIR / f"{name}.cfg"),
                  "--out-dir", str(tmp_path / "out")]) == 0
@@ -252,22 +261,28 @@ def test_a_sweep_evaluates_each_observable_once(capsys, tmp_path, monkeypatch, n
     assert calls == observed
 
 
-OBSERVABLES = ("pair_rate", "spectrum", "width_ratio", "flux", "hom_params", "schmidt",
-               "principal_axes")
+OBSERVABLES = ("pair_rate", "l2_norm", "_field_spectrum", "width_ratio", "time_domain",
+               "_field_flux", "hom_params", "schmidt", "principal_axes")
 
 
 @pytest.mark.parametrize("command,observed", [
-    ("scenario", [("pair_rate",), ("spectrum", "s"), ("spectrum", "i"), ("width_ratio",),
-                  ("flux", "s"), ("flux", "i"), ("hom_params",), ("schmidt",),
+    ("scenario", [("pair_rate",), ("l2_norm",), ("l2_norm",), ("_field_spectrum", "s"),
+                  ("_field_spectrum", "i"), ("width_ratio",), ("time_domain",), ("l2_norm",),
+                  ("_field_flux", "s"), ("_field_flux", "i"), ("hom_params",), ("schmidt",),
                   ("principal_axes",)]),
     ("hom", [("hom_params",)]),
     ("schmidt", [("schmidt",)]),
+    ("hom --curve-out", [("hom_params",)]),
 ])
-def test_a_document_evaluates_each_observable_once(capsys, monkeypatch, command, observed):
+def test_a_document_evaluates_each_observable_once(capsys, monkeypatch, tmp_path, command,
+                                                   observed):
     # section by section, in this order: a scenario that fails in several
-    # observables names the first of them
+    # observables names the first of them. Each value is formed once: the rate,
+    # spectra and flux sections one norm each, and the dip's section, its
+    # curve and the curve's span read one dip
     calls = spy_on(monkeypatch, OBSERVABLES)
-    assert main([command, "--config", str(CONFIG_DIR / "fig2.cfg")]) == 0
+    curve = [str(tmp_path / "curve.csv")] if command.endswith("--curve-out") else []
+    assert main([*command.split(), *curve, "--config", str(CONFIG_DIR / "fig2.cfg")]) == 0
     capsys.readouterr()
     assert calls == observed
 

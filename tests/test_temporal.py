@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from counterpairs import config, oracle, spectral, temporal
+from counterpairs import config, oracle, spectral, temporal, tpsa
 from counterpairs.constants import HBAR
 from counterpairs.dispersion import group_velocity
 from counterpairs.errors import OutOfRange, SingularTransform
@@ -178,9 +178,12 @@ class TestTimeBandwidth:
             products.append(tb.product_s)
         assert products[0] < products[1] < products[2]
 
-    def test_scenario_forms_each_field_marginal_once(self, monkeypatch):
+    @staticmethod
+    def _counted(monkeypatch, homes) -> dict:
+        """Count the calls of each (module, name), through every package module
+        that binds it."""
         counts = {}
-        for home, name in ((spectral, "spectrum"), (temporal, "flux"), (temporal, "time_domain")):
+        for home, name in homes:
             original, counts[name] = getattr(home, name), 0
 
             def counted(*args, name=name, original=original, **kwargs):
@@ -190,9 +193,24 @@ class TestTimeBandwidth:
             for module in [m for key, m in sys.modules.items() if key.startswith("counterpairs")]:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_scenario_forms_each_field_marginal_once(self, monkeypatch):
+        # one norm per section that reads it (rate, spectra, flux), and one
+        # time-domain form for both fluxes; the public per-field functions,
+        # which form their own, are not called
+        counts = self._counted(monkeypatch, ((spectral, "spectrum"), (temporal, "flux"),
+                                             (temporal, "time_domain"), (tpsa, "l2_norm")))
         cfg = Path(__file__).resolve().parents[1] / "configs" / "fig2.cfg"
         config.compute_scenario(config.resolve_scenario(config.parse_config(cfg)))
-        assert counts == {"spectrum": 2, "flux": 2, "time_domain": 2}
+        assert counts == {"spectrum": 0, "flux": 0, "time_domain": 1, "l2_norm": 3}
+
+    def test_forms_one_time_domain_and_one_norm(self, monkeypatch, make_case):
+        t = make_case(a_p=0.8).tpsa
+        want = time_bandwidth(t)
+        counts = self._counted(monkeypatch, ((temporal, "time_domain"), (tpsa, "l2_norm")))
+        assert time_bandwidth(t) == want
+        assert counts == {"time_domain": 1, "l2_norm": 1}
 
 
 class TestHom:
