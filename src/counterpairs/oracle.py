@@ -10,16 +10,20 @@ amplitude and its rational error function) live in
 tests/reference_oracles.py.
 
 Marginals integrate |Phi|^2 = scale exp(-2q), q the real quadratic form,
-one real exp per point, on a grid sheared along the amplitude: the outer
-axis spans the field's marginal, the inner one the partner's conditional
-width about its conditional centre. This resolves the thin diagonal
-ridges that a box aligned with the field axes cannot. Marginals form that
-grid in row blocks, never whole. On each row q is a quadratic in the inner
-coordinate; its coefficients are formed once, on 1-D arrays, in twice the
-working precision, and a block is one real matrix product of 3-term row
-and column factors before its exp, and one product with the fine and the
-halved Simpson rules after it (1537^2: about 4-7 ms, 0.5 MB on 2 cores).
-The rate is the norm of one marginal on a coarser grid (121^2).
+over every node of a grid sheared along the amplitude: the outer axis
+spans the field's marginal, the inner one the partner's conditional width
+about its conditional centre. This resolves the thin diagonal ridges that
+a box aligned with the field axes cannot. On each row q is alpha + beta t
++ gamma t^2 in the inner coordinate t; its coefficients are formed once,
+on 1-D arrays, in twice the working precision. So exp(-2q) is a row exp
+times a column exp times exp(-2 beta t), and at node j = J a + b, J =
+ceil(sqrt(n)), that factor is exp(-2 beta t_Ja) exp(-2 beta b h), from two
+small tables per row: 2 n ceil(sqrt(n)) + 2 n real exps, not n^2.
+The tables are formed a block of rows at a time, never whole, and a
+block's two Simpson sums are one real product of one table with the fine
+and the halved rules times the column exp, then one elementwise product
+with the other (1537^2: about 1.5 ms, 0.4 MB on 2 cores). The rate is
+the norm of one marginal on a coarser grid (121^2).
 The singular values come from a seeded block subspace iteration in real
 matrix products, not a full SVD (512^2: about 11-41 ms a call against
 70-115 ms), on an amplitude sampled from the same quadratic form: |Phi|
@@ -40,7 +44,8 @@ from .errors import ExponentOverflow, GridTooCoarse, QuadratureNotConverged
 from .temporal import TimeDomainTPSA
 from .tpsa import _EXP_GUARD, GaussianTPSA
 
-_ROW_BLOCK = 24     # rows of -2q per block in one reused buffer: 295 KB at 1537 points
+_TABLE_ROWS = 128   # rows of the exp(-2 beta t) tables per block: 160 KB at 1537 points
+_TABLE_GUARD = 1.0  # the tables' largest |exponent| 16 max|beta|: 2.8e-12 on the fig2 map
 _SCHMIDT_BLOCK, _SCHMIDT_MODES, _SCHMIDT_MAX_STEPS = 32, 8, 100
 _NORMAL_SQRT = math.sqrt(sys.float_info.min)
 _SPAN = 8.0         # rate and marginal grids reach +-8 widths of the sheared frame
@@ -178,49 +183,55 @@ def _row_expansion(form, field: str, t: np.ndarray):
     return x, w, alpha, beta, a_p * w * w
 
 
-def _row_factors(form, field: str, t: np.ndarray):
-    """(x, w, r, c) with r @ c = -2q on the sheared grid sampled at t widths:
-    r = [-2 beta, 1, -2 alpha] (n x 3), c = [t; -2 gamma t^2; 1] (3 x n).
-    The beta t product comes first and the other two factors are unit, so
-    each multiply-add after it is a plain rounded add: the product rounds
-    as (-2 beta t - 2 gamma t^2) - 2 alpha does, term by term."""
-    x, w, alpha, beta, gamma = _row_expansion(form, field, t)
-    ones = np.ones_like(t)
-    return (x, w, np.stack([-2.0 * beta, ones, -2.0 * alpha], axis=1),
-            np.stack([t, -2.0 * gamma * t**2, ones]))
-
-
 def _marginal(form, field: str, n_points: int) -> MarginalResult:
     """Marginal of scale exp(-2q) over the partner, on the sheared Simpson grid of +-8
-    marginal by +-8 conditional widths, formed and reduced _ROW_BLOCK rows at a time:
-    each block of -2q is one product of _row_factors into one reused buffer, and
-    its exp one product with both Simpson rules."""
+    marginal by +-8 conditional widths, every node summed. At node j = J a + b of
+    row r, exp(-2q) = exp(-2 alpha_r) exp(-2 gamma t_j^2) T1[r, a] T2[r, b], with the
+    tables T1 = exp(-2 beta t_Ja) and T2 = exp(-2 beta b h) formed _TABLE_ROWS rows at
+    a time: a block's fine and halved Simpson sums are one real product of T2 with
+    the rules times exp(-2 gamma t^2), then one elementwise product with T1 and a sum.
+    The scale, h and exp(-2 alpha) come last, so no product operand is subnormal."""
     if field not in ("s", "i"):
         raise ValueError("field must be 's' or 'i'")
     if n_points < 5 or n_points % 4 != 1:
         raise ValueError(f"n_points must be 4k + 1 with k >= 1, so that the grid and its "
                          f"halving both suit composite Simpson; got {n_points}")
     t = np.linspace(-_SPAN, _SPAN, n_points)
-    x, w, r, c = _row_factors(form, field, t)
-    h_p, h_x = w * (t[1] - t[0]), x[1] - x[0]
-    # column 0: the fine Simpson rule; column 1: the halved grid's, on even nodes
-    weights = np.zeros((n_points, 2))
-    weights[:, 0] = _simpson_weights(n_points) * (form[0] * h_p / 3.0)
-    weights[::2, 1] = _simpson_weights(len(t[::2])) * (form[0] * 2.0 * h_p / 3.0)
-    marginal, coarse, worst = np.empty(n_points), np.empty(len(t[::2])), -math.inf
-    buf = np.empty((_ROW_BLOCK, n_points))
-    for lo in range(0, n_points, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        q2 = buf[:min(_ROW_BLOCK, n_points - lo)]     # -2q on the block's rows
-        np.matmul(r[rows], c, out=q2)
-        worst = max(worst, float(q2.max()))
-        if worst <= _EXP_GUARD:     # past the guard, only scan on for the worst -2q
-            np.exp(q2, out=q2)
-            sums = q2 @ weights
-            marginal[rows] = sums[:, 0]
-            coarse[lo // 2:(lo + _ROW_BLOCK) // 2] = sums[::2, 1]   # lo is even
+    x, w, alpha, beta, gamma = _row_expansion(form, field, t)
+    h_t, h_x = t[1] - t[0], x[1] - x[0]
+    h_p = w * h_t
+    beta2, col = -2.0 * beta, -2.0 * gamma * t**2
+    # each row's -2q peaks at the node nearest -beta / (2 gamma) or at a neighbour
+    # (fmax and fmin send a NaN vertex to a valid node, where its -2q is NaN too)
+    near = np.fmin(np.fmax(np.rint((-beta / (2.0 * gamma) - t[0]) / h_t), 1.0), n_points - 2.0)
+    nodes = near.astype(np.intp)[:, None] + np.arange(-1, 2)
+    worst = float(np.max(beta2[:, None] * t[nodes] + col[nodes] - 2.0 * alpha[:, None]))
     if worst > _EXP_GUARD:
         raise ExponentOverflow(f"-2q = {worst:.3g} exceeds {_EXP_GUARD}")
+    tables = float(np.max(np.abs(beta2))) * _SPAN        # the tables' largest |exponent|
+    if tables > _TABLE_GUARD:
+        raise ExponentOverflow(f"the row tables' exponent 16 max|beta| = {tables:.3g} "
+                               f"exceeds {_TABLE_GUARD}: the frame is off the ridge")
+    J = math.isqrt(n_points - 1) + 1                    # ceil(sqrt(n_points))
+    A = -(-n_points // J)                               # ceil(n_points / J)
+    # rule k (0: fine; 1: the halved grid's, on even nodes) times exp(-2 gamma t^2),
+    # at node J a + b in rule[b, k A + a], zero past the grid
+    rule = np.zeros((2, A * J))
+    rule[0, :n_points] = _simpson_weights(n_points)
+    rule[1, :n_points:2] = _simpson_weights(len(t[::2]))
+    rule[:, :n_points] *= np.exp(col)
+    rule = rule.reshape(2, A, J).transpose(2, 0, 1).reshape(J, 2 * A)
+    sums = np.empty((n_points, 2))
+    for lo in range(0, n_points, _TABLE_ROWS):
+        b2 = beta2[lo:lo + _TABLE_ROWS]
+        t2 = np.multiply.outer(b2, t[:J] - t[0])      # exp(-2 beta b h), in place
+        t1 = np.multiply.outer(b2, t[::J])            # exp(-2 beta t_{J a})
+        np.exp(t2, out=t2), np.exp(t1, out=t1)
+        sums[lo:lo + _TABLE_ROWS] = np.einsum("rka,ra->rk", (t2 @ rule).reshape(-1, 2, A), t1)
+    with np.errstate(over="ignore"):        # an overflow raises as a typed error below
+        rows = np.exp(-2.0 * alpha)
+        marginal = sums[:, 0] * rows * (form[0] * h_p / 3.0)
+        coarse = sums[::2, 1] * rows[::2] * (form[0] * 2.0 * h_p / 3.0)
     norm, mean, var = _moments(x, marginal, h_x)
     c_norm, c_mean, c_var = _moments(x[::2], coarse, 2.0 * h_x)
     conv = max(abs(c_norm / norm - 1.0), abs(c_var / var - 1.0))

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -237,8 +238,9 @@ def _whole_grid_marginal(form, field, n_points, span=8.0):
 
 
 class TestBlockedMarginal:
-    """_marginal forms and reduces the sheared grid a block of rows at a time;
-    it must give what the whole grid gives."""
+    """_marginal sums every node of the sheared grid from a row exp, a column
+    exp and two tables of exp(-2 beta t), formed and reduced a block of rows
+    at a time; it must give what the whole grid gives."""
 
     @pytest.fixture(scope="class")
     def forms(self, random_cases):
@@ -249,7 +251,7 @@ class TestBlockedMarginal:
         return [form for t in cases
                 for form in (oracle._spectral_form(t), oracle._time_form(time_domain(t)))]
 
-    # after its full blocks, a last one of 1 row (1537 points) or 17 rows (257, 1001)
+    # after its full blocks, a last one of 1 row (1537, 257 points) or 105 rows (1001)
     @pytest.mark.parametrize("n_points", [1537, 257, 1001])
     def test_matches_the_whole_grid(self, forms, n_points):
         for form in forms:
@@ -265,6 +267,25 @@ class TestBlockedMarginal:
                 assert got.shift == pytest.approx(want.shift, rel=1e-14, abs=scale)
                 assert np.max(np.abs(got.values / want.values - 1.0)) <= 1e-14
                 assert abs(got.conv_error - want.conv_error) <= 1e-12
+
+    def test_tables_match_the_whole_grid_off_the_ridge(self, monkeypatch, forms):
+        # beta is p0's rounding residue, so on a true frame the tables are 1 to
+        # within 3e-12; a p0 moved off the ridge makes beta 0.06 (16 max|beta| = 0.96)
+        shear = oracle._shear
+
+        def moved(form, field):
+            cx, sx, k, m, w = shear(form, field)
+            a_p = form[2][1 if field == "s" else 0]
+            return cx, sx, k, m + 0.06 / (2.0 * a_p * w), w
+
+        monkeypatch.setattr(oracle, "_shear", moved)
+        for form in forms[:4]:
+            for field in ("s", "i"):
+                want = _whole_grid_marginal(form, field, 1537)
+                got = oracle._marginal(form, field, 1537)
+                assert got.norm == pytest.approx(want.norm, rel=1e-14, abs=0)
+                assert got.sigma_e1 == pytest.approx(want.sigma_e1, rel=1e-14, abs=0)
+                assert np.max(np.abs(got.values / want.values - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("c,x_first,message", [
         # only the last row, so only the last block, passes the guard on -2q
@@ -306,6 +327,36 @@ class TestBlockedMarginal:
         assert quad_norm(t) == pytest.approx(pair_rate(t).pairs_per_s, rel=1e-6, abs=0)
         assert pair_rate(t).pairs_per_s == pytest.approx(5.7507137990732e267, rel=1e-12)
 
+    def test_table_exponents_are_bounded_before_any_exp(self, monkeypatch):
+        # a frame whose p0 is 100 conditional widths off the ridge, so beta = 100
+        # and not p0's rounding residue: the whole grid's -2q peaks at 136 and
+        # its exps are finite (its halving test fails, as the partner's peak is
+        # off the grid), but a table entry exp(-2 beta t) would be e^1600
+        form = (1.0, (0.0, 0.0), (1.0, 1.0, 0.0, 0.0, 0.0, -4300.0))
+        w = math.sqrt(0.5)
+        monkeypatch.setattr(oracle, "_shear", lambda form, field: (0.0, 1.0, 0.0, 100.0 * w, w))
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureNotConverged):
+                _whole_grid_marginal(form, "s", 1537)
+            with pytest.raises(ExponentOverflow,
+                               match=r"16 max\|beta\| = 1\.6e\+03 exceeds 1\.0: "):
+                oracle._marginal(form, "s", 1537)
+
+    def test_real_exps_per_marginal(self, monkeypatch, make_case):
+        # one exp per row and per column, and two tables of n ceil(sqrt(n))
+        # entries between them; one exp per node was n^2 = 2,362,369
+        t = make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa
+        exp, points = np.exp, []
+
+        def spy_exp(x, *args, **kwargs):
+            points.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy_exp)
+        numeric_marginal(t, "s", n_points=1537)
+        assert 0 < sum(points) <= 1537 * (39 + 40) + 2 * 1537
+
     def test_peak_memory_of_one_marginal(self, make_case):
         # the whole 1537^2 grid took 56.8 MB; a block of rows stays far below 4 MB
         t = make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa
@@ -327,17 +378,21 @@ class TestRowExpansion:
     @staticmethod
     def _worst_errors(form, field, x, p0, w, t, approximations):
         """The worst |q - q50| of each approximation (one value per node x[a],
-        p0[a] + w t[b]), q50 being q at that exact node to 50 digits."""
+        p0[a] + w t[b]), q50 being q at that exact node to 50 digits. An
+        approximation is a tuple of float arrays whose exact sum is its q."""
+        shape = (len(x), len(t))
+        approximations = [[np.broadcast_to(part, shape) for part in parts]
+                          for parts in approximations]
         worst = [mpmath.mpf(0)] * len(approximations)
         with mpmath.workdps(50):
             a_s, a_i, a_si, b_s, b_i, c = (mpmath.mpf(v) for v in form[2])
-            for a, b in np.ndindex(len(x), len(t)):
+            for a, b in np.ndindex(*shape):
                 own = mpmath.mpf(x[a])
                 node = mpmath.mpf(p0[a]) + mpmath.mpf(w) * mpmath.mpf(t[b])
                 xs, xi = (own, node) if field == "s" else (node, own)
                 q50 = a_s * xs**2 + a_i * xi**2 + a_si * xs * xi + b_s * xs + b_i * xi + c
-                worst = [max(e, abs(mpmath.mpf(float(q[a, b])) - q50))
-                         for e, q in zip(worst, approximations)]
+                worst = [max(e, abs(sum(mpmath.mpf(float(part[a, b])) for part in parts) - q50))
+                         for e, parts in zip(worst, approximations)]
         return worst
 
     def test_as_accurate_as_the_expanded_form_at_50_digits(self, random_cases):
@@ -349,21 +404,26 @@ class TestRowExpansion:
         ts += [_fig2_map_cell(*cell) for cell in TestRidgeCells.CELLS]
         n, rng = 1537, np.random.default_rng(7)
         t = np.linspace(-8.0, 8.0, n)
+        J = math.isqrt(n - 1) + 1       # node j = J a + b of the marginal's tables
         for tp in ts:
             for form in (oracle._spectral_form(tp), oracle._time_form(time_domain(tp))):
                 for field in ("s", "i"):
                     _, _, k, m, w = oracle._shear(form, field)
-                    x, _, r, c = oracle._row_factors(form, field, t)
+                    x, _, alpha, beta, gamma = oracle._row_expansion(form, field, t)
                     i, j = rng.choice(n, 8, replace=False), rng.choice(n, 16, replace=False)
-                    # the marginal's own arithmetic for -2q, its product of
-                    # row and column factors, halved (exactly)
-                    expansion = -0.5 * np.matmul(r[i], c[:, j])
+                    # the marginal's own arithmetic for -2q: the four exponents
+                    # whose exps it multiplies (row, column and the two tables),
+                    # each rounded as it rounds them, halved (exactly)
+                    beta2 = -2.0 * beta[i, None]
+                    expansion = tuple(-0.5 * e for e in (
+                        -2.0 * alpha[i, None], (-2.0 * gamma * t**2)[j],
+                        beta2 * t[::J][j // J], beta2 * (t[:J] - t[0])[j % J]))
                     p0 = k * x[i] + m
                     p = p0[:, None] + w * t[j]
                     expanded = (exponent(form, x[i, None], p) if field == "s"
                                 else exponent(form, p, x[i, None]))
                     new, old = self._worst_errors(form, field, x[i], p0, w, t[j],
-                                                  (expansion, expanded))
+                                                  (expansion, (expanded,)))
                     assert new <= 1.25 * old
 
     def test_full_form_only_on_rows(self, monkeypatch, make_case):

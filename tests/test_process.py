@@ -32,6 +32,7 @@ import counterpairs
 assert "numpy" not in sys.modules, "import counterpairs loaded numpy"
 from counterpairs.cli import main
 loaded = set(sys.modules)
+assert "counterpairs.oracle" not in loaded, "import counterpairs.cli loaded the oracle"
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
     # numpy above all: a request imports nothing that the import did not
@@ -89,6 +90,7 @@ for name, value in arrays.items():
     Path(name + ".txt").write_text(repr(value.tolist()))
 assert main(["sweep", "--config", sweep_cfg, "--out-dir", "sweep"]) == 0
 assert main(["hom", "--config", fig2, "--curve-out", "curve.csv", "--out", "hom.json"]) == 0
+assert "counterpairs.oracle" not in sys.modules, "a sweep or hom request loaded the oracle"
 """
 
 
