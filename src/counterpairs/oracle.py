@@ -25,10 +25,11 @@ and the halved rules times the column exp, then one elementwise product
 with the other (1537^2: about 1.5 ms, 0.4 MB on 2 cores). The rate is
 the norm of one marginal on a coarser grid (121^2).
 The singular values come from a seeded block subspace iteration in real
-matrix products, not a full SVD (512^2: about 11-41 ms a call against
-70-115 ms), on an amplitude sampled from the same quadratic form: |Phi|
-with one real exp per node, and of its phase only the one cross term that
-is not a function of one frequency alone, from two small tables.
+matrix products whose Ritz values are compared every half step, not a full
+SVD (512^2: about 14-53 ms a call against 70-115 ms), on the transposed
+amplitude (rows idler, columns signal) sampled from the same quadratic
+form: |Phi| with one real exp per node, and of its phase only the one cross
+term that is not a function of one frequency alone, from two small tables.
 Oracles favor correctness and determinism over speed.
 """
 
@@ -298,25 +299,32 @@ def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
     (so the squares of all of them would sum to one).
 
     The amplitude is sampled on n_points^2 nodes over +-span marginal
-    widths about the centres, with the phases that are functions of one
-    frequency alone dropped: they are diagonal unitary factors on either
-    side, which leave the singular values unchanged. |Phi| is scale^(1/2)
-    exp(-q) from the real quadratic form, one real exp per node (-q is held
-    to 700). The one cross phase left, exp(-i Im f2si x_s x_i) up to such
-    factors, is exp(-i g j) in column j on each row, built from two tables
-    by angle addition: 2 n ceil(sqrt(n)) complex exps, not n^2.
+    widths about the centres, transposed (row j holds idler node j, column
+    k signal node k; A^T has the singular values of A), with the phases
+    that are functions of one frequency alone dropped: they are diagonal
+    unitary factors on either side, which leave the singular values
+    unchanged. |Phi| is scale^(1/2) exp(-q) from the real quadratic form,
+    one real exp per node (-q is held to 700); the sampled mass and the
+    boundary ring are real dot products of |Phi|. The one cross phase left,
+    exp(-i Im f2si x_s x_i) up to such factors, is exp(-i g_k j) in row j
+    of column k, built from two tables by angle addition with the signal
+    axis innermost: 2 n ceil(sqrt(n)) complex exps, not n^2. Their product
+    overhangs the grid by whole trailing rows, so A is its leading n rows.
 
     The values come from a block subspace iteration with Rayleigh-Ritz
     (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)): from a fixed
-    random block Z of 32 columns, Q = qr(A Z), then Z, R = qr(A^H Q), whose
-    small R carries the Ritz values; it stops when the leading 8 move by
-    at most 1e-14 of the largest between steps, and raises
-    QuadratureNotConverged after 100 steps. A is the sampled amplitude
-    scaled to unit Frobenius norm; _flush zeroes its entries, and those of
-    each block, under 1.5e-154, which moves no value by 1e-150. Every
-    product with A is a real one on its float64 view: on OpenBLAS, a
-    complex matrix product can leave every later complex exp 15-40 times
-    slower, until another BLAS or LAPACK call clears that state.
+    random block Z of 32 columns, Q = qr(A Z), then in turn Z, R =
+    qr(A^H Q) and Q, R = qr(A Z). Each of these half steps' small R
+    carries Ritz values, sigma(R) = sigma(Q^H A), then sigma(A Z): lower
+    bounds that never fall from one half step to the next, since P_Q A =
+    P_Q A P_Z and A P_Z = P_Q' A P_Z. It stops when the leading 8 move by
+    at most 1e-14 of the largest between half steps, and raises
+    QuadratureNotConverged after 100 full steps. A is the sampled
+    amplitude scaled to unit Frobenius norm; _flush zeroes its entries,
+    and those of each block, under 1.5e-154, which moves no value by
+    1e-150. Every product with A is a real one on its float64 view: on
+    OpenBLAS, a complex matrix product can leave every later complex exp
+    15-40 times slower, until another BLAS or LAPACK call clears that state.
     Raises GridTooCoarse when the boundary ring of |Phi|^2 carries more
     than 1e-8 of the sampled mass (a conservative proxy for the 1e-6
     outside-the-grid bound), and ExponentOverflow when that mass is 0 or
@@ -330,39 +338,43 @@ def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
     xi, h_i = np.linspace(ci - span * si, ci + span * si, n_points, retstep=True)
     a_s, a_i, a_si, b_s, b_i, c = form[2]
     ones = np.ones(n_points)
-    mag = (np.stack([-((a_s * xs + b_s) * xs + c), ones, -a_si * xs], axis=1)
-           @ np.stack([ones, -(a_i * xi + b_i) * xi, xi]))      # -q, then |Phi|
+    mag = (np.stack([ones, -(a_i * xi + b_i) * xi, xi], axis=1)
+           @ np.stack([-((a_s * xs + b_s) * xs + c), ones, -a_si * xs]))   # -q, then |Phi|
     worst = float(mag.max())
     if worst > _EXP_GUARD:
         raise ExponentOverflow(f"-Re(phi) = {worst:.3g} exceeds {_EXP_GUARD}; "
                                "amplitude coefficients are not credible")
     np.exp(mag, out=mag)
     mag *= math.sqrt(form[0])
+    flat = mag.reshape(-1)
     with np.errstate(over="ignore"):        # an overflow raises as a typed error below
-        dens = mag**2
-        total = _finite_mass(float(dens.sum()))
-    ring = float(dens[0, :].sum() + dens[-1, :].sum()
-                 + dens[:, 0].sum() + dens[:, -1].sum())
+        total = _finite_mass(float(flat @ flat))
+    del flat                                # a view: it would keep |Phi| past del mag
+    ring = float(mag[0] @ mag[0] + mag[-1] @ mag[-1]
+                 + mag[:, 0] @ mag[:, 0] + mag[:, -1] @ mag[:, -1])
     if ring / total > 1e-8:
         raise GridTooCoarse(
             f"boundary ring carries {ring / total:.3g} of the sampled mass; widen the grid"
         )
-    del dens
     mag *= 1.0 / math.sqrt(total)
-    # Im f2si xs xi less its one-frequency terms: g j in column j, j = J a + b
+    # Im f2si xs xi less its one-frequency terms: g_k j in row j of column k, j = J a + b
     g = tpsa.f2si.imag * h_i * (xs - cs)
     J = math.isqrt(n_points - 1) + 1                            # ceil(sqrt(n_points))
-    phase = (np.exp(-1j * np.multiply.outer(g, np.arange(0, n_points, J)))[:, :, None]
-             * np.exp(-1j * np.multiply.outer(g, np.arange(J)))[:, None, :])
-    amplitude = phase.reshape(n_points, -1)[:, :n_points]      # a view: rows overhang
+    phase = (np.exp(-1j * np.multiply.outer(np.arange(0, n_points, J), g))[:, None, :]
+             * np.exp(-1j * np.multiply.outer(np.arange(J), g))[None, :, :])
+    amplitude = phase.reshape(-1, n_points)[:n_points]     # contiguous: whole rows overhang
     amplitude *= mag
     del mag
-    v = _flush(amplitude.view(np.float64))      # row i: Re A_i0, Im A_i0, Re A_i1, ...
+    v = _flush(amplitude.view(np.float64))      # row j: Re A_j0, Im A_j0, Re A_j1, ...
     z = np.random.default_rng(0).standard_normal((n_points, _SCHMIDT_BLOCK))
+    # the seeded Z is not orthonormal, so this first R carries no Ritz values
+    q = np.linalg.qr(_times(v, z))[0]
     previous = np.full(_SCHMIDT_MODES, math.inf)
-    for _ in range(_SCHMIDT_MAX_STEPS):
-        q = np.linalg.qr(_times(v, z))[0]
-        z, r = np.linalg.qr(_adjoint_times(v, q))
+    for half in range(1, 2 * _SCHMIDT_MAX_STEPS):
+        if half % 2:
+            z, r = np.linalg.qr(_adjoint_times(v, q))     # sigma(r) = sigma(Q^H A)
+        else:
+            q, r = np.linalg.qr(_times(v, z))             # sigma(r) = sigma(A Z)
         svals = np.linalg.svd(r, compute_uv=False)[:_SCHMIDT_MODES]
         change = float(np.max(np.abs(svals - previous))) / svals[0]
         if change <= 1e-14:
@@ -372,4 +384,3 @@ def numeric_schmidt(tpsa: GaussianTPSA, n_points: int = 512,
         f"leading singular values moved by {change:.3g} of the largest "
         f"in subspace step {_SCHMIDT_MAX_STEPS}"
     )
-

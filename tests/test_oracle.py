@@ -1,5 +1,6 @@
 """The verifiers themselves: quadrature, special functions, exact amplitude."""
 
+import collections
 import math
 import time
 import tracemalloc
@@ -514,6 +515,56 @@ class TestNumericSchmidt:
         assert (t.f2si.imag == 0.0) == ("a_p" not in kwargs)
         got = numeric_schmidt(t, n_points=n_points)
         assert np.max(np.abs(got - _full_svd_schmidt(t, n_points)[:8])) <= 1e-12
+
+    def test_work_per_call(self, monkeypatch, make_case, high_vartheta):
+        # Ritz values compared every half step, not every full step
+        work = collections.Counter()
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                work[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(oracle, "_times", spy("products", oracle._times))
+        monkeypatch.setattr(oracle, "_adjoint_times", spy("products", oracle._adjoint_times))
+        monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
+        # vartheta 0.018: the full-step rule stopped at the second step, 4 products and 4 QRs
+        numeric_schmidt(normalize(make_case(a_p=0.5, sigma_s=3e13, sigma_i=4e13).tpsa))
+        assert work == {"products": 3, "qr": 3}
+        products = []
+        for t in high_vartheta:
+            work.clear()
+            numeric_schmidt(t)
+            assert work["qr"] == work["products"]
+            products.append(work["products"])
+        full_steps = [12, 14, 16, 12, 14, 16]       # products under the full-step rule
+        assert products == [10, 12, 15, 10, 12, 13]
+        assert all(now <= then for now, then in zip(products, full_steps))
+
+    def test_ritz_values_never_fall_between_half_steps(self, monkeypatch, random_cases,
+                                                       high_vartheta):
+        # P_Q A = P_Q A P_Z and A P_Z = P_Q' A P_Z, so sigma(P_Q A) <= sigma(A P_Z)
+        # <= sigma(P_Q' A): each half step's R bounds the singular values from below
+        # and no bound falls at the next half step, so the 1e-14 rule may compare
+        # consecutive half steps. Rounding in one QR and one 32 x 32 SVD lets a
+        # converged value fall by up to 1.01e-15 of the largest (4.5 eps) here.
+        cases = [t for t in (normalize(c.tpsa) for c in random_cases(70, seed=204, chirp=True))
+                 if cp.schmidt(t).vartheta <= 0.9][:12]
+        svd, seen = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            s = svd(a, *args, **kwargs)
+            seen.append(s[:8])
+            return s
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for t in cases + high_vartheta:
+            seen.clear()
+            numeric_schmidt(t)
+            ritz = np.array(seen)
+            assert len(ritz) >= 2
+            assert np.max(ritz[:-1] - ritz[1:]) <= 2e-15 * np.max(ritz[:, 0])
 
     def test_complex_exps_per_call(self, monkeypatch, high_vartheta):
         # 2 n ceil(sqrt(n)) complex exps at most, for the cross phase's two
